@@ -11,9 +11,7 @@ See :mod:`algdecomp.catalog` for the built-in algebras.
 """
 
 from .core import (AlgebraError, AlgebraSpec, AlgMatrix, Element,
-                   SpecMismatchError, UnsupportedOperationError,
-                   conj, frob, herm, is_unitary, matmul, mul, norm2, norm_inf,
-                   re, rmr, rmr_lift, supnorm)
+                   SpecMismatchError, UnsupportedOperationError, rmr, rmr_lift)
 from .catalog import (CliffordAlgebra, CyclicGroupAlgebra, DirectSumPMAlgebra,
                       FiniteGroup, LaurentAlgebra, TensorAlgebra,
                       TwistedGroupAlgebra, algebra_from_descriptor, biquat,
@@ -22,10 +20,9 @@ from .catalog import (CliffordAlgebra, CyclicGroupAlgebra, DirectSumPMAlgebra,
                       quaternion_algebra, random_element, random_matrix,
                       real_algebra, tensor, twisted_group)
 from .jacobi import (ConvergenceError, DecencyResult, DecompReport,
-                     GivensParams, apply_givens_left, apply_givens_right,
-                     apply_shift_left, apply_shift_right, aqr, asvd,
-                     beta_basis, beta_division, beta_prime, decency_check,
-                     givens_matrix)
+                     GivensParams, apply_givens_left, apply_shift_left,
+                     apply_shift_right, aqr, asvd, beta_basis, beta_division,
+                     beta_prime, decency_check, givens_matrix)
 from .wedderburn import (IdempotentSet, Representation, idempotent_join,
                          idempotent_split, laurent_embed, laurent_unembed,
                          lift, rep_biquat, rep_cl41, rep_cyclic_dft,
@@ -39,8 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraError", "AlgebraSpec", "AlgMatrix", "Element",
     "SpecMismatchError", "UnsupportedOperationError",
-    "mul", "conj", "re", "norm2", "norm_inf", "rmr", "rmr_lift",
-    "herm", "matmul", "frob", "supnorm", "is_unitary",
+    "rmr", "rmr_lift",
     "CliffordAlgebra", "LaurentAlgebra", "CyclicGroupAlgebra",
     "TwistedGroupAlgebra", "TensorAlgebra", "DirectSumPMAlgebra",
     "FiniteGroup", "boolean_group", "cyclic_group",
@@ -50,8 +46,7 @@ __all__ = [
     "random_element", "random_matrix",
     "aqr", "asvd", "beta_basis", "beta_division", "beta_prime",
     "decency_check", "GivensParams", "givens_matrix",
-    "apply_givens_left", "apply_givens_right",
-    "apply_shift_left", "apply_shift_right",
+    "apply_givens_left", "apply_shift_left", "apply_shift_right",
     "DecompReport", "DecencyResult", "ConvergenceError",
     "Representation", "rep_cl41", "rep_quadquat", "rep_biquat",
     "rep_cyclic_dft", "rep_trivial", "representation_for",

@@ -120,6 +120,35 @@ def _normalized_cost(report, rep) -> float:
                                            rep.field_dims()))
 
 
+@dataclass
+class Contract:
+    """Frobenius errors of a report's factors against its input."""
+    reconstruction_error: float
+    unitarity_error: float
+    scale: float
+
+    @property
+    def violated(self) -> bool:
+        # a NaN error fails the comparison and so counts as a violation
+        return not (self.reconstruction_error <= 1e-6 * self.scale)
+
+
+def check_contract(report, A: AlgMatrix) -> Contract:
+    """Reconstruction error of Q R or U D V^H, and the worst unitarity
+    error over the unitary factors (Q, or both U and V)."""
+    if report.kind == "qr":
+        recon = report.q @ report.r
+        unitary = (report.q,)
+    else:
+        recon = report.u @ report.d @ report.v.herm()
+        unitary = (report.u, report.v)
+    # np.max, unlike max, keeps a NaN wherever it occurs
+    unit = float(np.max([
+        (X.herm() @ X - AlgMatrix.identity(X.spec, X.m)).frob()
+        for X in unitary]))
+    return Contract((recon - A).frob(), unit, max(A.frob(), 1e-300))
+
+
 def cmd_decompose(args) -> int:
     cfg = args.config
     A0 = _load_or_generate(cfg, args)
@@ -135,30 +164,18 @@ def cmd_decompose(args) -> int:
     for attr, tag in names:
         write_matrix(f"{prefix}.{tag}.json", getattr(report, attr))
 
-    if cfg.op == "qr":
-        recon = report.q @ report.r
-        unit = (report.q.herm() @ report.q
-                - AlgMatrix.identity(report.q.spec, report.q.m)).frob()
-    else:
-        recon = report.u @ report.d @ report.v.herm()
-        unit = max(
-            (report.u.herm() @ report.u
-             - AlgMatrix.identity(report.u.spec, report.u.m)).frob(),
-            (report.v.herm() @ report.v
-             - AlgMatrix.identity(report.v.spec, report.v.m)).frob())
-    recon_err = (recon - A).frob()
-    scale = max(A.frob(), 1e-300)
+    c = check_contract(report, A)
 
     print(report.summary())
-    print(f"reconstruction_error={recon_err:.6e} "
-          f"(relative {recon_err / scale:.6e})")
-    print(f"unitarity_error={unit:.6e}")
+    print(f"reconstruction_error={c.reconstruction_error:.6e} "
+          f"(relative {c.reconstruction_error / c.scale:.6e})")
+    print(f"unitarity_error={c.unitarity_error:.6e}")
     if cfg.method == "wedderburn":
         mid = report.r if cfg.op == "qr" else report.d
         labels = diagonal_support_labels(mid)
         print(f"diagonal_support={len(labels)} of {A.spec.dim} basis labels")
     print(f"factors written to {prefix}.*.json")
-    if recon_err > 1e-6 * scale:
+    if c.violated:
         print("error: reconstruction residual violates the contract",
               file=sys.stderr)
         return EXIT_RESIDUAL
@@ -176,14 +193,7 @@ def cmd_sweep_eps(args) -> int:
         for method in methods:
             c = RunConfig(**{**cfg.__dict__, "eps": eps, "method": method})
             report, rep, B = _run_engine(c, A)
-            if c.op == "qr":
-                recon = report.q @ report.r
-                unit = (report.q.herm() @ report.q
-                        - AlgMatrix.identity(B.spec, B.m)).frob()
-            else:
-                recon = report.u @ report.d @ report.v.herm()
-                unit = (report.u.herm() @ report.u
-                        - AlgMatrix.identity(B.spec, B.m)).frob()
+            contract = check_contract(report, B)
             rows.append({
                 "epsilon": eps,
                 "method": method,
@@ -191,8 +201,8 @@ def cmd_sweep_eps(args) -> int:
                 "sweeps": report.sweeps,
                 "qrd_calls": report.qrd_calls,
                 "normalized_cost": _normalized_cost(report, rep),
-                "reconstruction_error": (recon - B).frob(),
-                "unitarity_error": unit,
+                "reconstruction_error": contract.reconstruction_error,
+                "unitarity_error": contract.unitarity_error,
             })
 
     out = open(args.output, "w", newline="") if args.output else sys.stdout

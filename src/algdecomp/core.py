@@ -126,11 +126,11 @@ class AlgebraSpec:
         return Element._make(self, {self.unit: 1.0})
 
     def scalar(self, x: float) -> "Element":
-        x = float(x)
+        x = _finite(float(x))
         return Element._make(self, {self.unit: x} if x != 0.0 else {})
 
     def basis_element(self, lab: Label, coeff: float = 1.0) -> "Element":
-        coeff = float(coeff)
+        coeff = _finite(float(coeff))
         return Element._make(self, {lab: coeff} if coeff != 0.0 else {})
 
     # -- identity ------------------------------------------------------------
@@ -147,6 +147,12 @@ class AlgebraSpec:
         return f"<AlgebraSpec {self.descriptor}>"
 
 
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise AlgebraError(f"non-finite coefficient {x!r}")
+    return x
+
+
 def _mul_into(spec: AlgebraSpec, acc: dict, a: dict, b: dict) -> None:
     """Accumulate the coefficients of (a * b) into acc."""
     mul = spec.mul_basis
@@ -161,15 +167,16 @@ class Element:
     """One algebra entry: a finitely supported label -> coefficient map.
 
     Zero coefficients are never stored, so equality is support-wise and
-    exact.  Use :meth:`isclose` for tolerance-based comparison.
+    exact.  Use :meth:`isclose` for tolerance-based comparison.  The
+    constructor rejects NaN and infinite coefficients.
     """
 
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec: AlgebraSpec, coeffs=None):
         self.spec = spec
-        self.coeffs = ({k: float(v) for k, v in coeffs.items() if v != 0.0}
-                       if coeffs else {})
+        self.coeffs = ({k: _finite(float(v)) for k, v in coeffs.items()
+                        if v != 0.0} if coeffs else {})
 
     @classmethod
     def _make(cls, spec, clean_coeffs: dict) -> "Element":
@@ -387,9 +394,6 @@ class AlgMatrix:
     def frob(self) -> float:
         return math.sqrt(sum(e.norm2() ** 2 for row in self.entries for e in row))
 
-    def supnorm(self) -> float:
-        return max(e.norm_inf() for row in self.entries for e in row)
-
     def is_unitary(self, tol: float = 1e-12) -> bool:
         if self.m != self.n:
             raise AlgebraError("unitarity is defined for square matrices only")
@@ -438,44 +442,3 @@ def rmr_lift(X: AlgMatrix) -> np.ndarray:
             out[i * d:(i + 1) * d, j * d:(j + 1) * d] = rmr(X.entries[i][j])
     return out
 
-
-# -- functional aliases mirroring the method surface -------------------------
-
-def mul(a: Element, b: Element) -> Element:
-    return a * b
-
-
-def conj(a: Element) -> Element:
-    return a.conj()
-
-
-def re(a: Element) -> float:
-    return a.re()
-
-
-def norm2(a: Element) -> float:
-    return a.norm2()
-
-
-def norm_inf(a: Element) -> float:
-    return a.norm_inf()
-
-
-def herm(X: AlgMatrix) -> AlgMatrix:
-    return X.herm()
-
-
-def matmul(X: AlgMatrix, Y: AlgMatrix) -> AlgMatrix:
-    return X @ Y
-
-
-def frob(X: AlgMatrix) -> float:
-    return X.frob()
-
-
-def supnorm(X: AlgMatrix) -> float:
-    return X.supnorm()
-
-
-def is_unitary(X: AlgMatrix, tol: float = 1e-12) -> bool:
-    return X.is_unitary(tol)

@@ -280,16 +280,6 @@ def apply_givens_left(X: AlgMatrix, g: GivensParams) -> AlgMatrix:
     return out
 
 
-def apply_givens_right(X: AlgMatrix, g: GivensParams) -> AlgMatrix:
-    """X @ G(theta, b, i, j); only columns i and j change."""
-    _require_unitary(g.b)
-    if g.i >= X.n:
-        raise AlgebraError("column index out of range")
-    out = X.copy()
-    _cols_rotate(out, g.theta, g.b, g.i, g.j)
-    return out
-
-
 def apply_shift_left(X: AlgMatrix, b: Element, i: int) -> AlgMatrix:
     """B(b, i) @ X: left-multiply row i by the unitary element b."""
     _require_unitary(b)

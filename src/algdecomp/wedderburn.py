@@ -17,13 +17,23 @@ Shipped representations:
   self-conjugate frequencies, C elsewhere);
 * ``rep_trivial``: the identity representation of R, C or H.
 
+All block fields share one layout.  A block of size n over a field of
+dimension f (1, 2 or 4) is n*n*f real parameters, entry by entry, held
+internally as its real embedding: the (n f) x (n f) real matrix with every
+entry replaced by its ``core.rmr`` over the field.  Block products are then
+real products and the conjugate transpose is the transpose.  Only the
+public formats differ by field: images are real (n, n), complex (n, n) or
+(n, n, 4) quaternion arrays (components 1, i, j, k), and ``lift`` yields
+matrices over R, C or H.
+
 Every representation is verified at construction: multiplicativity and
-involution-compatibility on all basis pairs, and invertibility of the
-coefficient map.
+involution-compatibility on all basis pairs, one batched product per
+block, and invertibility of the coefficient map.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -31,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AlgebraError, AlgebraSpec, AlgMatrix, Element,
-                   SpecMismatchError, UnsupportedOperationError)
+                   SpecMismatchError, UnsupportedOperationError, rmr)
 from .catalog import (CyclicGroupAlgebra, LaurentAlgebra, biquat, clifford,
                       complex_algebra, cyclic, laurent, quadquat,
                       quaternion_algebra, real_algebra)
@@ -39,12 +49,6 @@ from .jacobi import (ConvergenceError, DecompReport, _below_diag_max,
                      _off_diag_max, aqr, asvd)
 
 _FIELD_DIM = {"R": 1, "C": 2, "H": 4}
-
-# quaternion structure constants as (sign, index) tables for the H blocks
-_QMUL = [[(1, 0), (1, 1), (1, 2), (1, 3)],
-         [(1, 1), (-1, 0), (1, 3), (-1, 2)],
-         [(1, 2), (-1, 3), (-1, 0), (1, 1)],
-         [(1, 3), (1, 2), (-1, 1), (-1, 0)]]
 
 
 def _field_spec(tag: str) -> AlgebraSpec:
@@ -57,55 +61,24 @@ def _field_spec(tag: str) -> AlgebraSpec:
     raise AlgebraError(f"unknown field tag {tag!r}")
 
 
-def _block_identity(tag: str, n: int) -> np.ndarray:
-    if tag == "R":
-        return np.eye(n)
-    if tag == "C":
-        return np.eye(n, dtype=complex)
-    out = np.zeros((n, n, 4))
-    out[np.arange(n), np.arange(n), 0] = 1.0
-    return out
+@functools.lru_cache(maxsize=None)
+def _field_structure(tag: str) -> np.ndarray:
+    """T[a] = rmr(e_a) over the block field, an (f, f, f) array."""
+    field = _field_spec(tag)
+    return np.stack([rmr(field.basis_element(lab)) for lab in field.labels])
 
 
-def _qmul_scalar(x, y):
-    out = np.zeros(4)
-    for a in range(4):
-        xa = x[a]
-        if xa == 0.0:
-            continue
-        for b in range(4):
-            s, k = _QMUL[a][b]
-            out[k] += s * xa * y[b]
-    return out
-
-
-def _block_matmul(tag: str, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    if tag != "H":
-        return X @ Y
-    n, m = X.shape[0], Y.shape[1]
-    out = np.zeros((n, m, 4))
-    for i in range(n):
-        for j in range(m):
-            acc = np.zeros(4)
-            for k in range(X.shape[1]):
-                acc += _qmul_scalar(X[i, k], Y[k, j])
-            out[i, j] = acc
-    return out
-
-
-def _block_conj_t(tag: str, X: np.ndarray) -> np.ndarray:
-    if tag == "R":
-        return X.T.copy()
-    if tag == "C":
-        return X.conj().T.copy()
-    out = np.transpose(X, (1, 0, 2)).copy()
-    out[..., 1:] *= -1.0
-    return out
+def _embed(tag: str, params: np.ndarray, n: int) -> np.ndarray:
+    """Real embeddings, (..., n*f, n*f), of blocks given by their
+    parameters, (..., n*n*f): entry x becomes sum_a x_a rmr(e_a)."""
+    f = _FIELD_DIM[tag]
+    lead = params.shape[:-1]
+    x = params.reshape(lead + (n, n, f))
+    out = np.einsum("...ija,ars->...irjs", x, _field_structure(tag))
+    return out.reshape(lead + (n * f, n * f))
 
 
 def _flatten_block(tag: str, X: np.ndarray) -> np.ndarray:
-    if tag == "R":
-        return np.asarray(X, dtype=float).ravel()
     if tag == "C":
         return np.stack([X.real, X.imag], axis=-1).ravel()
     return np.asarray(X, dtype=float).ravel()
@@ -118,6 +91,25 @@ def _unflatten_block(tag: str, vec: np.ndarray, n: int) -> np.ndarray:
         v = vec.reshape(n, n, 2)
         return v[..., 0] + 1j * v[..., 1]
     return vec.reshape(n, n, 4)
+
+
+def _coeff_array(spec: AlgebraSpec, rows) -> np.ndarray:
+    """Coefficients of a grid of elements as an (m, n, dim) array."""
+    index = spec.label_index
+    out = np.zeros((len(rows), len(rows[0]), spec.dim))
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            for lab, c in e.coeffs.items():
+                out[i, j, index(lab)] = c
+    return out
+
+
+def _element_rows(spec: AlgebraSpec, coeffs: np.ndarray) -> list:
+    """Inverse of :func:`_coeff_array`: a grid of elements, zeros dropped."""
+    labels = spec.labels
+    return [[Element._make(spec, {labels[t]: c for t, c in
+                                  enumerate(v.tolist()) if c != 0.0})
+             for v in row] for row in coeffs]
 
 
 @dataclass
@@ -139,9 +131,9 @@ class Representation:
 
     ``fwd`` maps a coefficient vector (canonical basis order) to the
     concatenated real parameters of all blocks; ``inv`` is its inverse.
-    Real blocks are (n, n) float arrays, complex blocks (n, n) complex
-    arrays, quaternion blocks (n, n, 4) float arrays with components in
-    (1, i, j, k) order.
+    Basis images are given, and ``image`` returns blocks, as real (n, n)
+    arrays, complex (n, n) arrays or (n, n, 4) quaternion arrays with
+    components in (1, i, j, k) order.
     """
 
     def __init__(self, source: AlgebraSpec, blocks, basis_images: dict,
@@ -153,11 +145,11 @@ class Representation:
         self.blocks = tuple((tag, int(n)) for tag, n in blocks)
         self.name = name or f"rep({source.descriptor})"
         d = source.dim
-        if sum(n * n * _FIELD_DIM[tag] for tag, n in self.blocks) != d:
+        sizes = [n * n * _FIELD_DIM[tag] for tag, n in self.blocks]
+        if sum(sizes) != d:
             raise AlgebraError(
                 f"{self.name}: block sizes do not add up to dimension {d}")
-        self._sizes = [n * n * _FIELD_DIM[tag] for tag, n in self.blocks]
-        self._offsets = np.concatenate([[0], np.cumsum(self._sizes)])
+        self._offsets = np.cumsum([0] + sizes)
 
         F = np.zeros((d, d))
         for lab, mats in basis_images.items():
@@ -173,80 +165,69 @@ class Representation:
                               for lab, mats in basis_images.items()}
         self.verification = self._verify(tol)
 
+    def _slices(self):
+        return zip(self.blocks, self._offsets, self._offsets[1:])
+
     # -- verification ------------------------------------------------------
     def _verify(self, tol: float) -> RepVerification:
         src = self.source
-        imgs = self._basis_images
         labels = src.labels
-        mult_worst = 0.0
-        for i in labels:
-            for j in labels:
-                s, k = src.mul_basis(i, j)
-                for (tag, _), Mi, Mj, Mk in zip(self.blocks, imgs[i],
-                                                imgs[j], imgs[k]):
-                    err = float(np.abs(_block_matmul(tag, Mi, Mj)
-                                       - s * Mk).max())
-                    if err > mult_worst:
-                        mult_worst = err
-                    if err > tol:
-                        raise AlgebraError(
-                            f"{self.name}: image is not multiplicative at "
-                            f"basis pair ({src.label_str(i)}, "
-                            f"{src.label_str(j)}): error {err:.3e}")
-        star_worst = 0.0
-        for i in labels:
-            s, k = src.inv_basis(i)
-            for (tag, _), Mi, Mk in zip(self.blocks, imgs[i], imgs[k]):
-                err = float(np.abs(_block_conj_t(tag, Mi) - s * Mk).max())
-                star_worst = max(star_worst, err)
-                if err > tol:
-                    raise AlgebraError(
-                        f"{self.name}: image does not intertwine the "
-                        f"involution at basis element {src.label_str(i)}: "
-                        f"error {err:.3e}")
-        roundtrip = float(np.abs(self.fwd @ self.inv - np.eye(src.dim)).max())
-        if roundtrip > 1e-13:
+        d = src.dim
+        index = src.label_index
+        mul = [src.mul_basis(i, j) for i in labels for j in labels]
+        sign = np.array([s for s, _ in mul], dtype=float).reshape(d, d, 1, 1)
+        prod = np.array([index(k) for _, k in mul]).reshape(d, d)
+        inv = [src.inv_basis(i) for i in labels]
+        inv_sign = np.array([s for s, _ in inv], dtype=float).reshape(d, 1, 1)
+        inv_idx = np.array([index(k) for _, k in inv])
+        mult = np.zeros((d, d))
+        star = np.zeros(d)
+        for (tag, n), lo, hi in self._slices():
+            E = _embed(tag, self.fwd[lo:hi].T, n)     # E[t] = image of e_t
+            err = np.abs(E[:, None] @ E[None, :] - sign * E[prod])
+            mult = np.maximum(mult, err.max(axis=(2, 3)))
+            err = np.abs(E.transpose(0, 2, 1) - inv_sign * E[inv_idx])
+            star = np.maximum(star, err.max(axis=(1, 2)))
+        bad = np.flatnonzero(~(mult <= tol))
+        if bad.size:
+            i, j = divmod(int(bad[0]), d)
+            raise AlgebraError(
+                f"{self.name}: image is not multiplicative at basis pair "
+                f"({src.label_str(labels[i])}, {src.label_str(labels[j])}): "
+                f"error {mult[i, j]:.3e}")
+        bad = np.flatnonzero(~(star <= tol))
+        if bad.size:
+            i = int(bad[0])
+            raise AlgebraError(
+                f"{self.name}: image does not intertwine the involution at "
+                f"basis element {src.label_str(labels[i])}: "
+                f"error {star[i]:.3e}")
+        roundtrip = float(np.abs(self.fwd @ self.inv - np.eye(d)).max())
+        if not roundtrip <= 1e-13:
             raise AlgebraError(f"{self.name}: coefficient map is badly "
                                f"conditioned (roundtrip {roundtrip:.3e})")
-        return RepVerification(mult_worst, star_worst, roundtrip,
-                               len(labels) ** 2)
+        return RepVerification(float(mult.max()), float(star.max()),
+                               roundtrip, d * d)
 
     # -- coefficient transport ------------------------------------------------
-    def _coeff_vec(self, a: Element) -> np.ndarray:
-        vec = np.zeros(self.source.dim)
-        index = self.source.label_index
-        for lab, c in a.coeffs.items():
-            vec[index(lab)] = c
-        return vec
-
     def image(self, a: Element) -> list[np.ndarray]:
         """Block matrices of one algebra element."""
         if a.spec != self.source:
             raise SpecMismatchError("element does not belong to the source algebra")
-        params = self.fwd @ self._coeff_vec(a)
-        out = []
-        for (tag, n), lo, hi in zip(self.blocks, self._offsets, self._offsets[1:]):
-            out.append(_unflatten_block(tag, params[int(lo):int(hi)], n))
-        return out
-
-    def preimage(self, mats) -> Element:
-        """The algebra element whose image is the given list of blocks."""
-        params = np.concatenate([_flatten_block(tag, np.asarray(M))
-                                 for (tag, _), M in zip(self.blocks, mats)])
-        coeffs = self.inv @ params
-        labels = self.source.labels
-        return Element(self.source,
-                       {labels[t]: c for t, c in enumerate(coeffs) if c != 0.0})
+        params = self.fwd @ _coeff_array(self.source, [[a]])[0, 0]
+        return [_unflatten_block(tag, params[lo:hi], n)
+                for (tag, n), lo, hi in self._slices()]
 
     def idempotents(self) -> "IdempotentSet":
         """The central idempotents 1_k projecting onto each block."""
-        elems = []
-        for t in range(len(self.blocks)):
-            mats = [_block_identity(tag, n) if s == t else
-                    np.zeros_like(_block_identity(tag, n))
-                    for s, (tag, n) in enumerate(self.blocks)]
-            elems.append(self.preimage(mats))
-        return IdempotentSet(self.source, tuple(elems))
+        units = np.zeros((len(self.blocks), self.source.dim))
+        for t, ((_, n), lo, hi) in enumerate(self._slices()):
+            # block t's identity: the unit coefficient on its diagonal
+            diag = units[t, lo:hi].reshape(n, n, -1)
+            diag[np.arange(n), np.arange(n), 0] = 1.0
+        coeffs = (units @ self.inv.T)[None]
+        return IdempotentSet(self.source,
+                             tuple(_element_rows(self.source, coeffs)[0]))
 
     def field_dims(self) -> tuple[int, ...]:
         return tuple(_FIELD_DIM[tag] for tag, _ in self.blocks)
@@ -260,14 +241,16 @@ class Representation:
 
 def _images_from_generators(source: AlgebraSpec, blocks, gen_images: dict,
                             factorize) -> dict:
-    """Extend generator images to the whole basis by ascending products."""
+    """Extend generator images to the whole basis by ascending products.
+
+    Products are plain array products, so every block must be real or
+    complex.
+    """
     images = {}
     for lab in source.labels:
-        cur = [_block_identity(tag, n) for tag, n in blocks]
+        cur = [np.eye(n) for _, n in blocks]
         for f in factorize(lab):
-            g = gen_images[f]
-            cur = [_block_matmul(tag, c, np.asarray(m))
-                   for (tag, _), c, m in zip(blocks, cur, g)]
+            cur = [c @ np.asarray(m) for c, m in zip(cur, gen_images[f])]
         images[lab] = cur
     return images
 
@@ -403,8 +386,12 @@ def rep_trivial(spec: AlgebraSpec) -> Representation:
                           name=f"{spec.descriptor}->trivial")
 
 
+@functools.lru_cache(maxsize=None)
 def representation_for(spec: AlgebraSpec) -> Representation:
-    """The cataloged representation for a spec, if one is shipped."""
+    """The cataloged representation for a spec, if one is shipped.
+
+    Built and verified once per spec; later calls return the same object.
+    """
     if spec == clifford(4, 1):
         return rep_cl41()
     if spec == quadquat():
@@ -421,23 +408,6 @@ def representation_for(spec: AlgebraSpec) -> Representation:
 
 # -- lifting matrices to blocks ------------------------------------------------
 
-def _entry_from_scalar(tag: str, field: AlgebraSpec, val) -> Element:
-    if tag == "R":
-        return field.scalar(float(val))
-    if tag == "C":
-        return Element(field, {0: val.real, 1: val.imag})
-    return Element(field, {0: val[0], 1: val[1], 2: val[2], 3: val[3]})
-
-
-def _scalar_from_entry(tag: str, e: Element):
-    c = e.coeffs
-    if tag == "R":
-        return c.get(0, 0.0)
-    if tag == "C":
-        return complex(c.get(0, 0.0), c.get(1, 0.0))
-    return np.array([c.get(0, 0.0), c.get(1, 0.0), c.get(2, 0.0), c.get(3, 0.0)])
-
-
 def lift(A: AlgMatrix, rep: Representation) -> list[AlgMatrix]:
     """One (n_l m) x (n_l n) matrix over R/C/H per block of the representation.
 
@@ -445,39 +415,25 @@ def lift(A: AlgMatrix, rep: Representation) -> list[AlgMatrix]:
     """
     if A.spec != rep.source:
         raise SpecMismatchError("matrix algebra does not match the representation")
+    params = _coeff_array(rep.source, A.entries) @ rep.fwd.T
     out = []
-    fields = [_field_spec(tag) for tag, _ in rep.blocks]
-    mats = [[rep.image(A.entries[i][j]) for j in range(A.n)] for i in range(A.m)]
-    for l, (tag, nl) in enumerate(rep.blocks):
-        field = fields[l]
-        B = AlgMatrix.zeros(field, nl * A.m, nl * A.n)
-        for i in range(A.m):
-            for j in range(A.n):
-                M = mats[i][j][l]
-                for r in range(nl):
-                    for c in range(nl):
-                        B.entries[nl * i + r][nl * j + c] = \
-                            _entry_from_scalar(tag, field, M[r, c])
-        out.append(B)
+    for (tag, nl), lo, hi in rep._slices():
+        field = _field_spec(tag)
+        x = params[..., lo:hi].reshape(A.m, A.n, nl, nl, field.dim)
+        x = x.transpose(0, 2, 1, 3, 4).reshape(A.m * nl, A.n * nl, field.dim)
+        out.append(AlgMatrix(field, _element_rows(field, x)))
     return out
 
 
 def unlift(blocks_mats, rep: Representation, m: int, n: int) -> AlgMatrix:
     """Map per-block matrices back to one matrix over the source algebra."""
-    entries = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            mats = []
-            for (tag, nl), B in zip(rep.blocks, blocks_mats):
-                # for H entries np.array stacks the 4-vectors into (n, n, 4)
-                sub = np.array(
-                    [[_scalar_from_entry(tag, B.entries[nl * i + r][nl * j + c])
-                      for c in range(nl)] for r in range(nl)])
-                mats.append(sub)
-            row.append(rep.preimage(mats))
-        entries.append(row)
-    return AlgMatrix(rep.source, entries)
+    parts = []
+    for ((tag, nl), _, _), B in zip(rep._slices(), blocks_mats):
+        x = _coeff_array(_field_spec(tag), B.entries)
+        parts.append(x.reshape(m, nl, n, nl, -1).transpose(0, 2, 1, 3, 4)
+                     .reshape(m, n, -1))
+    coeffs = np.concatenate(parts, axis=-1) @ rep.inv.T
+    return AlgMatrix(rep.source, _element_rows(rep.source, coeffs))
 
 
 # -- the two decompositions ------------------------------------------------------

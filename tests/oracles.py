@@ -73,3 +73,15 @@ def eval_laurent(A: AlgMatrix, z: complex) -> np.ndarray:
     """Evaluate a one-variable Laurent matrix at a point z != 0."""
     return np.array([[sum(c * z ** lab[0] for lab, c in e.coeffs.items())
                       for e in row] for row in A.entries])
+
+
+def quat_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Product of quaternion matrices stored as (n, k, 4) and (k, m, 4)
+    arrays, components (1, i, j, k), by the Hamilton product formulae."""
+    a1, b1, c1, d1 = (X[:, :, None, t] for t in range(4))
+    a2, b2, c2, d2 = (Y[None, :, :, t] for t in range(4))
+    out = np.stack([a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                    a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                    a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                    a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2], axis=-1)
+    return out.sum(axis=1)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algdecomp import (AlgMatrix, Element, SpecMismatchError,
+from algdecomp import (AlgebraError, AlgMatrix, Element, SpecMismatchError,
                        UnsupportedOperationError, clifford, laurent, quadquat,
                        random_element, random_matrix, rmr)
 from oracles import trace_re_oracle
@@ -185,6 +185,17 @@ def test_is_unitary_cases():
     assert not Y.is_unitary(1e-9)  # conj(1+g1)(1+g1) = 2 + 2 g1
     with pytest.raises(Exception):
         random_matrix(spec, 2, 3, np.random.default_rng(0)).is_unitary()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficients_rejected(bad):
+    spec = clifford(1, 0)
+    with pytest.raises(AlgebraError, match="non-finite"):
+        Element(spec, {0: bad})
+    with pytest.raises(AlgebraError, match="non-finite"):
+        spec.scalar(bad)
+    with pytest.raises(AlgebraError, match="non-finite"):
+        spec.basis_element(1, bad)
 
 
 def test_matmul_dimension_error():

@@ -2,13 +2,15 @@
 
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from algdecomp import (AlgMatrix, MatrixFileError, biquat, clifford, cyclic, laurent,
-                       random_matrix, read_matrix, write_matrix)
+from algdecomp import (AlgMatrix, Element, MatrixFileError, biquat, clifford,
+                       cyclic, laurent, random_matrix, read_matrix,
+                       write_matrix)
 from algdecomp.cli import (EXIT_CONVERGENCE, EXIT_FILE, EXIT_OK, EXIT_SPEC,
-                           main)
+                           check_contract, main)
 
 
 # -- file format ------------------------------------------------------------------
@@ -138,6 +140,22 @@ def test_exit_code_file_error(tmp_path, capsys):
     assert code == EXIT_FILE
 
 
+@pytest.mark.parametrize("algebra,label", [("quat", "g1"), ("cl(4,1)", "g2")])
+def test_exit_code_non_finite_input(tmp_path, capsys, algebra, label):
+    # a NaN below the diagonal once gave exit 0 over quat and a KeyError
+    # from beta_basis over cl(4,1)
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({
+        "format": "algdecomp-mat/1", "algebra": algebra, "m": 2, "n": 2,
+        "entries": [[0, 0, [["1", 1.0]]],
+                    [1, 0, [["1", 0.5], [label, float("nan")]]],
+                    [1, 1, [["1", 2.0]]]]}))
+    code = run(["decompose", "--algebra", algebra, "--input", str(path),
+                "--output-prefix", str(tmp_path / "x")])
+    assert code == EXIT_FILE
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_exit_code_spec_error(tmp_path, capsys):
     path = tmp_path / "m.json"
     write_matrix(path, AlgMatrix.identity(clifford(2, 0), 2))
@@ -183,6 +201,52 @@ def test_sweep_csv_columns_and_trends(tmp_path):
     j10 = next(r for r in jac if float(r["epsilon"]) == 1e-10)
     w10 = next(r for r in wed if float(r["epsilon"]) == 1e-10)
     assert float(w10["normalized_cost"]) < float(j10["normalized_cost"])
+
+
+def test_sweep_builds_each_representation_once(tmp_path, monkeypatch):
+    from algdecomp import wedderburn
+    built = []
+    init = wedderburn.Representation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(wedderburn.Representation, "__init__", counting)
+    wedderburn.representation_for.cache_clear()
+    code = run(["sweep-eps", "--algebra", "cyclic(2,8)", "--op", "qr",
+                "--random", "2", "2", "--methods", "wedderburn",
+                "--eps-list", "1e-2,1e-6,1e-10",
+                "--output", str(tmp_path / "sweep.csv")])
+    assert code == EXIT_OK
+    assert built == [cyclic(2, 8)]
+
+
+def _svd_report(u, d, v):
+    return SimpleNamespace(kind="svd", u=u, d=d, v=v)
+
+
+def test_contract_counts_both_unitary_factors():
+    spec = clifford(1, 0)
+    I = AlgMatrix.identity(spec, 2)
+    V = AlgMatrix(spec, [[spec.scalar(2.0), spec.zero()],
+                         [spec.zero(), spec.scalar(2.0)]])
+    c = check_contract(_svd_report(I, I, V), I)
+    # V^H V - I = 3 I, Frobenius norm 3 sqrt(2); U alone would give 0
+    assert c.unitarity_error == pytest.approx(3 * np.sqrt(2))
+    assert c.reconstruction_error == pytest.approx(np.sqrt(2))
+    assert c.violated
+
+
+def test_contract_nan_error_is_a_violation():
+    spec = clifford(1, 0)
+    I = AlgMatrix.identity(spec, 2)
+    D = AlgMatrix.identity(spec, 2)
+    D[0, 0] = Element._make(spec, {0: float("nan")})
+    c = check_contract(_svd_report(I, D, I), I)
+    assert np.isnan(c.reconstruction_error)
+    assert c.violated
+    assert not check_contract(_svd_report(I, I, I), I).violated
 
 
 def test_verify_command(capsys):

@@ -9,7 +9,8 @@ from algdecomp import (AlgebraError, AlgMatrix, Element, IdempotentSet,
                        random_matrix, real_algebra, rep_biquat, rep_cl41,
                        rep_cyclic_dft, rep_quadquat, rep_trivial,
                        representation_for, unlift, wqr, wsvd)
-from oracles import complex_ndarray, eval_laurent
+from oracles import (complex_ndarray, eval_laurent, quat_matmul,
+                     spectrum_oracle)
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -102,6 +103,63 @@ def test_dft_two_variables():
     A = random_matrix(rep.source, 2, 2, RNG(30))
     out = wqr(A, rep, eps=0.0)
     assert (out.q @ out.r - A).frob() <= 1e-12 * A.frob()
+
+
+def _quat_diag(t):
+    """diag(q, -q) for the quaternion unit q = i, j or k."""
+    M = np.zeros((2, 2, 4))
+    M[0, 0, t], M[1, 1, t] = 1.0, -1.0
+    return M
+
+
+def _rep_cl04():
+    """cl(0,4) as quaternion 2x2 matrices: the one H block larger than 1x1."""
+    spec = clifford(0, 4)
+    J = np.zeros((2, 2, 4))
+    J[0, 1, 0], J[1, 0, 0] = 1.0, -1.0
+    gens = [_quat_diag(1), _quat_diag(2), _quat_diag(3), J]
+    images = {}
+    for mask in spec.labels:
+        M = np.zeros((2, 2, 4))
+        M[0, 0, 0] = M[1, 1, 0] = 1.0
+        for t in range(4):
+            if mask >> t & 1:
+                M = quat_matmul(M, gens[t])
+        images[mask] = [M]
+    return spec, images
+
+
+def test_quaternion_block_representation():
+    spec, images = _rep_cl04()
+    rep = Representation(spec, (("H", 2),), images, name="cl04->H2x2")
+    assert rep.verification.mult_worst == 0.0
+    assert rep.verification.star_worst == 0.0
+    assert rep.verification.pairs == 256
+    for lab, mats in images.items():
+        assert np.array_equal(rep.image(spec.basis_element(lab))[0], mats[0])
+    bad = dict(images)
+    bad[0b0110] = [-images[0b0110][0]]
+    with pytest.raises(AlgebraError, match="multiplicative"):
+        Representation(spec, (("H", 2),), bad, name="corrupted")
+
+
+def test_quaternion_block_decompositions():
+    spec, images = _rep_cl04()
+    rep = Representation(spec, (("H", 2),), images)
+    X = random_matrix(spec, 3, 2, RNG(40))
+    assert (unlift(lift(X, rep), rep, 3, 2) - X).frob() <= 1e-14 * X.frob()
+    A = random_matrix(spec, 3, 2, RNG(41))
+    scale = A.frob()
+    q = wqr(A, rep, eps=0.0)
+    assert q.block_rotations[0] > 0
+    assert (q.q @ q.r - A).frob() <= 1e-12 * scale
+    s = wsvd(A, rep, eps=1e-10)
+    assert (s.u @ s.d @ s.v.herm() - A).frob() <= 1e-9 * scale
+    assert np.allclose(spectrum_oracle(s.d), spectrum_oracle(A), atol=1e-9)
+
+
+def test_representation_for_is_built_once():
+    assert representation_for(cyclic(1, 4)) is representation_for(cyclic(1, 4))
 
 
 def test_representation_for_dispatch():
