@@ -22,6 +22,7 @@ delta_ij), which is what the rotation engine's convergence relies on.
 from __future__ import annotations
 
 import itertools
+import operator
 import re as _re
 from functools import lru_cache
 from typing import Callable
@@ -145,7 +146,9 @@ class LaurentAlgebra(AlgebraSpec):
         super().__init__(f"laurent({kappa})", (0,) * kappa, labels=None)
 
     def _mul_raw(self, a, b):
-        return 1.0, tuple(x + y for x, y in zip(a, b))
+        # map is half the cost of a generator here, and every coefficient
+        # product of a Laurent rotation comes through this line
+        return 1.0, tuple(map(operator.add, a, b))
 
     def _inv_raw(self, a):
         return 1.0, tuple(-x for x in a)

@@ -18,8 +18,9 @@ elements and matrices are value-like (operations return new objects).
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Hashable, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +37,15 @@ class SpecMismatchError(AlgebraError):
 
 class UnsupportedOperationError(AlgebraError):
     """Operation not available for this algebra (e.g. RMR when infinite)."""
+
+
+class StructureTables(NamedTuple):
+    """Dense structure maps of a finite spec, by canonical basis index:
+    e_a e_c = sign[a, c] e_index[a, c] and conj(e_a) = inv_sign[a] e_inv_index[a]."""
+    sign: np.ndarray        # (d, d) float, entries +-1
+    index: np.ndarray       # (d, d) int
+    inv_sign: np.ndarray    # (d,) float
+    inv_index: np.ndarray   # (d,) int
 
 
 class AlgebraSpec:
@@ -91,6 +101,30 @@ class AlgebraSpec:
             return self._inv_table[i]
         return self._inv_raw(i)
 
+    @functools.cached_property
+    def tables(self) -> StructureTables:
+        """The structure maps as dense arrays, built on first use (finite
+        specs only; O(dim^2) memory)."""
+        labels = self.labels
+        index = self._index
+        prods = [self.mul_basis(a, c) for a in labels for c in labels]
+        invs = [self.inv_basis(a) for a in labels]
+        d = self.dim
+        return StructureTables(
+            np.array([s for s, _ in prods]).reshape(d, d),
+            np.array([index[k] for _, k in prods]).reshape(d, d),
+            np.array([s for s, _ in invs]),
+            np.array([index[k] for _, k in invs]))
+
+    @property
+    def dense(self) -> bool:
+        """True for finite specs other than R, C and H: their matrices are
+        multiplied and rotated as coefficient arrays through ``tables``.
+        R, C and H (the representation engine's block fields, whose blocks
+        are too small to pay for array calls) and infinite specs use the
+        per-coefficient ``mul_basis`` path."""
+        return self.dim is not None and not self.is_division
+
     # -- basis bookkeeping ---------------------------------------------------
     @property
     def labels(self) -> tuple:
@@ -138,7 +172,8 @@ class AlgebraSpec:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return type(other) is type(self) and other._key() == self._key()
+        return other is self or (type(other) is type(self)
+                                 and other._key() == self._key())
 
     def __hash__(self):
         return hash((type(self).__name__, self._key()))
@@ -258,7 +293,11 @@ class Element:
         return math.sqrt(sum(v * v for v in self.coeffs.values()))
 
     def norm_inf(self) -> float:
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
+        """Largest coefficient magnitude; NaN when a coefficient is NaN
+        (``max`` alone skips a NaN that is not first)."""
+        vals = self.coeffs.values()
+        top = max(map(abs, vals), default=0.0)
+        return math.nan if math.isnan(sum(vals)) else top
 
     @property
     def support(self) -> int:
@@ -366,6 +405,10 @@ class AlgMatrix:
             raise AlgebraError(
                 f"inner dimensions disagree: {self.shape} @ {other.shape}")
         spec = self.spec
+        if spec.dense:
+            prod = _table_matmul(spec.tables, _coeff_array(spec, self.entries),
+                                 _coeff_array(spec, other.entries))
+            return AlgMatrix(spec, _element_rows(spec, prod))
         out = []
         for i in range(self.m):
             row = []
@@ -407,7 +450,57 @@ class AlgMatrix:
         return f"<AlgMatrix {self.m}x{self.n} over {self.spec.descriptor}>"
 
 
+# -- coefficient arrays -----------------------------------------------------------
+
+def _coeff_array(spec: AlgebraSpec, rows) -> np.ndarray:
+    """Coefficients of a grid of elements as an (m, n, dim) array."""
+    index = spec._index
+    d = spec.dim
+    flat = [0.0] * (len(rows) * len(rows[0]) * d)
+    base = 0
+    for row in rows:
+        for e in row:
+            for lab, c in e.coeffs.items():
+                flat[base + index[lab]] = c
+            base += d
+    return np.array(flat).reshape(len(rows), -1, d)
+
+
+def _element_rows(spec: AlgebraSpec, coeffs: np.ndarray) -> list:
+    """Inverse of :func:`_coeff_array`: a grid of elements, zeros dropped."""
+    labels = spec.labels
+    return [[Element._make(spec, {labels[t]: c for t, c in enumerate(v)
+                                  if c != 0.0})
+             for v in row] for row in coeffs.tolist()]
+
+
+def _table_matmul(tables: StructureTables, a: np.ndarray,
+                  b: np.ndarray) -> np.ndarray:
+    """Product of two matrices given as (m, n, d) and (n, p, d) coefficient
+    arrays.  Left multiplication by e_a is a signed gather: with
+    conj(e_a) = s e_a', (e_a x)[t] = s sign[a', t] x[index[a', t]].  Every
+    right entry is gathered once per a, and one real matrix product sums
+    over k and a."""
+    m, n, d = a.shape
+    p = b.shape[1]
+    inv = tables.inv_index
+    gathered = b.take(tables.index[inv], axis=-1)     # (n, p, d_a, d_t)
+    gathered *= tables.inv_sign[:, None] * tables.sign[inv]
+    right = gathered.transpose(0, 2, 1, 3).reshape(n * d, p * d)
+    return (a.reshape(m, n * d) @ right).reshape(m, p, d)
+
+
 # -- real matrix representation ------------------------------------------------
+
+def _rmr_array(spec: AlgebraSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Left-multiplication matrices of elements given by (..., d)
+    coefficients, as (..., d, d): one scatter through the structure tables
+    (each (a, c) pair lands on its own position (index[a, c], c))."""
+    tables = spec.tables
+    out = np.zeros(coeffs.shape + (spec.dim,))
+    out[..., tables.index, np.arange(spec.dim)] = coeffs[..., :, None] * tables.sign
+    return out
+
 
 def rmr(a: Element) -> np.ndarray:
     """The d-by-d real matrix of left multiplication by ``a``.
@@ -419,15 +512,7 @@ def rmr(a: Element) -> np.ndarray:
     spec = a.spec
     if spec.dim is None:
         raise UnsupportedOperationError("RMR requires a finite-dimensional algebra")
-    d = spec.dim
-    out = np.zeros((d, d))
-    mul = spec.mul_basis
-    index = spec.label_index
-    for j, lj in enumerate(spec.labels):
-        for la, c in a.coeffs.items():
-            s, k = mul(la, lj)
-            out[index(k), j] += s * c
-    return out
+    return _rmr_array(spec, _coeff_array(spec, [[a]])[0, 0])
 
 
 def rmr_lift(X: AlgMatrix) -> np.ndarray:
@@ -436,9 +521,5 @@ def rmr_lift(X: AlgMatrix) -> np.ndarray:
     if spec.dim is None:
         raise UnsupportedOperationError("RMR requires a finite-dimensional algebra")
     d = spec.dim
-    out = np.zeros((X.m * d, X.n * d))
-    for i in range(X.m):
-        for j in range(X.n):
-            out[i * d:(i + 1) * d, j * d:(j + 1) * d] = rmr(X.entries[i][j])
-    return out
-
+    blocks = _rmr_array(spec, _coeff_array(spec, X.entries))
+    return blocks.transpose(0, 2, 1, 3).reshape(X.m * d, X.n * d)

@@ -27,7 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import AlgebraError, AlgebraSpec, AlgMatrix, Element
+from .core import (AlgebraError, AlgebraSpec, AlgMatrix, Element, _coeff_array,
+                   _element_rows)
 
 
 class ConvergenceError(AlgebraError):
@@ -270,13 +271,63 @@ def _col_scale(X: AlgMatrix, b: Element, i: int):
         row[i] = row[i] * b
 
 
+def _gathers(spec: AlgebraSpec, b: Element):
+    """Left multiplication by b and by conj(b) on coefficient arrays of a
+    dense spec, as signed gathers ``(idx, w)``: x -> x[..., idx] * w, summed
+    over the rows of a 2-D ``idx`` (one row per term of b; a multiple of
+    one basis element gives 1-D rows and no sum).  Returns
+    ``(conj(b)., b.)``, an action and its adjoint.
+
+    From the tables, conj(e_a) x = x[index[a]] * sign[a], and
+    e_a = s conj(e_a') when conj(e_a) = s e_a'.
+    """
+    t = spec.tables
+    if len(b.coeffs) == 1:
+        (lab, w), = b.coeffs.items()
+        a = spec.label_index(lab)
+        a_inv = t.inv_index[a]
+        w_inv = w * t.inv_sign[a]
+    else:
+        a = [spec.label_index(lab) for lab in b.coeffs]
+        w = np.array(list(b.coeffs.values()))[:, None]
+        a_inv = t.inv_index[a]
+        w_inv = w * t.inv_sign[a][:, None]
+    return ((t.index[a], w * t.sign[a]),
+            (t.index[a_inv], w_inv * t.sign[a_inv]))
+
+
+def _act(x: np.ndarray, op) -> np.ndarray:
+    idx, w = op
+    y = x.take(idx, axis=-1)
+    y *= w
+    return y if idx.ndim == 1 else y.sum(axis=-2)
+
+
+def _rotate(x: np.ndarray, y: np.ndarray, c: float, s: float, op, op_t):
+    """The rotation kernel of the dense specs, in place on two rows of
+    coefficients: (x, y) <- (c x - s op(y), s op_t(x) + c y), with
+    op = conj(b). and op_t = b. from :func:`_gathers`."""
+    bx, by = _act(x, op_t), _act(y, op)
+    bx *= s
+    by *= s
+    np.subtract(c * x, by, out=x)
+    np.add(bx, c * y, out=y)
+
+
 def apply_givens_left(X: AlgMatrix, g: GivensParams) -> AlgMatrix:
     """G(theta, b, i, j) @ X; only rows i and j change, norms are preserved."""
     _require_unitary(g.b)
     if g.i >= X.m:
         raise AlgebraError("row index out of range")
+    spec = X.spec
     out = X.copy()
-    _rows_rotate(out, g.theta, g.b, g.i, g.j)
+    if spec.dense:
+        pair = _coeff_array(spec, [X.entries[g.j], X.entries[g.i]])
+        _rotate(pair[0], pair[1], math.cos(g.theta), math.sin(g.theta),
+                *_gathers(spec, g.b))
+        out.entries[g.j], out.entries[g.i] = _element_rows(spec, pair)
+    else:
+        _rows_rotate(out, g.theta, g.b, g.i, g.j)
     return out
 
 
@@ -339,22 +390,202 @@ def _trim_all(X: AlgMatrix, tau: float) -> int:
 
 # -- the QR iteration ----------------------------------------------------------------
 
-def _below_diag_max(R: AlgMatrix, normfn) -> float:
+def _nan_max(values) -> float:
+    """The largest of ``values`` and 0.0, or NaN when one of them is NaN
+    (``max`` keeps whichever of a NaN and a number comes first)."""
     worst = 0.0
-    for j in range(min(R.m, R.n)):
-        for i in range(j + 1, R.m):
-            worst = max(worst, normfn(R.entries[i][j]))
+    for v in values:
+        if v > worst:
+            worst = v
+        elif v != v:
+            return v
     return worst
+
+
+def _below_diag_max(R: AlgMatrix, normfn) -> float:
+    return _nan_max(normfn(R.entries[i][j]) for j in range(min(R.m, R.n))
+                    for i in range(j + 1, R.m))
 
 
 def _off_diag_max(D: AlgMatrix, normfn) -> float:
-    worst = 0.0
-    for i in range(D.m):
-        row = D.entries[i]
-        for j in range(D.n):
-            if i != j:
-                worst = max(worst, normfn(row[j]))
-    return worst
+    return _nan_max(normfn(e) for i, row in enumerate(D.entries)
+                    for j, e in enumerate(row) if i != j)
+
+
+class _ElementWork:
+    """R and Q of one QR run as grids of elements, rotated coefficient by
+    coefficient through ``mul_basis``: infinite specs, and R, C and H."""
+
+    def __init__(self, A: AlgMatrix, betafn, normfn, norm_name: str):
+        self.spec = A.spec
+        self.R = A.copy()
+        self.Q = AlgMatrix.identity(A.spec, A.m)
+        self.betafn, self.normfn = betafn, normfn
+
+    def column(self, k: int) -> tuple[float, int]:
+        """2-norm of column k from the pivot down, and its coefficient width
+        (the dimension, or the largest support over an infinite spec)."""
+        col = [row[k] for row in self.R.entries[k:]]
+        width = self.spec.dim or max(max(e.support for e in col), 1)
+        return math.sqrt(sum(e.norm2() ** 2 for e in col)), width
+
+    def norm(self, i: int, k: int) -> float:
+        return self.normfn(self.R.entries[i][k])
+
+    def pick(self, k: int) -> tuple[int, float]:
+        """Row and norm of the largest below-pivot entry; ties toward the
+        lowest row, and a NaN norm wins."""
+        rows = self.R.entries
+        best_i, g2 = k + 1, self.normfn(rows[k + 1][k])
+        for i in range(k + 2, self.R.m):
+            v = self.normfn(rows[i][k])
+            if v > g2 or v != v:
+                best_i, g2 = i, v
+        return best_i, g2
+
+    def re(self, i: int, k: int) -> float:
+        return self.R.entries[i][k].re()
+
+    def beta(self, i: int, k: int) -> Element:
+        return self.betafn(self.R.entries[i][k])
+
+    def aligned(self, i: int, k: int, b: Element) -> float:
+        """Re(conj(b) r_ik)."""
+        return (b.conj() * self.R.entries[i][k]).re()
+
+    def shift(self, k: int, b: Element):
+        _row_scale(self.R, b.conj(), k)
+        _col_scale(self.Q, b, k)
+
+    def rotate(self, i: int, k: int, theta: float, b: Element):
+        _rows_rotate(self.R, -theta, b, i, k)
+        _cols_rotate(self.Q, theta, b, i, k)
+
+    def negate(self, k: int):
+        minus = self.spec.scalar(-1.0)
+        _row_scale(self.R, minus, k)
+        _col_scale(self.Q, minus, k)
+
+    def zero(self, i: int, k: int):
+        self.R.entries[i][k] = self.spec.zero()
+
+    def trim(self, rows, cols, tau: float) -> int:
+        return _trim_rows(self.R, rows, tau) + _trim_cols(self.Q, cols, tau)
+
+    def residual(self) -> float:
+        return _below_diag_max(self.R, self.normfn)
+
+    def factors(self) -> tuple[AlgMatrix, AlgMatrix]:
+        return self.Q, self.R
+
+
+def _norms_inf(x: np.ndarray) -> np.ndarray:
+    return np.abs(x).max(axis=-1)
+
+
+def _norms_two(x: np.ndarray) -> np.ndarray:
+    return np.sqrt((x * x).sum(axis=-1))
+
+
+def _trim_array(x: np.ndarray, tau: float) -> int:
+    """In place on (..., d) coefficients: zero those at or below ``tau``
+    times their entry's largest; returns how many nonzero ones went."""
+    mag = np.abs(x)
+    drop = (x != 0.0) & ~(mag > tau * mag.max(axis=-1, keepdims=True))
+    x[drop] = 0.0
+    return int(drop.sum())
+
+
+class _ArrayWork:
+    """R and Q^H of one QR run side by side in one (m, n + m, d) coefficient
+    array of a dense spec.  R <- G R and Q <- Q G^H make Q^H <- G Q^H, so
+    every shift and rotation is one row operation on the array, through the
+    signed gathers of :func:`_gathers`.
+
+    With ``beta_basis`` every shift and rotation is the same floating-point
+    operation as in :class:`_ElementWork` (conjugation only permutes and
+    negates), so under the sup norm both give bit-identical factors; 2-norms
+    are summed in another order."""
+
+    def __init__(self, A: AlgMatrix, betafn, normfn, norm_name: str):
+        self.spec = spec = A.spec
+        self.n = A.n
+        self.RQ = np.zeros((A.m, A.n + A.m, spec.dim))
+        self.RQ[:, :A.n] = _coeff_array(spec, A.entries)
+        self.RQ[np.arange(A.m), A.n + np.arange(A.m), 0] = 1.0
+        self.betafn = betafn
+        self.norms = _norms_two if norm_name == "two" else _norms_inf
+
+    def column(self, k: int) -> tuple[float, int]:
+        return float(_norms_two(self.RQ[k:, k].ravel())), self.spec.dim
+
+    def norm(self, i: int, k: int) -> float:
+        return float(self.norms(self.RQ[i, k]))
+
+    def pick(self, k: int) -> tuple[int, float]:
+        norms = self.norms(self.RQ[k + 1:, k])
+        j = int(norms.argmax())  # first maximum, or first NaN
+        return k + 1 + j, float(norms[j])
+
+    def re(self, i: int, k: int) -> float:
+        return float(self.RQ[i, k, 0])
+
+    def beta(self, i: int, k: int) -> Element:
+        x = self.RQ[i, k]
+        spec = self.spec
+        if self.betafn is beta_basis:
+            # the first largest coefficient: beta_basis's canonical tie-break
+            return spec.basis_element(spec.labels[int(np.abs(x).argmax())])
+        return self.betafn(_element_rows(spec, x[None, None])[0][0])
+
+    def aligned(self, i: int, k: int, b: Element) -> float:
+        # Re(conj(e_a) e_c) = delta_ac over a unitary basis
+        x, index = self.RQ[i, k], self.spec._index
+        return float(sum(c * x[index[lab]] for lab, c in b.coeffs.items()))
+
+    def shift(self, k: int, b: Element):
+        self.RQ[k] = _act(self.RQ[k], _gathers(self.spec, b)[0])
+
+    def rotate(self, i: int, k: int, theta: float, b: Element):
+        _rotate(self.RQ[k], self.RQ[i], math.cos(-theta), math.sin(-theta),
+                *_gathers(self.spec, b))
+
+    def negate(self, k: int):
+        self.RQ[k] *= -1.0
+
+    def trim(self, rows, cols, tau: float) -> int:
+        n = self.n
+        return (sum(_trim_array(self.RQ[i, :n], tau) for i in rows)
+                + sum(_trim_array(self.RQ[j, n:], tau) for j in cols))
+
+    def residual(self) -> float:
+        return float(np.tril(self.norms(self.RQ[:, :self.n]), -1).max())
+
+    def factors(self) -> tuple[AlgMatrix, AlgMatrix]:
+        spec, n = self.spec, self.n
+        t = spec.tables
+        q = self.RQ[:, n:].transpose(1, 0, 2)[..., t.inv_index] * t.inv_sign
+        return (AlgMatrix(spec, _element_rows(spec, q)),
+                AlgMatrix(spec, _element_rows(spec, self.RQ[:, :n])))
+
+
+def _rotation_budget(max_sweeps: int, rows: int, colnorm: float, width: int,
+                     eps: float) -> int:
+    """Rotations one pivot column may take in one sweep.
+
+    The column has ``rows`` entries below the pivot, ``width`` coefficients
+    each, and 2-norm ``colnorm`` from the pivot down (which rotations keep).
+    Each rotation of a decent beta moves the largest below-pivot coefficient
+    into the pivot's real part; were that a fixed share 1/slots of the
+    column's remaining mass (slots = rows * width), slots * 2 ln(colnorm /
+    eps) rotations would bring it under eps^2.  The budget is
+    ``max_sweeps`` times that, and ``max_sweeps * slots`` for exact
+    termination.
+    """
+    slots = max_sweeps * rows * width
+    if eps > 0.0 and colnorm > eps:
+        return slots * (1 + math.ceil(2.0 * math.log(colnorm / eps)))
+    return slots
 
 
 def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
@@ -369,9 +600,15 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
     coefficients at or below ``trim`` times the entry's largest one (useful
     for Laurent matrices whose supports would otherwise grow).
 
+    Over finite specs other than R, C and H the factors are held as
+    coefficient arrays and rotated by signed gathers through the spec's
+    structure tables; elsewhere they are grids of elements.
+
     Raises :class:`ConvergenceError` carrying the partial factors when
-    ``max_sweeps`` is exhausted.  ``on_step(R)`` is called after every
-    modification of R, which the tests use to watch invariants.
+    ``max_sweeps`` is exhausted, when one column in one sweep exceeds its
+    rotation budget (:func:`_rotation_budget`), or when a pivot or a
+    targeted entry has a non-finite norm.  ``on_step(R)`` is called after
+    every modification of R, which the tests use to watch invariants.
     """
     spec = A.spec
     betafn, beta_name, exact = resolve_beta(spec, beta)
@@ -385,88 +622,95 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
 
     t0 = time.perf_counter()
     m, n = A.m, A.n
-    R = A.copy()
-    Q = AlgMatrix.identity(spec, m)
+    W = (_ArrayWork if spec.dense else _ElementWork)(A, betafn, normfn,
+                                                     norm_name)
     one = spec.one()
     rotations = sweeps = 0
     trimmed = stalled = warnings = 0
 
     def partial_report():
+        q, r = W.factors()
         return DecompReport(
             kind="qr", method="jacobi", rotations=rotations, sweeps=sweeps,
-            qrd_calls=0, residual=_below_diag_max(R, normfn),
+            qrd_calls=0, residual=W.residual(),
             wall_time=time.perf_counter() - t0, eps=eps, norm=norm_name,
-            beta=beta_name, q=Q, r=R, trimmed=trimmed,
+            beta=beta_name, q=q, r=r, trimmed=trimmed,
             stalled_pivots=stalled, decency_warnings=warnings)
 
+    def step():
+        if on_step is not None:
+            on_step(W.factors()[1])
+
     g1 = eps + 1.0
-    while g1 > eps:
+    while not g1 <= eps:
         if sweeps >= max_sweeps:
             raise ConvergenceError(
                 f"QR did not reach eps={eps:g} within {max_sweeps} sweeps",
                 partial_report())
         sweeps += 1
         for k in range(min(m, n)):
-            pivot = R.entries[k][k]
-            b = betafn(pivot)
+            if not math.isfinite(W.norm(k, k)):
+                raise ConvergenceError(f"non-finite pivot ({k}, {k})",
+                                       partial_report())
+            b = W.beta(k, k)
             if b.coeffs != one.coeffs:
-                old_re = abs(pivot.re())
-                _row_scale(R, b.conj(), k)
-                _col_scale(Q, b, k)
+                old_re = abs(W.re(k, k))
+                W.shift(k, b)
                 if trim > 0.0:
-                    trimmed += _trim_rows(R, (k,), trim)
-                if abs(R.entries[k][k].re()) + 1e-12 * max(old_re, 1.0) < old_re:
+                    trimmed += W.trim((k,), (), trim)
+                if abs(W.re(k, k)) + 1e-12 * max(old_re, 1.0) < old_re:
                     warnings += 1
-                if on_step is not None:
-                    on_step(R)
+                step()
             if k == m - 1:
                 break
+            spent, budget = 0, None
             while True:
-                # largest below-pivot entry; ties toward the lowest row
-                best_i, g2 = k + 1, normfn(R.entries[k + 1][k])
-                for i in range(k + 2, m):
-                    v = normfn(R.entries[i][k])
-                    if v > g2:
-                        best_i, g2 = i, v
+                i, g2 = W.pick(k)
                 if g2 <= eps:
                     break
-                i = best_i
-                target = R.entries[i][k]
-                b = betafn(target)
-                t = b.conj() * target
-                old_re = abs(target.re())
-                if abs(t.re()) + 1e-12 * max(old_re, 1.0) < old_re:
+                if not math.isfinite(g2):
+                    raise ConvergenceError(f"non-finite target entry ({i}, {k})",
+                                           partial_report())
+                if spent >= m - k - 1:
+                    # past one rotation per row, which exact termination
+                    # never needs: only now is the budget worked out
+                    if budget is None:
+                        budget = _rotation_budget(max_sweeps, m - k - 1,
+                                                  *W.column(k), eps)
+                    if spent >= budget:
+                        raise ConvergenceError(
+                            f"QR column {k} did not reach eps={eps:g} within "
+                            f"its rotation budget", partial_report())
+                spent += 1
+                b = W.beta(i, k)
+                t_re = W.aligned(i, k, b)
+                old_re = abs(W.re(i, k))
+                if abs(t_re) + 1e-12 * max(old_re, 1.0) < old_re:
                     warnings += 1
-                if t.re() == 0.0:
+                if t_re == 0.0:
                     # theta would be 0 or pi and the pivot cannot grow, so
                     # further rotations on this column make no progress
                     # (only possible for an indecent beta)
                     stalled += 1
                     break
-                theta = math.atan2(t.re(), R.entries[k][k].re())
-                _rows_rotate(R, -theta, b, i, k)
-                _cols_rotate(Q, theta, b, i, k)
+                theta = math.atan2(t_re, W.re(k, k))
+                W.rotate(i, k, theta, b)
                 rotations += 1
                 if exact:
                     # the rotation annihilates the entry up to round-off
-                    R.entries[i][k] = spec.zero()
+                    # (division specs only, so always an _ElementWork)
+                    W.zero(i, k)
                 if trim > 0.0:
-                    trimmed += _trim_rows(R, (i, k), trim)
-                    trimmed += _trim_cols(Q, (i, k), trim)
-                if on_step is not None:
-                    on_step(R)
-        g1 = _below_diag_max(R, normfn)
+                    trimmed += W.trim((i, k), (i, k), trim)
+                step()
+        g1 = W.residual()
 
     for k in range(min(m, n)):
-        if R.entries[k][k].re() < 0:
-            _row_scale(R, spec.scalar(-1.0), k)
-            _col_scale(Q, spec.scalar(-1.0), k)
-            if on_step is not None:
-                on_step(R)
+        if W.re(k, k) < 0:
+            W.negate(k)
+            step()
 
-    rep = partial_report()
-    rep.residual = _below_diag_max(R, normfn)
-    return rep
+    return partial_report()
 
 
 # -- the SVD iteration -----------------------------------------------------------------
@@ -505,15 +749,19 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
             stalled_pivots=stalled, decency_warnings=warnings)
 
     g = _off_diag_max(D, normfn)
-    while g > eps:
+    while not g <= eps:
         if qrd_calls >= max_iters:
             raise ConvergenceError(
                 f"SVD did not reach eps={eps:g} within {max_iters} QR calls",
                 partial_report())
         for hermitian_side in (False, True):
             work = D.herm() if hermitian_side else D
-            sub = aqr(work, beta=beta, norm=norm, eps=eps,
-                      max_sweeps=max_sweeps, trim=trim)
+            try:
+                sub = aqr(work, beta=beta, norm=norm, eps=eps,
+                          max_sweeps=max_sweeps, trim=trim)
+            except ConvergenceError as exc:
+                raise ConvergenceError(f"QR call {qrd_calls + 1}: {exc}",
+                                       partial_report()) from exc
             qrd_calls += 1
             rotations += sub.rotations
             sweeps += sub.sweeps

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AlgebraError, AlgebraSpec, AlgMatrix, Element,
-                   SpecMismatchError, UnsupportedOperationError, rmr)
+                   SpecMismatchError, UnsupportedOperationError, _coeff_array,
+                   _element_rows, rmr)
 from .catalog import (CyclicGroupAlgebra, LaurentAlgebra, biquat, clifford,
                       complex_algebra, cyclic, laurent, quadquat,
                       quaternion_algebra, real_algebra)
@@ -91,25 +92,6 @@ def _unflatten_block(tag: str, vec: np.ndarray, n: int) -> np.ndarray:
         v = vec.reshape(n, n, 2)
         return v[..., 0] + 1j * v[..., 1]
     return vec.reshape(n, n, 4)
-
-
-def _coeff_array(spec: AlgebraSpec, rows) -> np.ndarray:
-    """Coefficients of a grid of elements as an (m, n, dim) array."""
-    index = spec.label_index
-    out = np.zeros((len(rows), len(rows[0]), spec.dim))
-    for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            for lab, c in e.coeffs.items():
-                out[i, j, index(lab)] = c
-    return out
-
-
-def _element_rows(spec: AlgebraSpec, coeffs: np.ndarray) -> list:
-    """Inverse of :func:`_coeff_array`: a grid of elements, zeros dropped."""
-    labels = spec.labels
-    return [[Element._make(spec, {labels[t]: c for t, c in
-                                  enumerate(v.tolist()) if c != 0.0})
-             for v in row] for row in coeffs]
 
 
 @dataclass
@@ -173,13 +155,11 @@ class Representation:
         src = self.source
         labels = src.labels
         d = src.dim
-        index = src.label_index
-        mul = [src.mul_basis(i, j) for i in labels for j in labels]
-        sign = np.array([s for s, _ in mul], dtype=float).reshape(d, d, 1, 1)
-        prod = np.array([index(k) for _, k in mul]).reshape(d, d)
-        inv = [src.inv_basis(i) for i in labels]
-        inv_sign = np.array([s for s, _ in inv], dtype=float).reshape(d, 1, 1)
-        inv_idx = np.array([index(k) for _, k in inv])
+        tables = src.tables
+        sign = tables.sign.reshape(d, d, 1, 1)
+        prod = tables.index
+        inv_sign = tables.inv_sign.reshape(d, 1, 1)
+        inv_idx = tables.inv_index
         mult = np.zeros((d, d))
         star = np.zeros(d)
         for (tag, n), lo, hi in self._slices():

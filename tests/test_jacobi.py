@@ -1,5 +1,7 @@
 """Rotation engine: beta functions, Givens mechanics, QR/SVD contracts."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -7,8 +9,9 @@ import pytest
 from algdecomp import (AlgebraError, AlgMatrix, ConvergenceError, Element,
                        GivensParams, apply_givens_left, apply_shift_left, aqr,
                        asvd, beta_basis, beta_division, beta_prime, biquat,
-                       clifford, cyclic, decency_check, givens_matrix, laurent,
-                       quadquat, random_element, random_matrix)
+                       clifford, cyclic, decency_check, givens_matrix, jacobi,
+                       laurent, quadquat, random_element, random_matrix)
+from algdecomp.matio import matrix_to_dict
 from oracles import spectrum_oracle
 
 
@@ -314,6 +317,116 @@ def test_qr_trim_runs_and_reports():
     rep = aqr(A, eps=1e-6, trim=1e-10)
     assert (rep.q @ rep.r - A).frob() <= 1e-5 * A.frob()
     assert rep.trimmed >= 0
+
+
+# -- pinned counts and factors -----------------------------------------------------
+#
+# Digests of the factor files (matio's canonical JSON, floats in repr) as
+# the per-coefficient kernel produced them.  The array kernel of the dense
+# specs does the same floating-point operations for beta_basis, so these
+# hold bit for bit.
+
+def _digest(X: AlgMatrix) -> str:
+    return hashlib.sha256(json.dumps(matrix_to_dict(X)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("trim,trimmed,digests", [
+    (0.0, 0, ("bca450fde69c6231", "5112cdebfb5f92e1")),
+    (1e-6, 322, ("d6387f03b2256332", "96099d2fea20a3e2")),
+])
+def test_qr_counts_and_factors_pinned(trim, trimmed, digests):
+    A = random_matrix(clifford(4, 1), 3, 2, np.random.default_rng(7))
+    rep = aqr(A, beta="basis", norm="inf", eps=1e-10, trim=trim)
+    assert (rep.rotations, rep.sweeps, rep.trimmed) == (1110, 2, trimmed)
+    assert (_digest(rep.q), _digest(rep.r)) == digests
+
+
+def test_svd_counts_pinned():
+    A = random_matrix(quadquat(), 3, 2, np.random.default_rng(7))
+    rep = asvd(A, beta="basis", norm="inf", eps=1e-10)
+    assert (rep.rotations, rep.qrd_calls, rep.sweeps) == (7015, 108, 109)
+    assert _digest(rep.d) == "f1e2fe18594d5647"
+
+
+def test_basis_rotation_chain_pinned():
+    # random unitaries built as in the benchmark: 36 rotations by basis
+    # elements, starting from the identity
+    spec = clifford(4, 1)
+    rng = np.random.default_rng(3)
+    U = AlgMatrix.identity(spec, 3)
+    for _ in range(36):
+        j, i = sorted(int(x) for x in rng.choice(3, size=2, replace=False))
+        b = spec.basis_element(spec.labels[int(rng.integers(spec.dim))])
+        U = apply_givens_left(
+            U, GivensParams(float(rng.uniform(0, 2 * math.pi)), b, i, j))
+    assert _digest(U) == "d680b27496f61802"
+
+
+@pytest.mark.parametrize("spec", [clifford(4, 1), quadquat(), cyclic(1, 8),
+                                  clifford(0, 2), laurent(1)])
+def test_basis_rotation_equals_element_arithmetic(spec):
+    # G(theta, b, i, j) X by basis element b, entry by entry through Element
+    # products and sums: exactly equal, not just close
+    rng = np.random.default_rng(23)
+    X = random_matrix(spec, 3, 2, rng, degree=1)
+    for lab in (spec.labels[-1] if spec.dim else (2,), spec.unit):
+        b = spec.basis_element(lab)
+        theta = float(rng.uniform(0, 2 * math.pi))
+        c, s = math.cos(theta), math.sin(theta)
+        Y = apply_givens_left(X, GivensParams(theta, b, 2, 0))
+        for col in range(2):
+            xj, xi = X[0, col], X[2, col]
+            assert Y[0, col] == xj * c + (b.conj() * xi) * (-s)
+            assert Y[2, col] == (b * xj) * s + xi * c
+            assert Y[1, col] == X[1, col]
+
+
+# -- non-finite input and the rotation budget ----------------------------------------
+
+@pytest.mark.parametrize("spec", [clifford(4, 1), laurent(1)])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_qr_non_finite_entry_raises(spec, bad):
+    A = random_matrix(spec, 3, 2, np.random.default_rng(7), degree=1)
+    coeffs = dict(A[1, 0].coeffs)
+    coeffs[spec.unit] = bad
+    A.entries[1][0] = Element._make(spec, coeffs)  # skips the finite check
+    with pytest.raises(ConvergenceError, match="non-finite") as exc:
+        aqr(A, max_sweeps=2)
+    rep = exc.value.report
+    assert rep.q is not None and rep.r is not None
+    assert not rep.residual <= 1e-10  # inf or NaN, never a small number
+    with pytest.raises(ConvergenceError, match="non-finite") as exc:
+        asvd(A, eps=1e-6)
+    assert exc.value.report.kind == "svd"
+    assert not exc.value.report.residual <= 1e-6
+
+
+def test_residual_helpers_propagate_nan():
+    spec = laurent(1)
+    D = AlgMatrix.identity(spec, 3)
+    D.entries[2][0] = Element._make(spec, {(0,): 5.0, (1,): math.nan})
+    D.entries[1][0] = Element._make(spec, {(0,): 7.0})
+    for normfn in (Element.norm_inf, Element.norm2):
+        assert math.isnan(jacobi._below_diag_max(D, normfn))
+        assert math.isnan(jacobi._off_diag_max(D, normfn))
+
+
+@pytest.mark.parametrize("spec", [clifford(4, 1), laurent(1)])
+def test_qr_rotation_budget_raises_with_partials(spec, monkeypatch):
+    monkeypatch.setattr(jacobi, "_rotation_budget", lambda *args: 3)
+    A = random_matrix(spec, 3, 2, np.random.default_rng(7), degree=1)
+    with pytest.raises(ConvergenceError, match="rotation budget") as exc:
+        aqr(A, eps=1e-10)
+    rep = exc.value.report
+    assert rep.rotations == 3
+    assert (rep.q @ rep.r - A).frob() <= 1e-12 * A.frob()
+
+
+def test_rotation_budget_covers_observed_counts():
+    # one column visit of the criterion-5 input takes up to 713 rotations;
+    # even one sweep's budget leaves room
+    assert jacobi._rotation_budget(1, 2, 10.0, 32, 1e-10) >= 4 * 713
+    assert jacobi._rotation_budget(200, 3, 1.0, 1, 0.0) == 600
 
 
 # -- SVD ---------------------------------------------------------------------------
