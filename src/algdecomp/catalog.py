@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (AlgebraError, AlgebraSpec, AlgMatrix, Element,
-                   UnsupportedOperationError)
+                   UnsupportedOperationError, _Window)
 
 
 # -- Clifford algebras ---------------------------------------------------------
@@ -155,6 +155,9 @@ class LaurentAlgebra(AlgebraSpec):
 
     def sort_key(self, lab):
         return lab
+
+    def layout(self, *matrices) -> _Window:
+        return _Window(self, matrices)
 
     def label_str(self, lab) -> str:
         return _monomial_str(lab)

@@ -248,8 +248,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--max-sweeps", type=int, default=200)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--trim", type=float, default=0.0,
-                   help="drop coefficients below TRIM * (entry max) after "
-                        "each rotation")
+                   help="drop coefficients at or below TRIM * (entry max) "
+                        "after each rotation; 0 <= TRIM < 1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=int, default=0,
                    help="cyclic modulus for the wedderburn route over laurent(k)")

@@ -19,6 +19,7 @@ elements and matrices are value-like (operations return new objects).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Hashable, NamedTuple, Sequence
 
@@ -116,14 +117,17 @@ class AlgebraSpec:
             np.array([s for s, _ in invs]),
             np.array([index[k] for _, k in invs]))
 
-    @property
-    def dense(self) -> bool:
-        """True for finite specs other than R, C and H: their matrices are
-        multiplied and rotated as coefficient arrays through ``tables``.
-        R, C and H (the representation engine's block fields, whose blocks
-        are too small to pay for array calls) and infinite specs use the
-        per-coefficient ``mul_basis`` path."""
-        return self.dim is not None and not self.is_division
+    @functools.cached_property
+    def _table_layout(self) -> "_TableLayout":
+        return _TableLayout(self)
+
+    def layout(self, *matrices) -> "_Layout":
+        """The coefficient layout of arrays holding ``matrices`` (see
+        :class:`_Layout`); finite specs have one for all."""
+        if self.dim is None:
+            raise UnsupportedOperationError(
+                f"{self.descriptor} has no coefficient layout")
+        return self._table_layout
 
     # -- basis bookkeeping ---------------------------------------------------
     @property
@@ -329,18 +333,21 @@ class Element:
 
 
 class AlgMatrix:
-    """A dense m-by-n matrix of :class:`Element` sharing one spec."""
+    """A dense m-by-n matrix of :class:`Element` sharing one spec.  One made
+    by an array computation (a product, the Q of ``aqr``) keeps its array
+    and builds its elements on first use of ``entries``."""
 
-    __slots__ = ("spec", "m", "n", "entries")
+    __slots__ = ("spec", "m", "n", "_entries", "_coeffs")
 
     def __init__(self, spec: AlgebraSpec, entries: Sequence[Sequence[Element]]):
         self.spec = spec
-        self.entries = [list(row) for row in entries]
-        self.m = len(self.entries)
-        self.n = len(self.entries[0]) if self.m else 0
+        self._entries = [list(row) for row in entries]
+        self._coeffs = None
+        self.m = len(self._entries)
+        self.n = len(self._entries[0]) if self.m else 0
         if self.m == 0 or self.n == 0:
             raise AlgebraError("matrix dimensions must be positive")
-        for row in self.entries:
+        for row in self._entries:
             if len(row) != self.n:
                 raise AlgebraError("ragged rows")
             for e in row:
@@ -348,6 +355,30 @@ class AlgMatrix:
                     raise SpecMismatchError("entry does not belong to the matrix algebra")
 
     # -- constructors ----------------------------------------------------------
+    @classmethod
+    def _of_array(cls, lay: "_Layout", x: np.ndarray) -> "AlgMatrix":
+        # internal: the matrix with coefficients x, an (m, n, width) array in
+        # layout lay that nothing changes any more
+        X = object.__new__(cls)
+        X.spec, X.m, X.n = lay.spec, x.shape[0], x.shape[1]
+        X._entries, X._coeffs = None, (lay, x)
+        return X
+
+    @property
+    def entries(self) -> list:
+        """The rows of elements (the array, if any, is dropped: rows may change)."""
+        if self._entries is None:
+            lay, x = self._coeffs
+            self._entries, self._coeffs = lay.rows(x), None
+        return self._entries
+
+    def _array(self, lay: "_Layout") -> np.ndarray:
+        """The coefficients in layout ``lay``, as an (m, n, width) array that
+        may be this matrix's own: read it, do not change it."""
+        if self._coeffs is not None and self._coeffs[0] is lay:
+            return self._coeffs[1]
+        return lay.array(self.entries)
+
     @classmethod
     def zeros(cls, spec: AlgebraSpec, m: int, n: int) -> "AlgMatrix":
         return cls(spec, [[spec.zero() for _ in range(n)] for _ in range(m)])
@@ -390,11 +421,7 @@ class AlgMatrix:
                                      for ra, rb in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "AlgMatrix") -> "AlgMatrix":
-        self._check(other)
-        if other.shape != self.shape:
-            raise AlgebraError(f"shape mismatch {self.shape} vs {other.shape}")
-        return AlgMatrix(self.spec, [[a - b for a, b in zip(ra, rb)]
-                                     for ra, rb in zip(self.entries, other.entries)])
+        return self + (-other)
 
     def __neg__(self) -> "AlgMatrix":
         return AlgMatrix(self.spec, [[-a for a in row] for row in self.entries])
@@ -404,35 +431,16 @@ class AlgMatrix:
         if self.n != other.m:
             raise AlgebraError(
                 f"inner dimensions disagree: {self.shape} @ {other.shape}")
-        spec = self.spec
-        if spec.dense:
-            prod = _table_matmul(spec.tables, _coeff_array(spec, self.entries),
-                                 _coeff_array(spec, other.entries))
-            return AlgMatrix(spec, _element_rows(spec, prod))
-        out = []
-        for i in range(self.m):
-            row = []
-            arow = self.entries[i]
-            for j in range(other.n):
-                acc: dict = {}
-                for k in range(self.n):
-                    a = arow[k].coeffs
-                    if not a:
-                        continue
-                    b = other.entries[k][j].coeffs
-                    if b:
-                        _mul_into(spec, acc, a, b)
-                row.append(Element._make(
-                    spec, {k: v for k, v in acc.items() if v != 0.0}))
-            out.append(row)
-        return AlgMatrix(spec, out)
+        lay = self.spec.layout(self, other)
+        prod, out = lay.matmul(self._array(lay), other._array(lay))
+        return AlgMatrix._of_array(out, prod)
 
     # -- *-structure and norms ---------------------------------------------------
     def herm(self) -> "AlgMatrix":
         """Hermitian transpose: entry-wise involution of the transpose."""
-        return AlgMatrix(self.spec,
-                         [[self.entries[i][j].conj() for i in range(self.m)]
-                          for j in range(self.n)])
+        rows = self.entries
+        return AlgMatrix(self.spec, [[rows[i][j].conj() for i in range(self.m)]
+                                     for j in range(self.n)])
 
     def frob(self) -> float:
         return math.sqrt(sum(e.norm2() ** 2 for row in self.entries for e in row))
@@ -450,44 +458,201 @@ class AlgMatrix:
         return f"<AlgMatrix {self.m}x{self.n} over {self.spec.descriptor}>"
 
 
-# -- coefficient arrays -----------------------------------------------------------
+# -- coefficient layouts ------------------------------------------------------------
 
-def _coeff_array(spec: AlgebraSpec, rows) -> np.ndarray:
-    """Coefficients of a grid of elements as an (m, n, dim) array."""
-    index = spec._index
-    d = spec.dim
-    flat = [0.0] * (len(rows) * len(rows[0]) * d)
-    base = 0
-    for row in rows:
-        for e in row:
-            for lab, c in e.coeffs.items():
-                flat[base + index[lab]] = c
-            base += d
-    return np.array(flat).reshape(len(rows), -1, d)
+class _Layout:
+    """Where each label's coefficient sits on the last axis of an (m, n,
+    width) array holding a grid of elements, and how the spec acts there.
+
+    Subclasses set ``spec``, ``width``, ``unit`` (the unit's position),
+    ``labels`` (the label at each position) and ``index`` (its inverse, a
+    mapping), and define ``conj``, ``room``, ``matmul`` and ``mul``: ``mul(b)`` maps a pair of rows
+    P = (x, y), stacked on axis -2, and s to one array per term c_t e_t of
+    b, (-s c_t conj(e_t) y, s c_t e_t x), each coefficient rounded as
+    entry-wise Element arithmetic rounds it.
+    """
+
+    def array(self, rows) -> np.ndarray:
+        """Coefficients of a grid of elements as an (m, n, width) array."""
+        index, w = self.index, self.width
+        flat = [0.0] * (len(rows) * len(rows[0]) * w)
+        base = 0
+        for row in rows:
+            for e in row:
+                for lab, c in e.coeffs.items():
+                    flat[base + index[lab]] = c
+                base += w
+        return np.array(flat).reshape(len(rows), -1, w)
+
+    def rows(self, x: np.ndarray) -> list:
+        """Inverse of :meth:`array`: a grid of elements, zeros dropped, each
+        with its labels in position order."""
+        labels, spec, make = self.labels, self.spec, Element._make
+        return [[make(spec, {labels[t]: c for t, c in enumerate(v) if c != 0.0})
+                 for v in row] for row in x.tolist()]
+
+    def room(self, x: np.ndarray, b: Element) -> np.ndarray:
+        """``x``, or ``x`` on a wider layout, such that multiplying any of
+        its rows by b or conj(b) keeps every coefficient."""
+        return x
 
 
-def _element_rows(spec: AlgebraSpec, coeffs: np.ndarray) -> list:
-    """Inverse of :func:`_coeff_array`: a grid of elements, zeros dropped."""
-    labels = spec.labels
-    return [[Element._make(spec, {labels[t]: c for t, c in enumerate(v)
-                                  if c != 0.0})
-             for v in row] for row in coeffs.tolist()]
+class _TableLayout(_Layout):
+    """A finite spec: coefficients by canonical basis index, acted on
+    through the structure tables (``AlgebraSpec.tables``)."""
+
+    def __init__(self, spec: AlgebraSpec):
+        self.spec = spec
+        self.width = spec.dim
+        self.unit = 0
+        self.labels = spec.labels
+        self.index = spec._index
+        self._pairs = {}
+
+    def conj(self, x: np.ndarray) -> np.ndarray:
+        t = self.spec.tables
+        return x[..., t.inv_index] * t.inv_sign
+
+    def mul(self, b: Element):
+        terms = [(self._pairs.get(lab) or self._pair(lab), c)
+                 for lab, c in b.coeffs.items()]
+
+        def pair(P, s):
+            flat = P.reshape(P.shape[:-2] + (2 * self.width,))
+            out = []
+            for (index, sign), c in terms:
+                G = flat.take(index, axis=-1)
+                np.multiply(G, np.multiply(sign, s * c), out=G)
+                out.append(G.reshape(P.shape))
+            return out
+        return pair
+
+    def _pair(self, lab):
+        """The signed gather taking a pair of rows (x, y), flattened, to
+        (-conj(e_a) y, e_a x): conj(e_a) x = x[index[a]] * sign[a], and
+        e_a = s conj(e_a') when conj(e_a) = s e_a'."""
+        t, d = self.spec.tables, self.width
+        a = self.spec._index[lab]
+        a_inv = t.inv_index[a]
+        p = self._pairs[lab] = (
+            np.concatenate([d + t.index[a], t.index[a_inv]]),
+            np.concatenate([-t.sign[a], t.inv_sign[a] * t.sign[a_inv]]))
+        return p
+
+    def matmul(self, a: np.ndarray, b: np.ndarray):
+        """Product of (m, n, d) and (n, p, d) arrays, and its layout: every
+        right entry is gathered once per e_a (a signed gather, as in
+        :meth:`_pair`), and one real matrix product sums over k and a."""
+        t = self.spec.tables
+        m, n, d = a.shape
+        p = b.shape[1]
+        inv = t.inv_index
+        gathered = b.take(t.index[inv], axis=-1)     # (n, p, d_a, d_t)
+        gathered *= t.inv_sign[:, None] * t.sign[inv]
+        right = gathered.transpose(0, 2, 1, 3).reshape(n * d, p * d)
+        return (a.reshape(m, n * d) @ right).reshape(m, p, d), self
 
 
-def _table_matmul(tables: StructureTables, a: np.ndarray,
-                  b: np.ndarray) -> np.ndarray:
-    """Product of two matrices given as (m, n, d) and (n, p, d) coefficient
-    arrays.  Left multiplication by e_a is a signed gather: with
-    conj(e_a) = s e_a', (e_a x)[t] = s sign[a', t] x[index[a', t]].  Every
-    right entry is gathered once per a, and one real matrix product sums
-    over k and a."""
-    m, n, d = a.shape
-    p = b.shape[1]
-    inv = tables.inv_index
-    gathered = b.take(tables.index[inv], axis=-1)     # (n, p, d_a, d_t)
-    gathered *= tables.inv_sign[:, None] * tables.sign[inv]
-    right = gathered.transpose(0, 2, 1, 3).reshape(n * d, p * d)
-    return (a.reshape(m, n * d) @ right).reshape(m, p, d)
+class _Window(_Layout):
+    """A Laurent spec: coefficients on the box of exponents [-h, h] (one
+    half-width per variable) in C order, the lexicographic order of
+    exponent vectors (``sort_key``).  The unit sits in the middle and
+    conjugation (e -> -e) reverses the axis.  z^a shifts the axis;
+    :meth:`room` widens the box before a shift would push a coefficient
+    past its edge.
+    """
+
+    def __init__(self, spec: AlgebraSpec, matrices=(), half=None):
+        self.spec = spec
+        if half is None:
+            labs = [lab for X in matrices for row in X.entries for e in row
+                    for lab in e.coeffs]
+            half = [max((abs(lab[t]) for lab in labs), default=0)
+                    for t in range(spec.kappa)]
+        self.reach = list(half)  # every coefficient held has |e_t| <= reach[t]
+        self._resize(half)
+
+    def _resize(self, half):
+        self.h = tuple(half)
+        self.box = tuple(2 * t + 1 for t in half)
+        self.strides = tuple(math.prod(self.box[t + 1:])
+                             for t in range(len(half)))
+        self.width = math.prod(self.box)
+        self.unit = self.width // 2
+        self.__dict__.pop("labels", None)
+        self.__dict__.pop("index", None)
+
+    @functools.cached_property
+    def labels(self) -> list:
+        return list(itertools.product(*(range(-t, t + 1) for t in self.h)))
+
+    @functools.cached_property
+    def index(self) -> dict:
+        return {lab: p for p, lab in enumerate(self.labels)}
+
+    def conj(self, x: np.ndarray) -> np.ndarray:
+        return x[..., ::-1].copy()
+
+    def mul(self, b: Element):
+        """One shift per term of b (conj(z^a) = z^-a), exact on arrays that
+        :meth:`room` has prepared for b."""
+        terms = [(sum(e * s for e, s in zip(lab, self.strides)), c)
+                 for lab, c in b.coeffs.items()]
+        w = self.width
+
+        def pair(P, s):
+            out = []
+            for off, c in terms:
+                G = np.zeros_like(P)
+                for half, shift, k in ((0, -off, -s * c), (1, off, s * c)):
+                    src = P[..., 1 - half, max(-shift, 0):w - max(shift, 0)]
+                    np.multiply(src, k, out=G[..., half, max(shift, 0):w + min(shift, 0)])
+                out.append(G)
+            return out
+        return pair
+
+    def room(self, x: np.ndarray, b: Element) -> np.ndarray:
+        step = [max((abs(lab[t]) for lab in b.coeffs), default=0)
+                for t in range(len(self.h))]
+        need = [r + s for r, s in zip(self.reach, step)]
+        if any(n > h for n, h in zip(need, self.h)):
+            # the bound is loose after trims and cancellations: tighten it
+            # to the coefficients held, then widen to twice what is needed
+            held = np.flatnonzero((x.reshape(-1, self.width) != 0).any(axis=0))
+            coords = np.unravel_index(held, self.box)
+            need = [int(np.abs(c - h).max(initial=0)) + s
+                    for c, h, s in zip(coords, self.h, step)]
+            if any(n > h for n, h in zip(need, self.h)):
+                lead, old = x.shape[:-1], self.h
+                self._resize([max(h, 2 * n) for h, n in zip(old, need)])
+                wider = np.zeros(lead + self.box)
+                inner = tuple(slice(h - o, h + o + 1) for h, o in zip(self.h, old))
+                wider[(Ellipsis,) + inner] = x.reshape(lead + tuple(2 * o + 1 for o in old))
+                x = wider.reshape(lead + (self.width,))
+        self.reach = need
+        return x
+
+    def matmul(self, a: np.ndarray, b: np.ndarray):
+        """Product of (m, n, W) and (n, p, W) arrays of this window, on the
+        window twice as wide: a sum of convolutions.  Both operands sit at
+        the low corner of the product's box, so the flat index of a sum of
+        exponents is the sum of flat indices (Kronecker substitution) and
+        one 1-D convolution per entry pair serves any number of variables."""
+        out = _Window(self.spec, half=[2 * h for h in self.h])
+        corner = tuple(slice(0, w) for w in self.box)
+        span = sum((w - 1) * s for w, s in zip(self.box, out.strides)) + 1
+
+        def embed(x):
+            y = np.zeros(x.shape[:-1] + out.box)
+            y[(Ellipsis,) + corner] = x.reshape(x.shape[:-1] + self.box)
+            return y.reshape(x.shape[:-1] + (out.width,))[..., :span]
+
+        a, b = embed(a), embed(b)
+        prod = np.zeros((a.shape[0], b.shape[1], out.width))
+        for i, j, k in itertools.product(range(a.shape[0]), range(b.shape[1]),
+                                         range(a.shape[1])):
+            prod[i, j] += np.convolve(a[i, k], b[k, j])
+        return prod, out
 
 
 # -- real matrix representation ------------------------------------------------
@@ -509,17 +674,13 @@ def rmr(a: Element) -> np.ndarray:
     algebra homomorphism; with the inverse-induced involution it intertwines
     conjugation with the matrix transpose.
     """
-    spec = a.spec
-    if spec.dim is None:
-        raise UnsupportedOperationError("RMR requires a finite-dimensional algebra")
-    return _rmr_array(spec, _coeff_array(spec, [[a]])[0, 0])
+    spec = a.spec  # an infinite spec has no tables: UnsupportedOperationError
+    return _rmr_array(spec, spec.layout().array([[a]])[0, 0])
 
 
 def rmr_lift(X: AlgMatrix) -> np.ndarray:
     """Block matrix replacing every entry of X by its RMR (an md-by-nd array)."""
     spec = X.spec
-    if spec.dim is None:
-        raise UnsupportedOperationError("RMR requires a finite-dimensional algebra")
+    blocks = _rmr_array(spec, X._array(spec.layout()))
     d = spec.dim
-    blocks = _rmr_array(spec, _coeff_array(spec, X.entries))
     return blocks.transpose(0, 2, 1, 3).reshape(X.m * d, X.n * d)

@@ -20,6 +20,7 @@ with one rotation per nonzero below-diagonal entry even at eps = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -27,8 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (AlgebraError, AlgebraSpec, AlgMatrix, Element, _coeff_array,
-                   _element_rows)
+from .core import AlgebraError, AlgebraSpec, AlgMatrix, Element
 
 
 class ConvergenceError(AlgebraError):
@@ -201,117 +201,15 @@ def givens_matrix(spec: AlgebraSpec, m: int, g: GivensParams) -> AlgMatrix:
     return out
 
 
-def _rows_rotate(X: AlgMatrix, theta: float, b: Element, i: int, j: int):
-    """In place: X <- G(theta, b, i, j) X.  Touches only rows i and j."""
-    spec = X.spec
-    c, s = math.cos(theta), math.sin(theta)
-    bc = b.conj().coeffs
-    bb = b.coeffs
-    mul = spec.mul_basis
-    rowj, rowi = X.entries[j], X.entries[i]
-    for col in range(X.n):
-        xj, xi = rowj[col].coeffs, rowi[col].coeffs
-        # new_j = c*xj - s*(conj(b)·xi);  new_i = s*(b·xj) + c*xi
-        nj = {k: c * v for k, v in xj.items()} if c != 0.0 else {}
-        if s != 0.0:
-            for lb, cb in bc.items():
-                cc = -s * cb
-                for k, v in xi.items():
-                    sg, lk = mul(lb, k)
-                    nj[lk] = nj.get(lk, 0.0) + cc * sg * v
-        ni = {k: c * v for k, v in xi.items()} if c != 0.0 else {}
-        if s != 0.0:
-            for lb, cb in bb.items():
-                cc = s * cb
-                for k, v in xj.items():
-                    sg, lk = mul(lb, k)
-                    ni[lk] = ni.get(lk, 0.0) + cc * sg * v
-        rowj[col] = Element._make(spec, {k: v for k, v in nj.items() if v != 0.0})
-        rowi[col] = Element._make(spec, {k: v for k, v in ni.items() if v != 0.0})
-
-
-def _cols_rotate(X: AlgMatrix, theta: float, b: Element, i: int, j: int):
-    """In place: X <- X G(theta, b, i, j).  Touches only columns i and j."""
-    spec = X.spec
-    c, s = math.cos(theta), math.sin(theta)
-    bc = b.conj().coeffs
-    bb = b.coeffs
-    mul = spec.mul_basis
-    for row in X.entries:
-        xj, xi = row[j].coeffs, row[i].coeffs
-        # new_j = c*xj + s*(xi·b);  new_i = -s*(xj·conj(b)) + c*xi
-        nj = {k: c * v for k, v in xj.items()} if c != 0.0 else {}
-        if s != 0.0:
-            for lb, cb in bb.items():
-                cc = s * cb
-                for k, v in xi.items():
-                    sg, lk = mul(k, lb)
-                    nj[lk] = nj.get(lk, 0.0) + cc * sg * v
-        ni = {k: c * v for k, v in xi.items()} if c != 0.0 else {}
-        if s != 0.0:
-            for lb, cb in bc.items():
-                cc = -s * cb
-                for k, v in xj.items():
-                    sg, lk = mul(k, lb)
-                    ni[lk] = ni.get(lk, 0.0) + cc * sg * v
-        row[j] = Element._make(spec, {k: v for k, v in nj.items() if v != 0.0})
-        row[i] = Element._make(spec, {k: v for k, v in ni.items() if v != 0.0})
-
-
-def _row_scale(X: AlgMatrix, b: Element, i: int):
-    """In place: row i <- b * row i (left shift by B(b, i))."""
-    row = X.entries[i]
-    for col in range(X.n):
-        row[col] = b * row[col]
-
-
-def _col_scale(X: AlgMatrix, b: Element, i: int):
-    """In place: column i <- column i * b (right shift by B(b, i))."""
-    for row in X.entries:
-        row[i] = row[i] * b
-
-
-def _gathers(spec: AlgebraSpec, b: Element):
-    """Left multiplication by b and by conj(b) on coefficient arrays of a
-    dense spec, as signed gathers ``(idx, w)``: x -> x[..., idx] * w, summed
-    over the rows of a 2-D ``idx`` (one row per term of b; a multiple of
-    one basis element gives 1-D rows and no sum).  Returns
-    ``(conj(b)., b.)``, an action and its adjoint.
-
-    From the tables, conj(e_a) x = x[index[a]] * sign[a], and
-    e_a = s conj(e_a') when conj(e_a) = s e_a'.
-    """
-    t = spec.tables
-    if len(b.coeffs) == 1:
-        (lab, w), = b.coeffs.items()
-        a = spec.label_index(lab)
-        a_inv = t.inv_index[a]
-        w_inv = w * t.inv_sign[a]
-    else:
-        a = [spec.label_index(lab) for lab in b.coeffs]
-        w = np.array(list(b.coeffs.values()))[:, None]
-        a_inv = t.inv_index[a]
-        w_inv = w * t.inv_sign[a][:, None]
-    return ((t.index[a], w * t.sign[a]),
-            (t.index[a_inv], w_inv * t.sign[a_inv]))
-
-
-def _act(x: np.ndarray, op) -> np.ndarray:
-    idx, w = op
-    y = x.take(idx, axis=-1)
-    y *= w
-    return y if idx.ndim == 1 else y.sum(axis=-2)
-
-
-def _rotate(x: np.ndarray, y: np.ndarray, c: float, s: float, op, op_t):
-    """The rotation kernel of the dense specs, in place on two rows of
-    coefficients: (x, y) <- (c x - s op(y), s op_t(x) + c y), with
-    op = conj(b). and op_t = b. from :func:`_gathers`."""
-    bx, by = _act(x, op_t), _act(y, op)
-    bx *= s
-    by *= s
-    np.subtract(c * x, by, out=x)
-    np.add(bx, c * y, out=y)
+def _rotate(P: np.ndarray, c: float, s: float, pair):
+    """The rotation kernel, in place on a pair of rows P = (x, y) stacked on
+    axis -2: (x, y) <- (c x - s conj(b) y, s b x + c y), adding b's terms
+    from ``pair`` (the layout's ``mul(b)``) in order.  c = 0, s = -1 gives
+    x <- conj(b) x."""
+    terms = pair(P, s)
+    np.multiply(P, c, out=P)
+    for G in terms:
+        np.add(P, G, out=P)
 
 
 def apply_givens_left(X: AlgMatrix, g: GivensParams) -> AlgMatrix:
@@ -319,15 +217,11 @@ def apply_givens_left(X: AlgMatrix, g: GivensParams) -> AlgMatrix:
     _require_unitary(g.b)
     if g.i >= X.m:
         raise AlgebraError("row index out of range")
-    spec = X.spec
+    lay = X.spec.layout(X)
+    P = lay.room(lay.array(list(zip(X.entries[g.j], X.entries[g.i]))), g.b)
+    _rotate(P, math.cos(g.theta), math.sin(g.theta), lay.mul(g.b))
     out = X.copy()
-    if spec.dense:
-        pair = _coeff_array(spec, [X.entries[g.j], X.entries[g.i]])
-        _rotate(pair[0], pair[1], math.cos(g.theta), math.sin(g.theta),
-                *_gathers(spec, g.b))
-        out.entries[g.j], out.entries[g.i] = _element_rows(spec, pair)
-    else:
-        _rows_rotate(out, g.theta, g.b, g.i, g.j)
+    out.entries[g.j], out.entries[g.i] = map(list, zip(*lay.rows(P)))
     return out
 
 
@@ -337,7 +231,7 @@ def apply_shift_left(X: AlgMatrix, b: Element, i: int) -> AlgMatrix:
     if not 0 <= i < X.m:
         raise AlgebraError("row index out of range")
     out = X.copy()
-    _row_scale(out, b, i)
+    out.entries[i] = [b * e for e in out.entries[i]]
     return out
 
 
@@ -347,45 +241,9 @@ def apply_shift_right(X: AlgMatrix, b: Element, i: int) -> AlgMatrix:
     if not 0 <= i < X.n:
         raise AlgebraError("column index out of range")
     out = X.copy()
-    _col_scale(out, b, i)
+    for row in out.entries:
+        row[i] = row[i] * b
     return out
-
-
-# -- trimming (opt-in, for coefficient growth in polynomial algebras) -------------
-
-def _trim_element(e: Element, tau: float) -> tuple[Element, int]:
-    coeffs = e.coeffs
-    if not coeffs:
-        return e, 0
-    cut = tau * max(abs(v) for v in coeffs.values())
-    kept = {k: v for k, v in coeffs.items() if abs(v) > cut}
-    dropped = len(coeffs) - len(kept)
-    if dropped:
-        return Element._make(e.spec, kept), dropped
-    return e, 0
-
-
-def _trim_rows(X: AlgMatrix, rows, tau: float) -> int:
-    dropped = 0
-    for i in rows:
-        row = X.entries[i]
-        for col in range(X.n):
-            row[col], n = _trim_element(row[col], tau)
-            dropped += n
-    return dropped
-
-
-def _trim_cols(X: AlgMatrix, cols, tau: float) -> int:
-    dropped = 0
-    for row in X.entries:
-        for j in cols:
-            row[j], n = _trim_element(row[j], tau)
-            dropped += n
-    return dropped
-
-
-def _trim_all(X: AlgMatrix, tau: float) -> int:
-    return _trim_rows(X, range(X.m), tau)
 
 
 # -- the QR iteration ----------------------------------------------------------------
@@ -412,79 +270,12 @@ def _off_diag_max(D: AlgMatrix, normfn) -> float:
                     for j, e in enumerate(row) if i != j)
 
 
-class _ElementWork:
-    """R and Q of one QR run as grids of elements, rotated coefficient by
-    coefficient through ``mul_basis``: infinite specs, and R, C and H."""
-
-    def __init__(self, A: AlgMatrix, betafn, normfn, norm_name: str):
-        self.spec = A.spec
-        self.R = A.copy()
-        self.Q = AlgMatrix.identity(A.spec, A.m)
-        self.betafn, self.normfn = betafn, normfn
-
-    def column(self, k: int) -> tuple[float, int]:
-        """2-norm of column k from the pivot down, and its coefficient width
-        (the dimension, or the largest support over an infinite spec)."""
-        col = [row[k] for row in self.R.entries[k:]]
-        width = self.spec.dim or max(max(e.support for e in col), 1)
-        return math.sqrt(sum(e.norm2() ** 2 for e in col)), width
-
-    def norm(self, i: int, k: int) -> float:
-        return self.normfn(self.R.entries[i][k])
-
-    def pick(self, k: int) -> tuple[int, float]:
-        """Row and norm of the largest below-pivot entry; ties toward the
-        lowest row, and a NaN norm wins."""
-        rows = self.R.entries
-        best_i, g2 = k + 1, self.normfn(rows[k + 1][k])
-        for i in range(k + 2, self.R.m):
-            v = self.normfn(rows[i][k])
-            if v > g2 or v != v:
-                best_i, g2 = i, v
-        return best_i, g2
-
-    def re(self, i: int, k: int) -> float:
-        return self.R.entries[i][k].re()
-
-    def beta(self, i: int, k: int) -> Element:
-        return self.betafn(self.R.entries[i][k])
-
-    def aligned(self, i: int, k: int, b: Element) -> float:
-        """Re(conj(b) r_ik)."""
-        return (b.conj() * self.R.entries[i][k]).re()
-
-    def shift(self, k: int, b: Element):
-        _row_scale(self.R, b.conj(), k)
-        _col_scale(self.Q, b, k)
-
-    def rotate(self, i: int, k: int, theta: float, b: Element):
-        _rows_rotate(self.R, -theta, b, i, k)
-        _cols_rotate(self.Q, theta, b, i, k)
-
-    def negate(self, k: int):
-        minus = self.spec.scalar(-1.0)
-        _row_scale(self.R, minus, k)
-        _col_scale(self.Q, minus, k)
-
-    def zero(self, i: int, k: int):
-        self.R.entries[i][k] = self.spec.zero()
-
-    def trim(self, rows, cols, tau: float) -> int:
-        return _trim_rows(self.R, rows, tau) + _trim_cols(self.Q, cols, tau)
-
-    def residual(self) -> float:
-        return _below_diag_max(self.R, self.normfn)
-
-    def factors(self) -> tuple[AlgMatrix, AlgMatrix]:
-        return self.Q, self.R
-
-
 def _norms_inf(x: np.ndarray) -> np.ndarray:
-    return np.abs(x).max(axis=-1)
+    return np.maximum.reduce(np.abs(x), axis=-1)
 
 
 def _norms_two(x: np.ndarray) -> np.ndarray:
-    return np.sqrt((x * x).sum(axis=-1))
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def _trim_array(x: np.ndarray, tau: float) -> int:
@@ -496,77 +287,118 @@ def _trim_array(x: np.ndarray, tau: float) -> int:
     return int(drop.sum())
 
 
+def _trimmed(X: AlgMatrix, tau: float) -> tuple[AlgMatrix, int]:
+    """X with :func:`_trim_array` applied, and how many coefficients went."""
+    lay = X.spec.layout(X)
+    x = X._array(lay).copy()
+    dropped = _trim_array(x, tau)
+    return AlgMatrix._of_array(lay, x), dropped
+
+
+@functools.lru_cache(maxsize=None)
+def _below(n: int, m: int) -> np.ndarray:
+    # R's below-diagonal positions in the work array's (column, row) order
+    return np.tri(m, n, -1, dtype=bool).T
+
+
 class _ArrayWork:
-    """R and Q^H of one QR run side by side in one (m, n + m, d) coefficient
-    array of a dense spec.  R <- G R and Q <- Q G^H make Q^H <- G Q^H, so
-    every shift and rotation is one row operation on the array, through the
-    signed gathers of :func:`_gathers`.
+    """R and Q^H of one QR run in one coefficient array in the spec's layout,
+    indexed (column, row, position): columns 0..n-1 hold R, the rest Q^H.
+    R <- G R and Q <- Q G^H make Q^H <- G Q^H, so every shift and rotation
+    acts on two rows through :func:`_rotate`, rounding as entry-wise Element
+    arithmetic does; only 2-norms are summed in another order."""
 
-    With ``beta_basis`` every shift and rotation is the same floating-point
-    operation as in :class:`_ElementWork` (conjugation only permutes and
-    negates), so under the sup norm both give bit-identical factors; 2-norms
-    are summed in another order."""
-
-    def __init__(self, A: AlgMatrix, betafn, normfn, norm_name: str):
-        self.spec = spec = A.spec
+    def __init__(self, A: AlgMatrix, betafn, norm_name: str):
+        self.spec = A.spec
+        self.lay = lay = A.spec.layout(A)
         self.n = A.n
-        self.RQ = np.zeros((A.m, A.n + A.m, spec.dim))
-        self.RQ[:, :A.n] = _coeff_array(spec, A.entries)
-        self.RQ[np.arange(A.m), A.n + np.arange(A.m), 0] = 1.0
+        self.RQ = np.zeros((A.n + A.m, A.m, lay.width))
+        self.RQ[:A.n] = A._array(lay).transpose(1, 0, 2)
+        for r in range(A.m):
+            self.RQ[A.n + r, r, lay.unit] = 1.0
+        self.below = _below(A.n, A.m)
         self.betafn = betafn
         self.norms = _norms_two if norm_name == "two" else _norms_inf
 
     def column(self, k: int) -> tuple[float, int]:
-        return float(_norms_two(self.RQ[k:, k].ravel())), self.spec.dim
+        """2-norm of column k from the pivot down, and its coefficient width
+        (the dimension, or the largest support over an infinite spec)."""
+        col = self.RQ[k, k:]
+        width = self.spec.dim or max(int(np.count_nonzero(col, axis=-1).max()), 1)
+        return float(_norms_two(col.ravel())), width
 
     def norm(self, i: int, k: int) -> float:
-        return float(self.norms(self.RQ[i, k]))
+        return float(self.norms(self.RQ[k, i]))
 
     def pick(self, k: int) -> tuple[int, float]:
-        norms = self.norms(self.RQ[k + 1:, k])
+        """Row and norm of the largest below-pivot entry; ties toward the
+        lowest row, and a NaN norm wins."""
+        norms = self.norms(self.RQ[k, k + 1:])
         j = int(norms.argmax())  # first maximum, or first NaN
         return k + 1 + j, float(norms[j])
 
     def re(self, i: int, k: int) -> float:
-        return float(self.RQ[i, k, 0])
+        return float(self.RQ[k, i, self.lay.unit])
 
     def beta(self, i: int, k: int) -> Element:
-        x = self.RQ[i, k]
+        x = self.RQ[k, i]
         spec = self.spec
         if self.betafn is beta_basis:
-            # the first largest coefficient: beta_basis's canonical tie-break
-            return spec.basis_element(spec.labels[int(np.abs(x).argmax())])
-        return self.betafn(_element_rows(spec, x[None, None])[0][0])
+            # the first largest coefficient (beta_basis's tie-break: position
+            # order is canonical order); beta_basis(0) = 1
+            p = int(np.abs(x).argmax())
+            return (spec.basis_element(self.lay.labels[p]) if x[p] != 0.0
+                    else spec.one())
+        return self.betafn(self.lay.rows(x[None, None])[0][0])
 
     def aligned(self, i: int, k: int, b: Element) -> float:
-        # Re(conj(e_a) e_c) = delta_ac over a unitary basis
-        x, index = self.RQ[i, k], self.spec._index
-        return float(sum(c * x[index[lab]] for lab, c in b.coeffs.items()))
+        """Re(conj(b) r_ik); Re(conj(e_a) e_c) = delta_ac over a unitary basis."""
+        x, index = self.RQ[k, i], self.lay.index
+        return float(sum(c * x[index[lab]] for lab, c in b.coeffs.items()
+                         if lab in index))
+
+    def _pair(self, i: int, k: int, c: float, s: float, b: Element):
+        self.RQ = self.lay.room(self.RQ, b)
+        P = self.RQ.take((k, i), axis=1)
+        _rotate(P, c, s, self.lay.mul(b))
+        return P
 
     def shift(self, k: int, b: Element):
-        self.RQ[k] = _act(self.RQ[k], _gathers(self.spec, b)[0])
+        self.RQ[:, k] = self._pair(k, k, 0.0, -1.0, b)[:, 0]
 
     def rotate(self, i: int, k: int, theta: float, b: Element):
-        _rotate(self.RQ[k], self.RQ[i], math.cos(-theta), math.sin(-theta),
-                *_gathers(self.spec, b))
+        P = self._pair(i, k, math.cos(-theta), math.sin(-theta), b)
+        self.RQ[:, k] = P[:, 0]
+        self.RQ[:, i] = P[:, 1]
 
     def negate(self, k: int):
-        self.RQ[k] *= -1.0
+        self.RQ[:, k] *= -1.0
+
+    def zero(self, i: int, k: int):
+        self.RQ[k, i] = 0.0
 
     def trim(self, rows, cols, tau: float) -> int:
         n = self.n
-        return (sum(_trim_array(self.RQ[i, :n], tau) for i in rows)
-                + sum(_trim_array(self.RQ[j, n:], tau) for j in cols))
+        return (sum(_trim_array(self.RQ[:n, i], tau) for i in rows)
+                + sum(_trim_array(self.RQ[n:, j], tau) for j in cols))
 
     def residual(self) -> float:
-        return float(np.tril(self.norms(self.RQ[:, :self.n]), -1).max())
+        return float(self.norms(self.RQ[:self.n])[self.below].max(initial=0.0))
 
     def factors(self) -> tuple[AlgMatrix, AlgMatrix]:
-        spec, n = self.spec, self.n
-        t = spec.tables
-        q = self.RQ[:, n:].transpose(1, 0, 2)[..., t.inv_index] * t.inv_sign
-        return (AlgMatrix(spec, _element_rows(spec, q)),
-                AlgMatrix(spec, _element_rows(spec, self.RQ[:, :n])))
+        lay, n = self.lay, self.n
+        return (AlgMatrix._of_array(lay, lay.conj(self.RQ[n:])),
+                AlgMatrix._of_array(lay, self.RQ[:n].transpose(1, 0, 2).copy()))
+
+
+def _check_tolerances(eps: float, trim: float = 0.0, svd: bool = False):
+    """Reject a negative or NaN ``eps`` (for an SVD also 0) and a ``trim``
+    outside [0, 1): trim 1 or more would zero whole entries."""
+    if not (eps > 0.0 if svd else eps >= 0.0):
+        raise AlgebraError(f"{'SVD needs eps > 0' if svd else 'eps must be non-negative'}"
+                           f", got {eps!r}")
+    if not 0.0 <= trim < 1.0:
+        raise AlgebraError(f"trim must lie in [0, 1), got {trim!r}")
 
 
 def _rotation_budget(max_sweeps: int, rows: int, colnorm: float, width: int,
@@ -600,9 +432,9 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
     coefficients at or below ``trim`` times the entry's largest one (useful
     for Laurent matrices whose supports would otherwise grow).
 
-    Over finite specs other than R, C and H the factors are held as
-    coefficient arrays and rotated by signed gathers through the spec's
-    structure tables; elsewhere they are grids of elements.
+    The factors are held as one coefficient array in the spec's layout
+    (structure tables for finite specs, an exponent window for Laurent
+    specs) and rotated through one kernel, :func:`_rotate`.
 
     Raises :class:`ConvergenceError` carrying the partial factors when
     ``max_sweeps`` is exhausted, when one column in one sweep exceeds its
@@ -612,9 +444,8 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
     """
     spec = A.spec
     betafn, beta_name, exact = resolve_beta(spec, beta)
-    normfn, norm_name = resolve_norm(spec, norm)
-    if eps < 0:
-        raise AlgebraError("eps must be non-negative")
+    _, norm_name = resolve_norm(spec, norm)
+    _check_tolerances(eps, trim)
     if eps == 0 and not exact:
         raise AlgebraError("eps = 0 requires beta='division' on R, C or H")
     if max_sweeps < 1:
@@ -622,17 +453,16 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
 
     t0 = time.perf_counter()
     m, n = A.m, A.n
-    W = (_ArrayWork if spec.dense else _ElementWork)(A, betafn, normfn,
-                                                     norm_name)
+    W = _ArrayWork(A, betafn, norm_name)
     one = spec.one()
     rotations = sweeps = 0
     trimmed = stalled = warnings = 0
 
-    def partial_report():
+    def partial_report(residual=None):
         q, r = W.factors()
         return DecompReport(
             kind="qr", method="jacobi", rotations=rotations, sweeps=sweeps,
-            qrd_calls=0, residual=W.residual(),
+            qrd_calls=0, residual=W.residual() if residual is None else residual,
             wall_time=time.perf_counter() - t0, eps=eps, norm=norm_name,
             beta=beta_name, q=q, r=r, trimmed=trimmed,
             stalled_pivots=stalled, decency_warnings=warnings)
@@ -698,7 +528,7 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
                 rotations += 1
                 if exact:
                     # the rotation annihilates the entry up to round-off
-                    # (division specs only, so always an _ElementWork)
+                    # (division specs only)
                     W.zero(i, k)
                 if trim > 0.0:
                     trimmed += W.trim((i, k), (i, k), trim)
@@ -710,7 +540,7 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
             W.negate(k)
             step()
 
-    return partial_report()
+    return partial_report(g1)  # negation keeps every norm
 
 
 # -- the SVD iteration -----------------------------------------------------------------
@@ -726,8 +556,7 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
     canonical scalar order over a general algebra.
     """
     spec = A.spec
-    if eps <= 0:
-        raise AlgebraError("SVD needs eps > 0")
+    _check_tolerances(eps, trim, svd=True)
     if max_iters < 1:
         raise AlgebraError("max_iters must be at least 1")
     normfn, norm_name = resolve_norm(spec, norm)
@@ -775,7 +604,11 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
                 D = sub.r
                 U = U @ sub.q
             if trim > 0.0:
-                trimmed += _trim_all(U if not hermitian_side else V, trim)
+                if hermitian_side:
+                    V, dropped = _trimmed(V, trim)
+                else:
+                    U, dropped = _trimmed(U, trim)
+                trimmed += dropped
         g = _off_diag_max(D, normfn)
 
     rep = partial_report()

@@ -41,13 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AlgebraError, AlgebraSpec, AlgMatrix, Element,
-                   SpecMismatchError, UnsupportedOperationError, _coeff_array,
-                   _element_rows, rmr)
+                   SpecMismatchError, UnsupportedOperationError, rmr)
 from .catalog import (CyclicGroupAlgebra, LaurentAlgebra, biquat, clifford,
                       complex_algebra, cyclic, laurent, quadquat,
                       quaternion_algebra, real_algebra)
 from .jacobi import (ConvergenceError, DecompReport, _below_diag_max,
-                     _off_diag_max, aqr, asvd)
+                     _check_tolerances, _off_diag_max, aqr, asvd)
 
 _FIELD_DIM = {"R": 1, "C": 2, "H": 4}
 
@@ -194,7 +193,7 @@ class Representation:
         """Block matrices of one algebra element."""
         if a.spec != self.source:
             raise SpecMismatchError("element does not belong to the source algebra")
-        params = self.fwd @ _coeff_array(self.source, [[a]])[0, 0]
+        params = self.fwd @ self.source.layout().array([[a]])[0, 0]
         return [_unflatten_block(tag, params[lo:hi], n)
                 for (tag, n), lo, hi in self._slices()]
 
@@ -207,7 +206,7 @@ class Representation:
             diag[np.arange(n), np.arange(n), 0] = 1.0
         coeffs = (units @ self.inv.T)[None]
         return IdempotentSet(self.source,
-                             tuple(_element_rows(self.source, coeffs)[0]))
+                             tuple(self.source.layout().rows(coeffs)[0]))
 
     def field_dims(self) -> tuple[int, ...]:
         return tuple(_FIELD_DIM[tag] for tag, _ in self.blocks)
@@ -395,13 +394,13 @@ def lift(A: AlgMatrix, rep: Representation) -> list[AlgMatrix]:
     """
     if A.spec != rep.source:
         raise SpecMismatchError("matrix algebra does not match the representation")
-    params = _coeff_array(rep.source, A.entries) @ rep.fwd.T
+    params = A._array(rep.source.layout()) @ rep.fwd.T
     out = []
     for (tag, nl), lo, hi in rep._slices():
         field = _field_spec(tag)
         x = params[..., lo:hi].reshape(A.m, A.n, nl, nl, field.dim)
         x = x.transpose(0, 2, 1, 3, 4).reshape(A.m * nl, A.n * nl, field.dim)
-        out.append(AlgMatrix(field, _element_rows(field, x)))
+        out.append(AlgMatrix._of_array(field.layout(), x))
     return out
 
 
@@ -409,11 +408,11 @@ def unlift(blocks_mats, rep: Representation, m: int, n: int) -> AlgMatrix:
     """Map per-block matrices back to one matrix over the source algebra."""
     parts = []
     for ((tag, nl), _, _), B in zip(rep._slices(), blocks_mats):
-        x = _coeff_array(_field_spec(tag), B.entries)
+        x = B._array(_field_spec(tag).layout())
         parts.append(x.reshape(m, nl, n, nl, -1).transpose(0, 2, 1, 3, 4)
                      .reshape(m, n, -1))
     coeffs = np.concatenate(parts, axis=-1) @ rep.inv.T
-    return AlgMatrix(rep.source, _element_rows(rep.source, coeffs))
+    return AlgMatrix._of_array(rep.source.layout(), coeffs)
 
 
 # -- the two decompositions ------------------------------------------------------
@@ -427,6 +426,7 @@ def _block_eps(eps: float, d: int) -> float:
 def wqr(A: AlgMatrix, rep: Representation, eps: float = 0.0,
         max_sweeps: int = 200) -> DecompReport:
     """QR through the representation: exact per-block triangularisation."""
+    _check_tolerances(eps)
     t0 = time.perf_counter()
     blocks = lift(A, rep)
     beps = _block_eps(eps, rep.source.dim)
@@ -471,8 +471,7 @@ def _sorted_block_svd(spec, u, d, v):
 def wsvd(A: AlgMatrix, rep: Representation, eps: float = 1e-10,
          max_iters: int = 500, max_sweeps: int = 200) -> DecompReport:
     """SVD through the representation; block singular values sorted descending."""
-    if eps <= 0:
-        raise AlgebraError("SVD needs eps > 0")
+    _check_tolerances(eps, svd=True)
     t0 = time.perf_counter()
     blocks = lift(A, rep)
     beps = _block_eps(eps, rep.source.dim)

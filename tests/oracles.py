@@ -8,6 +8,8 @@ numpy's SVD of the real matrix representation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from algdecomp import AlgMatrix, rmr, rmr_lift
@@ -69,10 +71,13 @@ def real_ndarray(B: AlgMatrix) -> np.ndarray:
     return np.array([[e.coeffs.get(0, 0.0) for e in row] for row in B.entries])
 
 
-def eval_laurent(A: AlgMatrix, z: complex) -> np.ndarray:
-    """Evaluate a one-variable Laurent matrix at a point z != 0."""
-    return np.array([[sum(c * z ** lab[0] for lab, c in e.coeffs.items())
-                      for e in row] for row in A.entries])
+def eval_laurent(A: AlgMatrix, z) -> np.ndarray:
+    """Evaluate a Laurent matrix at a point z != 0: a complex number for one
+    variable, or a tuple of them, one per variable."""
+    zs = z if isinstance(z, tuple) else (z,)
+    return np.array([[sum(c * math.prod(zt ** t for zt, t in zip(zs, lab))
+                          for lab, c in e.coeffs.items())
+                      for e in row] for row in A.entries], dtype=complex)
 
 
 def quat_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

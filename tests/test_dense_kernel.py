@@ -1,23 +1,29 @@
-"""Cross-checks of the structure-table path of the dense specs (finite,
-other than R, C and H) against Element arithmetic, which works one
-coefficient at a time through ``mul_basis``, and against the numpy oracles.
+"""Cross-checks of the coefficient-array path against Element arithmetic,
+which works one coefficient at a time through ``mul_basis``, and against
+the numpy oracles: finite specs of every catalog family (R, C and H
+included) in their structure-table layout, and Laurent specs in their
+exponent window.
 """
 
+import cmath
 import math
 
 import numpy as np
 from algdecomp import (AlgMatrix, GivensParams, apply_givens_left,
                        apply_shift_left, apply_shift_right, aqr, asvd,
-                       beta_basis, boolean_group, clifford, clifford_twist, cyclic,
-                       cyclic_group, direct_sum_pm, givens_matrix, jacobi,
-                       quaternion_algebra, random_matrix, rmr, rmr_lift,
-                       tensor, twisted_group)
+                       beta_basis, biquat, boolean_group, clifford,
+                       clifford_twist, cyclic, cyclic_group, direct_sum_pm,
+                       givens_matrix, laurent, quadquat, quaternion_algebra,
+                       random_matrix, representation_for, rmr, rmr_lift,
+                       tensor, twisted_group, wqr, wsvd)
+from algdecomp.core import _TableLayout, _Window
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import spectrum_oracle
+from oracles import eval_laurent, spectrum_oracle
 
-# finite non-division specs from every catalog family, dims 2 to 16
-SPECS = [
+# finite specs from every catalog family, dims 1 to 16
+FINITE = [
+    clifford(0, 0), clifford(0, 1), clifford(0, 2),  # R, C, H
     clifford(1, 0), clifford(2, 0), clifford(1, 1), clifford(2, 1),
     clifford(0, 3), clifford(3, 1),
     cyclic(1, 2), cyclic(1, 6), cyclic(2, 2), cyclic(2, 4),
@@ -31,15 +37,25 @@ SPECS = [
     direct_sum_pm(clifford(1, 1), clifford(2, 0)),
     direct_sum_pm(clifford(0, 2), clifford(1, 1)),
 ]
-assert all(spec.dense for spec in SPECS)
+LAURENT = [laurent(1), laurent(2)]
 
 seeds = st.integers(0, 2 ** 32 - 1)
-specs = st.sampled_from(SPECS)
+finite = st.sampled_from(FINITE)
+every = st.sampled_from(FINITE + LAURENT)
+
+
+def test_every_spec_has_its_layout():
+    assert all(isinstance(spec.layout(), _TableLayout) for spec in FINITE)
+    assert all(isinstance(spec.layout(), _Window) for spec in LAURENT)
 
 
 def _unitary(spec, rng):
-    """A basis element with a random sign, or cos t + sin t e_a for a basis
-    element with e_a^2 = -1 (a unitary element with two terms)."""
+    """A basis element with a random sign; over a finite spec also
+    cos t + sin t e_a for a basis element with e_a^2 = -1 (two terms)."""
+    sign = float(rng.choice([-1.0, 1.0]))
+    if spec.dim is None:
+        return spec.basis_element(tuple(int(v) for v in
+                                        rng.integers(-2, 3, spec.kappa)), sign)
     t = spec.tables
     roots = np.flatnonzero((t.inv_sign < 0)
                            & (t.inv_index == np.arange(spec.dim)))
@@ -47,19 +63,21 @@ def _unitary(spec, rng):
         a = spec.labels[int(rng.choice(roots))]
         phi = float(rng.uniform(0, 2 * math.pi))
         return spec.scalar(math.cos(phi)) + spec.basis_element(a, math.sin(phi))
-    lab = spec.labels[int(rng.integers(spec.dim))]
-    return spec.basis_element(lab, float(rng.choice([-1.0, 1.0])))
+    return spec.basis_element(spec.labels[int(rng.integers(spec.dim))], sign)
 
 
 def _close(X: AlgMatrix, Y: AlgMatrix, scale: float, tol=1e-12) -> bool:
     return (X - Y).frob() <= tol * max(scale, 1.0)
 
 
-@settings(max_examples=40)
-@given(specs, seeds, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+def _random(spec, m, n, seed):
+    return random_matrix(spec, m, n, np.random.default_rng(seed), degree=1)
+
+
+@settings(max_examples=60)
+@given(every, seeds, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
 def test_matmul_equals_sum_of_element_products(spec, seed, m, k, n):
-    rng = np.random.default_rng(seed)
-    A, B = random_matrix(spec, m, k, rng), random_matrix(spec, k, n, rng)
+    A, B = _random(spec, m, k, seed), _random(spec, k, n, seed + 1)
     want = AlgMatrix(spec, [[sum((A[i, t] * B[t, j] for t in range(k)),
                                  spec.zero()) for j in range(n)]
                             for i in range(m)])
@@ -67,7 +85,7 @@ def test_matmul_equals_sum_of_element_products(spec, seed, m, k, n):
 
 
 @settings(max_examples=40)
-@given(specs, seeds)
+@given(finite, seeds)
 def test_rmr_is_the_left_multiplication(spec, seed):
     rng = np.random.default_rng(seed)
     A, B = random_matrix(spec, 2, 2, rng), random_matrix(spec, 2, 1, rng)
@@ -77,11 +95,11 @@ def test_rmr_is_the_left_multiplication(spec, seed):
                                atol=1e-12)
 
 
-@settings(max_examples=40)
-@given(specs, seeds, st.integers(2, 4), st.integers(1, 3))
+@settings(max_examples=60)
+@given(every, seeds, st.integers(2, 4), st.integers(1, 3))
 def test_rotations_and_shifts_equal_explicit_products(spec, seed, m, n):
     rng = np.random.default_rng(seed)
-    X = random_matrix(spec, m, n, rng)
+    X = random_matrix(spec, m, n, rng, degree=1)
     b = _unitary(spec, rng)
     j, i = sorted(int(v) for v in rng.choice(m, size=2, replace=False))
     g = GivensParams(float(rng.uniform(0, 2 * math.pi)), b, i, j)
@@ -106,8 +124,8 @@ def _check_unitary(Q: AlgMatrix, tol: float):
     assert (Q.herm() @ Q - AlgMatrix.identity(spec, Q.m)).frob() <= tol
 
 
-@settings(max_examples=30)
-@given(specs, seeds, st.integers(1, 4), st.integers(1, 3))
+@settings(max_examples=40)
+@given(finite, seeds, st.integers(1, 4), st.integers(1, 3))
 def test_qr_contract_and_spectrum(spec, seed, m, n):
     A = random_matrix(spec, m, n, np.random.default_rng(seed))
     scale = A.frob()
@@ -119,8 +137,8 @@ def test_qr_contract_and_spectrum(spec, seed, m, n):
                                atol=1e-9 * scale)
 
 
-@settings(max_examples=30)
-@given(specs, seeds, st.integers(1, 3), st.integers(1, 2))
+@settings(max_examples=40)
+@given(finite, seeds, st.integers(1, 3), st.integers(1, 2))
 def test_svd_contract_and_spectrum(spec, seed, m, n):
     A = random_matrix(spec, m, n, np.random.default_rng(seed))
     scale = A.frob()
@@ -131,6 +149,80 @@ def test_svd_contract_and_spectrum(spec, seed, m, n):
     _check_unitary(rep.v, 1e-10 * n)
     np.testing.assert_allclose(spectrum_oracle(rep.d), spectrum_oracle(A),
                                atol=1e-7 * scale)
+
+
+def _circle_spectra(A: AlgMatrix, points: int = 5) -> np.ndarray:
+    """Singular values of A(z) at roots of unity (in every variable), the
+    spectra that paraunitary factors keep."""
+    kappa = A.spec.kappa
+    out = []
+    for t in range(points):
+        z = tuple(cmath.exp(2j * math.pi * (t + 0.5 * v) / points)
+                  for v in range(kappa))
+        out.append(np.linalg.svd(eval_laurent(A, z), compute_uv=False))
+    return np.array(out)
+
+
+# (spec, eps, trim, tol): tol bounds reconstruction, unitarity and circle
+# spectra, relative to the input; trimming makes the factors approximate.
+# Two-variable supports grow much faster, so laurent(2) runs looser and on
+# 2x1 and 1x2 inputs only (see the FOUND line on support growth).
+LAURENT_QR = [(laurent(1), 1e-6, 1e-12, 1e-9), (laurent(2), 1e-2, 1e-6, 1e-3)]
+LAURENT_SVD = [(laurent(1), 1e-4, 1e-12, 1e-8), (laurent(2), 1e-1, 1e-5, 5e-3)]
+
+
+@st.composite
+def laurent_cases(draw, cases):
+    spec, eps, trim, tol = draw(st.sampled_from(cases))
+    shapes = ([(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)] if spec.kappa == 1
+              else [(2, 1), (1, 2)])
+    return spec, draw(st.sampled_from(shapes)), eps, trim, tol
+
+
+@settings(max_examples=25)
+@given(laurent_cases(LAURENT_QR), seeds)
+def test_laurent_qr_contract_and_spectrum(case, seed):
+    spec, shape, eps, trim, tol = case
+    A = _random(spec, *shape, seed)
+    scale = A.frob()
+    rep = aqr(A, eps=eps, trim=trim)
+    assert rep.residual <= eps
+    assert (rep.q @ rep.r - A).frob() <= tol * scale
+    _check_unitary(rep.q, tol)
+    np.testing.assert_allclose(_circle_spectra(rep.r), _circle_spectra(A),
+                               atol=tol * scale)
+
+
+@settings(max_examples=20)
+@given(laurent_cases(LAURENT_SVD), seeds)
+def test_laurent_svd_contract_and_spectrum(case, seed):
+    spec, shape, eps, trim, tol = case
+    A = _random(spec, *shape, seed)
+    scale = A.frob()
+    rep = asvd(A, eps=eps, trim=trim)
+    assert rep.residual <= eps
+    assert (rep.u @ rep.d @ rep.v.herm() - A).frob() <= tol * scale
+    _check_unitary(rep.u, tol)
+    _check_unitary(rep.v, tol)
+    np.testing.assert_allclose(_circle_spectra(rep.d), _circle_spectra(A),
+                               atol=tol * scale)
+
+
+@settings(max_examples=20)
+@given(st.sampled_from([quadquat(), biquat(), cyclic(1, 8)]), seeds,
+       st.sampled_from([(2, 2), (3, 2), (2, 3)]))
+def test_engines_agree_on_spectra(spec, seed, shape):
+    A = random_matrix(spec, *shape, np.random.default_rng(seed))
+    scale = A.frob()
+    rep = representation_for(spec)
+    np.testing.assert_allclose(spectrum_oracle(aqr(A, eps=1e-10).r),
+                               spectrum_oracle(wqr(A, rep).r),
+                               atol=1e-9 * scale)
+    # at eps 1e-8 wsvd misses its QR-call budget on some inputs (quadquat
+    # 3x2 seed 803: the unshifted iteration, see the FOUND line)
+    np.testing.assert_allclose(spectrum_oracle(asvd(A, eps=1e-6).d),
+                               spectrum_oracle(wsvd(A, rep, eps=1e-6).d),
+                               atol=1e-5 * scale)
 
 
 def test_qr_with_a_two_term_beta():
@@ -151,16 +243,3 @@ def test_qr_with_a_two_term_beta():
     assert rep.residual <= 1e-10
     assert (rep.q @ rep.r - A).frob() <= 1e-10 * A.frob()
     _check_unitary(rep.q, 1e-11 * A.m)
-
-
-def test_dense_specs_bypass_the_per_coefficient_rotations(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("per-coefficient rotation on a dense spec")
-
-    monkeypatch.setattr(jacobi, "_rows_rotate", forbidden)
-    monkeypatch.setattr(jacobi, "_cols_rotate", forbidden)
-    spec = clifford(2, 1)
-    A = random_matrix(spec, 3, 2, np.random.default_rng(1))
-    aqr(A, eps=1e-10)
-    asvd(A, eps=1e-8)
-    apply_givens_left(A, GivensParams(0.4, spec.basis_element(0b011), 2, 0))

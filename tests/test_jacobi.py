@@ -10,7 +10,9 @@ from algdecomp import (AlgebraError, AlgMatrix, ConvergenceError, Element,
                        GivensParams, apply_givens_left, apply_shift_left, aqr,
                        asvd, beta_basis, beta_division, beta_prime, biquat,
                        clifford, cyclic, decency_check, givens_matrix, jacobi,
-                       laurent, quadquat, random_element, random_matrix)
+                       laurent, laurent_embed, quadquat, random_element,
+                       random_matrix, rep_cl41, rep_cyclic_dft,
+                       representation_for, wqr, wsvd)
 from algdecomp.matio import matrix_to_dict
 from oracles import spectrum_oracle
 
@@ -260,6 +262,28 @@ def test_qr_eps_validation():
         aqr(A, max_sweeps=0)
 
 
+@pytest.mark.parametrize("eps,trim", [
+    (math.nan, 0.0), (-1e-3, 0.0), (1e-10, 1.0), (1e-10, 2.0),
+    (1e-10, math.nan), (1e-10, -1.0)])
+def test_bad_eps_and_trim_are_rejected(eps, trim):
+    # trim=2 once returned Q = R = 0 with residual 0, trim=nan or -1 turned
+    # trimming off, and eps=nan ran to the sweep or rotation budget
+    A = random_matrix(clifford(2, 1), 3, 2, np.random.default_rng(0))
+    L = random_matrix(laurent(1), 3, 2, np.random.default_rng(0), degree=1)
+    for X in (A, L):
+        with pytest.raises(AlgebraError, match="eps|trim"):
+            aqr(X, eps=eps, trim=trim)
+        with pytest.raises(AlgebraError, match="eps|trim"):
+            asvd(X, eps=eps, trim=trim)
+    if trim == 0.0:
+        rep = representation_for(biquat())
+        B = random_matrix(biquat(), 3, 2, np.random.default_rng(0))
+        with pytest.raises(AlgebraError, match="eps"):
+            wqr(B, rep, eps=eps)
+        with pytest.raises(AlgebraError, match="eps"):
+            wsvd(B, rep, eps=eps)
+
+
 @pytest.mark.parametrize("spec,shape", [
     (clifford(2, 0), (3, 3)), (clifford(1, 2), (4, 3)),
     (quadquat(), (3, 3)), (biquat(), (3, 4)), (cyclic(1, 8), (3, 3)),
@@ -322,9 +346,9 @@ def test_qr_trim_runs_and_reports():
 # -- pinned counts and factors -----------------------------------------------------
 #
 # Digests of the factor files (matio's canonical JSON, floats in repr) as
-# the per-coefficient kernel produced them.  The array kernel of the dense
-# specs does the same floating-point operations for beta_basis, so these
-# hold bit for bit.
+# rotating Element by Element produced them.  The array kernel does the same
+# floating-point operations for beta_basis under the sup norm, on finite
+# and Laurent specs alike, so these hold bit for bit.
 
 def _digest(X: AlgMatrix) -> str:
     return hashlib.sha256(json.dumps(matrix_to_dict(X)).encode()).hexdigest()[:16]
@@ -346,6 +370,46 @@ def test_svd_counts_pinned():
     rep = asvd(A, beta="basis", norm="inf", eps=1e-10)
     assert (rep.rotations, rep.qrd_calls, rep.sweeps) == (7015, 108, 109)
     assert _digest(rep.d) == "f1e2fe18594d5647"
+
+
+@pytest.mark.parametrize("kappa,m,n,seed,eps,trim,counts,digests", [
+    (1, 3, 2, 3, 1e-8, 1e-9, (548, 2, 53731),
+     ("dc427c9f2db2c2e3", "5949e9c88d2d4c7a")),
+    (2, 2, 2, 1, 1e-2, 1e-4, (112, 1, 53100),
+     ("82317164c4d82985", "89e82766ee72b6ab")),
+])
+def test_laurent_qr_counts_and_factors_pinned(kappa, m, n, seed, eps, trim,
+                                              counts, digests):
+    A = random_matrix(laurent(kappa), m, n, np.random.default_rng(seed),
+                      degree=1)
+    rep = aqr(A, beta="basis", norm="inf", eps=eps, trim=trim)
+    assert (rep.rotations, rep.sweeps, rep.trimmed) == counts
+    assert (_digest(rep.q), _digest(rep.r)) == digests
+
+
+def test_laurent_svd_counts_pinned():
+    A = random_matrix(laurent(1), 3, 2, np.random.default_rng(1), degree=1)
+    rep = asvd(A, beta="basis", norm="inf", eps=1e-3, trim=1e-6)
+    assert (rep.rotations, rep.qrd_calls, rep.sweeps, rep.trimmed) == \
+        (451, 16, 16, 25937)
+    assert _digest(rep.d) == "4bedaf3725fc133a"
+
+
+def test_block_engine_counts_pinned():
+    # per-block rotation and QR-call counts of the representation engine,
+    # whose blocks run aqr/asvd over R and C
+    dft = rep_cyclic_dft(1, 32)
+    A = laurent_embed(random_matrix(laurent(1), 3, 3,
+                                    np.random.default_rng(11), degree=2), 32)
+    assert wqr(A, dft).block_rotations == (3,) * 17
+    rep = wsvd(A, dft, eps=1e-10)
+    assert rep.block_rotations == (79, 78, 73, 67, 75, 113, 145, 124, 100, 88,
+                                   89, 89, 72, 58, 60, 56, 57)
+    assert rep.qrd_calls == 744
+    A = random_matrix(clifford(4, 1), 3, 2, np.random.default_rng(7))
+    assert wqr(A, rep_cl41()).block_rotations == (60,)
+    rep = wsvd(A, rep_cl41(), eps=1e-10)
+    assert (rep.block_rotations, rep.qrd_calls) == ((1969,), 364)
 
 
 def test_basis_rotation_chain_pinned():

@@ -171,6 +171,26 @@ def test_exit_code_spec_error(tmp_path, capsys):
     assert code == EXIT_SPEC
 
 
+@pytest.mark.parametrize("args", [
+    ["--algebra", "quat", "--random", "3", "2", "--eps", "nan"],
+    ["--algebra", "quat", "--random", "3", "2", "--eps", "-1"],
+    ["--algebra", "quat", "--random", "3", "2", "--op", "svd", "--eps", "0"],
+    ["--algebra", "quat", "--random", "3", "2", "--method", "wedderburn",
+     "--eps", "nan"],
+    ["--algebra", "cl(2,1)", "--random", "3", "2", "--trim", "2"],
+    ["--algebra", "laurent(1)", "--random", "3", "2", "--op", "svd",
+     "--trim", "1"],
+    ["--algebra", "cl(2,1)", "--random", "3", "2", "--trim", "nan"],
+    ["--algebra", "cl(2,1)", "--random", "3", "2", "--trim", "-1"],
+])
+def test_exit_code_bad_tolerance(tmp_path, capsys, args):
+    # eps=nan once ran to the iteration budget (exit 5), and trim >= 1 gave
+    # Q = R = 0 with exit 0
+    code = run(["decompose", *args, "--output-prefix", str(tmp_path / "x")])
+    assert code == EXIT_SPEC
+    assert not list(tmp_path.iterdir())
+
+
 def test_exit_code_convergence(tmp_path, capsys):
     code = run(["decompose", "--algebra", "cl(2,0)", "--op", "svd",
                 "--random", "3", "3", "--seed", "2", "--eps", "1e-12",
