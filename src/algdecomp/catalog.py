@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (AlgebraError, AlgebraSpec, AlgMatrix, Element,
-                   UnsupportedOperationError, _Window)
+                   UnsupportedOperationError, _check_shape, _Window)
 
 
 # -- Clifford algebras ---------------------------------------------------------
@@ -309,25 +309,18 @@ def clifford_twist(p: int, q: int) -> Callable:
 # -- product constructions -------------------------------------------------------
 
 class TensorAlgebra(AlgebraSpec):
-    """Tensor product: labels are pairs, products act factor-wise.
-
-    The basis order puts the right factor fastest.  If the left factor is
-    infinite-dimensional the product is too (the right factor must always
-    be finite so the ordering is well defined).
-    """
+    """Tensor product of two finite algebras: labels are pairs, products
+    act factor-wise, and the basis order puts the right factor fastest."""
 
     def __init__(self, left: AlgebraSpec, right: AlgebraSpec, descriptor: str = ""):
-        if right.dim is None:
+        if left.dim is None or right.dim is None:
             raise UnsupportedOperationError(
-                "tensor right factor must be finite-dimensional")
+                "tensor factors must be finite-dimensional")
         self.left = left
         self.right = right
-        unit = (left.unit, right.unit)
-        labels = None
-        if left.dim is not None:
-            labels = [(la, lb) for la in left.labels for lb in right.labels]
+        labels = [(la, lb) for la in left.labels for lb in right.labels]
         super().__init__(descriptor or f"tensor({left.descriptor},{right.descriptor})",
-                         unit, labels)
+                         (left.unit, right.unit), labels)
 
     def _mul_raw(self, a, b):
         sa, ka = self.left.mul_basis(a[0], b[0])
@@ -338,11 +331,6 @@ class TensorAlgebra(AlgebraSpec):
         sa, ka = self.left.inv_basis(a[0])
         sb, kb = self.right.inv_basis(a[1])
         return sa * sb, (ka, kb)
-
-    def sort_key(self, lab):
-        if self._index is not None:
-            return self._index[lab]
-        return (self.left.sort_key(lab[0]), self.right.label_index(lab[1]))
 
     def label_str(self, lab) -> str:
         return f"({self.left.label_str(lab[0])})*({self.right.label_str(lab[1])})"
@@ -515,20 +503,18 @@ def random_element(spec: AlgebraSpec, rng: np.random.Generator,
     order; Laurent algebras draw on every monomial with exponents in
     [-degree, degree] per variable.
     """
-    if spec.dim is not None:
-        vals = rng.standard_normal(spec.dim)
-        return Element(spec, dict(zip(spec.labels, vals)))
-    if isinstance(spec, LaurentAlgebra):
-        labels = list(itertools.product(range(-degree, degree + 1),
-                                        repeat=spec.kappa))
-        vals = rng.standard_normal(len(labels))
-        return Element(spec, dict(zip(labels, vals)))
-    raise UnsupportedOperationError(
-        f"no random sampling rule for {spec.descriptor}")
+    return random_matrix(spec, 1, 1, rng, degree)[0, 0]
 
 
 def random_matrix(spec: AlgebraSpec, m: int, n: int, rng: np.random.Generator,
                   degree: int = 2) -> AlgMatrix:
-    """Matrix of i.i.d. random elements, entries drawn row-major."""
-    return AlgMatrix(spec, [[random_element(spec, rng, degree) for _ in range(n)]
-                            for _ in range(m)])
+    """Matrix of i.i.d. random elements (see :func:`random_element`), drawn
+    in one call: entries row-major, coefficients in canonical order."""
+    _check_shape(m, n)
+    if isinstance(spec, LaurentAlgebra):
+        if degree < 0:
+            raise AlgebraError(f"degree must be non-negative, got {degree}")
+        lay = _Window(spec, half=[degree] * spec.kappa)
+    else:
+        lay = spec.layout()
+    return AlgMatrix._of_array(lay, rng.standard_normal((m, n, lay.width)))

@@ -185,12 +185,9 @@ def cmd_decompose(args) -> int:
 def cmd_sweep_eps(args) -> int:
     cfg = args.config
     A = _load_or_generate(cfg, args)
-    eps_list = [float(x) for x in args.eps_list.split(",")]
-    methods = args.methods.split(",")
-
     rows = []
-    for eps in eps_list:
-        for method in methods:
+    for eps in args.eps_list:
+        for method in args.methods:
             c = RunConfig(**{**cfg.__dict__, "eps": eps, "method": method})
             report, rep, B = _run_engine(c, A)
             contract = check_contract(report, B)
@@ -234,6 +231,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+def _checked(parse, ok, expected: str):
+    """An argparse type: parse(text) if that passes ``ok``, else a usage
+    error (exit 2) naming what was expected."""
+    def check(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return check
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--algebra", required=True,
                    help="cl(p,q) | laurent(k) | cyclic(k,delta) | quat | "
@@ -253,7 +264,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=int, default=0,
                    help="cyclic modulus for the wedderburn route over laurent(k)")
-    p.add_argument("--degree", type=int, default=2,
+    p.add_argument("--degree", default=2, type=_checked(
+                       int, lambda d: d >= 0, "a non-negative integer"),
                    help="random Laurent exponent window")
     p.add_argument("--input", help="matrix JSON file")
     p.add_argument("--random", nargs=2, type=int, metavar=("M", "N"),
@@ -273,9 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-eps", help="rotation counts vs tolerance (CSV)")
     _add_common(p)
-    p.add_argument("--eps-list", required=True,
-                   help="comma-separated tolerances")
-    p.add_argument("--methods", default="jacobi,wedderburn")
+    p.add_argument("--eps-list", required=True, type=_checked(
+        lambda t: [float(x) for x in t.split(",")], bool, "numbers"),
+        help="comma-separated tolerances")
+    p.add_argument("--methods", default="jacobi,wedderburn", type=_checked(
+        lambda t: t.split(","), {"jacobi", "wedderburn"}.issuperset,
+        "jacobi and/or wedderburn"))
     p.add_argument("--output", help="CSV path (stdout if omitted)")
     p.set_defaults(func=cmd_sweep_eps)
 

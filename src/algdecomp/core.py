@@ -247,15 +247,7 @@ class Element:
     def __sub__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            c = out.get(k, 0.0) - v
-            if c == 0.0:
-                out.pop(k, None)
-            else:
-                out[k] = c
-        return Element._make(self.spec, out)
+        return self + (-other)  # x + (-y) rounds as x - y does
 
     def __neg__(self):
         return Element._make(self.spec, {k: -v for k, v in self.coeffs.items()})
@@ -332,10 +324,15 @@ class Element:
         return " + ".join(parts)
 
 
+def _check_shape(m: int, n: int):
+    if m < 1 or n < 1:
+        raise AlgebraError("matrix dimensions must be positive")
+
+
 class AlgMatrix:
-    """A dense m-by-n matrix of :class:`Element` sharing one spec.  One made
-    by an array computation (a product, the Q of ``aqr``) keeps its array
-    and builds its elements on first use of ``entries``."""
+    """A dense m-by-n matrix of :class:`Element` sharing one spec.  Its
+    arithmetic works on coefficient arrays (:meth:`AlgebraSpec.layout`), and
+    elements are built only on first use of ``entries`` or ``[i, j]``."""
 
     __slots__ = ("spec", "m", "n", "_entries", "_coeffs")
 
@@ -345,8 +342,7 @@ class AlgMatrix:
         self._coeffs = None
         self.m = len(self._entries)
         self.n = len(self._entries[0]) if self.m else 0
-        if self.m == 0 or self.n == 0:
-            raise AlgebraError("matrix dimensions must be positive")
+        _check_shape(self.m, self.n)
         for row in self._entries:
             if len(row) != self.n:
                 raise AlgebraError("ragged rows")
@@ -366,7 +362,8 @@ class AlgMatrix:
 
     @property
     def entries(self) -> list:
-        """The rows of elements (the array, if any, is dropped: rows may change)."""
+        """The rows of elements, a grid the caller may change: it is built on
+        first use and the array is dropped."""
         if self._entries is None:
             lay, x = self._coeffs
             self._entries, self._coeffs = lay.rows(x), None
@@ -375,19 +372,22 @@ class AlgMatrix:
     def _array(self, lay: "_Layout") -> np.ndarray:
         """The coefficients in layout ``lay``, as an (m, n, width) array that
         may be this matrix's own: read it, do not change it."""
-        if self._coeffs is not None and self._coeffs[0] is lay:
-            return self._coeffs[1]
-        return lay.array(self.entries)
+        if self._coeffs is None:
+            return lay.array(self._entries)
+        own, x = self._coeffs
+        return x if own.h == lay.h else lay.moved(x, own.h)
 
     @classmethod
     def zeros(cls, spec: AlgebraSpec, m: int, n: int) -> "AlgMatrix":
-        return cls(spec, [[spec.zero() for _ in range(n)] for _ in range(m)])
+        _check_shape(m, n)
+        lay = spec.layout()
+        return cls._of_array(lay, np.zeros((m, n, lay.width)))
 
     @classmethod
     def identity(cls, spec: AlgebraSpec, m: int) -> "AlgMatrix":
         out = cls.zeros(spec, m, m)
-        for i in range(m):
-            out.entries[i][i] = spec.one()
+        lay, x = out._coeffs
+        x[range(m), range(m), lay.unit] = 1.0
         return out
 
     @property
@@ -395,7 +395,9 @@ class AlgMatrix:
         return (self.m, self.n)
 
     def copy(self) -> "AlgMatrix":
-        return AlgMatrix(self.spec, self.entries)
+        if self._coeffs is None:
+            return AlgMatrix(self.spec, self._entries)
+        return AlgMatrix._of_array(*self._coeffs)  # arrays never change
 
     # -- element access -------------------------------------------------------
     def __getitem__(self, ij) -> Element:
@@ -417,14 +419,15 @@ class AlgMatrix:
         self._check(other)
         if other.shape != self.shape:
             raise AlgebraError(f"shape mismatch {self.shape} vs {other.shape}")
-        return AlgMatrix(self.spec, [[a + b for a, b in zip(ra, rb)]
-                                     for ra, rb in zip(self.entries, other.entries)])
+        lay = self.spec.layout(self, other)
+        return AlgMatrix._of_array(lay, self._array(lay) + other._array(lay))
 
     def __sub__(self, other: "AlgMatrix") -> "AlgMatrix":
         return self + (-other)
 
     def __neg__(self) -> "AlgMatrix":
-        return AlgMatrix(self.spec, [[-a for a in row] for row in self.entries])
+        lay = self.spec.layout(self)
+        return AlgMatrix._of_array(lay, -self._array(lay))
 
     def __matmul__(self, other: "AlgMatrix") -> "AlgMatrix":
         self._check(other)
@@ -438,12 +441,12 @@ class AlgMatrix:
     # -- *-structure and norms ---------------------------------------------------
     def herm(self) -> "AlgMatrix":
         """Hermitian transpose: entry-wise involution of the transpose."""
-        rows = self.entries
-        return AlgMatrix(self.spec, [[rows[i][j].conj() for i in range(self.m)]
-                                     for j in range(self.n)])
+        lay = self.spec.layout(self)
+        return AlgMatrix._of_array(lay, lay.conj(self._array(lay)).transpose(1, 0, 2))
 
     def frob(self) -> float:
-        return math.sqrt(sum(e.norm2() ** 2 for row in self.entries for e in row))
+        lay = self.spec.layout(self)
+        return float(np.linalg.norm(self._array(lay)))
 
     def is_unitary(self, tol: float = 1e-12) -> bool:
         if self.m != self.n:
@@ -469,8 +472,11 @@ class _Layout:
     mapping), and define ``conj``, ``room``, ``matmul`` and ``mul``: ``mul(b)`` maps a pair of rows
     P = (x, y), stacked on axis -2, and s to one array per term c_t e_t of
     b, (-s c_t conj(e_t) y, s c_t e_t x), each coefficient rounded as
-    entry-wise Element arithmetic rounds it.
+    entry-wise Element arithmetic rounds it.  Layouts with the same ``h``
+    (a window's half-widths; None for a finite spec) place labels alike.
     """
+
+    h = None
 
     def array(self, rows) -> np.ndarray:
         """Coefficients of a grid of elements as an (m, n, width) array."""
@@ -563,12 +569,15 @@ class _Window(_Layout):
     """
 
     def __init__(self, spec: AlgebraSpec, matrices=(), half=None):
+        # fresh, as aqr widens its window in place; sized to what is held
         self.spec = spec
         if half is None:
-            labs = [lab for X in matrices for row in X.entries for e in row
-                    for lab in e.coeffs]
-            half = [max((abs(lab[t]) for lab in labs), default=0)
-                    for t in range(spec.kappa)]
+            half = [0] * spec.kappa
+            for X in matrices:
+                held = (X._coeffs[0].held(X._coeffs[1]) if X._coeffs else
+                        np.abs([half] + [lab for row in X._entries for e in row
+                                         for lab in e.coeffs]).max(axis=0))
+                half = [int(h) for h in map(max, half, held)]
         self.reach = list(half)  # every coefficient held has |e_t| <= reach[t]
         self._resize(half)
 
@@ -611,6 +620,23 @@ class _Window(_Layout):
             return out
         return pair
 
+    def held(self, x: np.ndarray) -> list:
+        """Per variable, the largest |exponent| ``x`` holds (non-zero or NaN)."""
+        nonzero = np.flatnonzero((x.reshape(-1, self.width) != 0).any(axis=0))
+        coords = np.unravel_index(nonzero, self.box)
+        return [int(np.abs(c - h).max(initial=0)) for c, h in zip(coords, self.h)]
+
+    def moved(self, x: np.ndarray, h) -> np.ndarray:
+        """``x``, held on the box of half-widths ``h``, padded with zeros or
+        cropped to this window's box (a crop drops only zeros when the
+        window covers what ``x`` holds)."""
+        lead, keep = x.shape[:-1], [min(o, t) for o, t in zip(h, self.h)]
+        src, dst = ((...,) + tuple(slice(c - k, c + k + 1) for c, k in zip(mid, keep))
+                    for mid in (h, self.h))
+        out = np.zeros(lead + self.box)
+        out[dst] = x.reshape(lead + tuple(2 * o + 1 for o in h))[src]
+        return out.reshape(lead + (self.width,))
+
     def room(self, x: np.ndarray, b: Element) -> np.ndarray:
         step = [max((abs(lab[t]) for lab in b.coeffs), default=0)
                 for t in range(len(self.h))]
@@ -618,17 +644,11 @@ class _Window(_Layout):
         if any(n > h for n, h in zip(need, self.h)):
             # the bound is loose after trims and cancellations: tighten it
             # to the coefficients held, then widen to twice what is needed
-            held = np.flatnonzero((x.reshape(-1, self.width) != 0).any(axis=0))
-            coords = np.unravel_index(held, self.box)
-            need = [int(np.abs(c - h).max(initial=0)) + s
-                    for c, h, s in zip(coords, self.h, step)]
+            need = [r + s for r, s in zip(self.held(x), step)]
             if any(n > h for n, h in zip(need, self.h)):
-                lead, old = x.shape[:-1], self.h
+                old = self.h
                 self._resize([max(h, 2 * n) for h, n in zip(old, need)])
-                wider = np.zeros(lead + self.box)
-                inner = tuple(slice(h - o, h + o + 1) for h, o in zip(self.h, old))
-                wider[(Ellipsis,) + inner] = x.reshape(lead + tuple(2 * o + 1 for o in old))
-                x = wider.reshape(lead + (self.width,))
+                x = self.moved(x, old)
         self.reach = need
         return x
 

@@ -20,6 +20,7 @@ with one rotation per nonzero below-diagonal entry even at eps = 0.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import time
@@ -248,34 +249,29 @@ def apply_shift_right(X: AlgMatrix, b: Element, i: int) -> AlgMatrix:
 
 # -- the QR iteration ----------------------------------------------------------------
 
-def _nan_max(values) -> float:
-    """The largest of ``values`` and 0.0, or NaN when one of them is NaN
-    (``max`` keeps whichever of a NaN and a number comes first)."""
-    worst = 0.0
-    for v in values:
-        if v > worst:
-            worst = v
-        elif v != v:
-            return v
-    return worst
-
-
-def _below_diag_max(R: AlgMatrix, normfn) -> float:
-    return _nan_max(normfn(R.entries[i][j]) for j in range(min(R.m, R.n))
-                    for i in range(j + 1, R.m))
-
-
-def _off_diag_max(D: AlgMatrix, normfn) -> float:
-    return _nan_max(normfn(e) for i, row in enumerate(D.entries)
-                    for j, e in enumerate(row) if i != j)
-
-
 def _norms_inf(x: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.abs(x), axis=-1)
 
 
 def _norms_two(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+_NORMS = {"two": _norms_two, "inf": _norms_inf}
+
+
+@functools.lru_cache(maxsize=None)
+def _mask(m: int, n: int, off: bool) -> np.ndarray:
+    # the below-diagonal (off: every off-diagonal) positions of an m x n matrix
+    return ~np.eye(m, n, dtype=bool) if off else np.tri(m, n, -1, dtype=bool)
+
+
+def _residual(x: np.ndarray, norm_name: str, off: bool = False) -> float:
+    """The largest norm of a below-diagonal (``off``: off-diagonal) entry of
+    the (m, n, width) coefficients ``x``; 0.0 when there is none, NaN when
+    one is NaN."""
+    norms = _NORMS[norm_name](x)[_mask(*x.shape[:2], off)]
+    return float(norms.max(initial=0.0))
 
 
 def _trim_array(x: np.ndarray, tau: float) -> int:
@@ -295,12 +291,6 @@ def _trimmed(X: AlgMatrix, tau: float) -> tuple[AlgMatrix, int]:
     return AlgMatrix._of_array(lay, x), dropped
 
 
-@functools.lru_cache(maxsize=None)
-def _below(n: int, m: int) -> np.ndarray:
-    # R's below-diagonal positions in the work array's (column, row) order
-    return np.tri(m, n, -1, dtype=bool).T
-
-
 class _ArrayWork:
     """R and Q^H of one QR run in one coefficient array in the spec's layout,
     indexed (column, row, position): columns 0..n-1 hold R, the rest Q^H.
@@ -316,9 +306,9 @@ class _ArrayWork:
         self.RQ[:A.n] = A._array(lay).transpose(1, 0, 2)
         for r in range(A.m):
             self.RQ[A.n + r, r, lay.unit] = 1.0
-        self.below = _below(A.n, A.m)
         self.betafn = betafn
-        self.norms = _norms_two if norm_name == "two" else _norms_inf
+        self.norm_name = norm_name
+        self.norms = _NORMS[norm_name]
 
     def column(self, k: int) -> tuple[float, int]:
         """2-norm of column k from the pivot down, and its coefficient width
@@ -383,10 +373,11 @@ class _ArrayWork:
                 + sum(_trim_array(self.RQ[n:, j], tau) for j in cols))
 
     def residual(self) -> float:
-        return float(self.norms(self.RQ[:self.n])[self.below].max(initial=0.0))
+        return _residual(self.RQ[:self.n].transpose(1, 0, 2), self.norm_name)
 
     def factors(self) -> tuple[AlgMatrix, AlgMatrix]:
-        lay, n = self.lay, self.n
+        # a window widens in place later in the run: hand out a snapshot
+        lay, n = copy.copy(self.lay) if self.lay.h else self.lay, self.n
         return (AlgMatrix._of_array(lay, lay.conj(self.RQ[n:])),
                 AlgMatrix._of_array(lay, self.RQ[:n].transpose(1, 0, 2).copy()))
 
@@ -559,25 +550,27 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
     _check_tolerances(eps, trim, svd=True)
     if max_iters < 1:
         raise AlgebraError("max_iters must be at least 1")
-    normfn, norm_name = resolve_norm(spec, norm)
+    _, norm_name = resolve_norm(spec, norm)
     _, beta_name, _ = resolve_beta(spec, beta)
 
     t0 = time.perf_counter()
-    m, n = A.m, A.n
-    U = AlgMatrix.identity(spec, m)
-    V = AlgMatrix.identity(spec, n)
-    D = A.copy()
+    U = AlgMatrix.identity(spec, A.m)
+    V = AlgMatrix.identity(spec, A.n)
+    D = A  # aqr never changes its input, nor does anything here
     rotations = qrd_calls = sweeps = trimmed = stalled = warnings = 0
+
+    def residual():
+        return _residual(D._array(spec.layout(D)), norm_name, off=True)
 
     def partial_report():
         return DecompReport(
             kind="svd", method="jacobi", rotations=rotations, sweeps=sweeps,
-            qrd_calls=qrd_calls, residual=_off_diag_max(D, normfn),
+            qrd_calls=qrd_calls, residual=residual(),
             wall_time=time.perf_counter() - t0, eps=eps, norm=norm_name,
             beta=beta_name, u=U, d=D, v=V, trimmed=trimmed,
             stalled_pivots=stalled, decency_warnings=warnings)
 
-    g = _off_diag_max(D, normfn)
+    g = residual()
     while not g <= eps:
         if qrd_calls >= max_iters:
             raise ConvergenceError(
@@ -598,22 +591,18 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
             stalled += sub.stalled_pivots
             warnings += sub.decency_warnings
             if hermitian_side:
-                D = sub.r.herm()
-                V = V @ sub.q
+                D, V = sub.r.herm(), V @ sub.q
             else:
-                D = sub.r
-                U = U @ sub.q
+                D, U = sub.r, U @ sub.q
             if trim > 0.0:
                 if hermitian_side:
                     V, dropped = _trimmed(V, trim)
                 else:
                     U, dropped = _trimmed(U, trim)
                 trimmed += dropped
-        g = _off_diag_max(D, normfn)
+        g = residual()
 
-    rep = partial_report()
-    rep.residual = g
-    return rep
+    return partial_report()
 
 
 # -- decency verification -----------------------------------------------------------------

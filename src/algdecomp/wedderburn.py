@@ -41,12 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AlgebraError, AlgebraSpec, AlgMatrix, Element,
-                   SpecMismatchError, UnsupportedOperationError, rmr)
+                   SpecMismatchError, UnsupportedOperationError, _Window, rmr)
 from .catalog import (CyclicGroupAlgebra, LaurentAlgebra, biquat, clifford,
                       complex_algebra, cyclic, laurent, quadquat,
                       quaternion_algebra, real_algebra)
-from .jacobi import (ConvergenceError, DecompReport, _below_diag_max,
-                     _check_tolerances, _off_diag_max, aqr, asvd)
+from .jacobi import (ConvergenceError, DecompReport, _check_tolerances,
+                     _residual, aqr, asvd)
 
 _FIELD_DIM = {"R": 1, "C": 2, "H": 4}
 
@@ -446,26 +446,22 @@ def wqr(A: AlgMatrix, rep: Representation, eps: float = 0.0,
     R = unlift(rs, rep, A.m, A.n)
     return DecompReport(
         kind="qr", method="wedderburn", rotations=sum(rot), sweeps=sweeps,
-        qrd_calls=0, residual=_below_diag_max(R, Element.norm_inf),
+        qrd_calls=0, residual=_residual(R._array(rep.source.layout()), "inf"),
         wall_time=time.perf_counter() - t0, eps=eps, norm="inf",
         beta="division", q=Q, r=R, block_rotations=tuple(rot))
 
 
-def _sorted_block_svd(spec, u, d, v):
+def _sorted_block_svd(u, d, v):
+    """The block SVD with D's diagonal sorted by descending real part (a
+    stable sort), U's and V's leading columns permuted to match."""
+    lay = d.spec.layout()
     L = min(d.m, d.n)
-    vals = [d.entries[t][t].re() for t in range(L)]
-    order = sorted(range(L), key=lambda t: -vals[t])
-    if order == list(range(L)):
-        return u, d, v
-    pu = order + list(range(L, d.m))
-    pv = order + list(range(L, d.n))
-    d2 = AlgMatrix(spec, [[d.entries[pu[a]][pv[b]] for b in range(d.n)]
-                          for a in range(d.m)])
-    u2 = AlgMatrix(spec, [[u.entries[r][pu[c]] for c in range(u.n)]
-                          for r in range(u.m)])
-    v2 = AlgMatrix(spec, [[v.entries[r][pv[c]] for c in range(v.n)]
-                          for r in range(v.m)])
-    return u2, d2, v2
+    order = np.argsort(-d._array(lay)[range(L), range(L), lay.unit],
+                       kind="stable")
+    pu, pv = (np.concatenate([order, np.arange(L, k)]) for k in (d.m, d.n))
+    return (AlgMatrix._of_array(lay, u._array(lay)[:, pu]),
+            AlgMatrix._of_array(lay, d._array(lay)[np.ix_(pu, pv)]),
+            AlgMatrix._of_array(lay, v._array(lay)[:, pv]))
 
 
 def wsvd(A: AlgMatrix, rep: Representation, eps: float = 1e-10,
@@ -475,29 +471,27 @@ def wsvd(A: AlgMatrix, rep: Representation, eps: float = 1e-10,
     t0 = time.perf_counter()
     blocks = lift(A, rep)
     beps = _block_eps(eps, rep.source.dim)
-    us, ds, vs, rot = [], [], [], []
+    factors, rot = [], []
     qrd_calls = sweeps = 0
     for l, B in enumerate(blocks):
-        field = B.spec
         try:
             sub = asvd(B, beta="division", norm="two", eps=beps,
                        max_iters=max_iters, max_sweeps=max_sweeps)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"block {l} {rep.blocks[l]}: {exc}", exc.report) from exc
-        u, d, v = _sorted_block_svd(field, sub.u, sub.d, sub.v)
-        us.append(u)
-        ds.append(d)
-        vs.append(v)
+        factors.append(_sorted_block_svd(sub.u, sub.d, sub.v))
         rot.append(sub.rotations)
         qrd_calls += sub.qrd_calls
         sweeps += sub.sweeps
+    us, ds, vs = zip(*factors)
     U = unlift(us, rep, A.m, A.m)
     D = unlift(ds, rep, A.m, A.n)
     V = unlift(vs, rep, A.n, A.n)
     return DecompReport(
         kind="svd", method="wedderburn", rotations=sum(rot), sweeps=sweeps,
-        qrd_calls=qrd_calls, residual=_off_diag_max(D, Element.norm_inf),
+        qrd_calls=qrd_calls,
+        residual=_residual(D._array(rep.source.layout()), "inf", off=True),
         wall_time=time.perf_counter() - t0, eps=eps, norm="inf",
         beta="division", u=U, d=D, v=V, block_rotations=tuple(rot))
 
@@ -511,14 +505,11 @@ def diagonal_support_labels(M: AlgMatrix, rel_tol: float = 1e-8) -> list:
     algebra.  Returns the sorted labels whose coefficient exceeds rel_tol
     times the largest diagonal coefficient.
     """
-    spec = M.spec
-    cut = rel_tol * max((M.entries[k][k].norm_inf()
-                         for k in range(min(M.m, M.n))), default=0.0)
-    labels = set()
-    for k in range(min(M.m, M.n)):
-        labels.update(lab for lab, c in M.entries[k][k].coeffs.items()
-                      if abs(c) > cut)
-    return sorted(labels, key=spec.sort_key)
+    lay = M.spec.layout(M)
+    L = min(M.m, M.n)
+    mags = np.abs(M._array(lay)[range(L), range(L)])
+    held = (mags > rel_tol * mags.max(initial=0.0)).any(axis=0)
+    return [lay.labels[p] for p in np.flatnonzero(held)]  # canonical order
 
 
 # -- idempotent splitting -----------------------------------------------------------
@@ -563,13 +554,17 @@ def idempotent_join(parts, idem: IdempotentSet) -> AlgMatrix:
     """Sum the projected parts back together."""
     if len(parts) != len(idem.elements):
         raise AlgebraError("one part per idempotent expected")
-    out = parts[0]
-    for p in parts[1:]:
-        out = out + p
-    return out
+    return sum(parts[1:], parts[0])
 
 
 # -- Laurent <-> cyclic transport ------------------------------------------------------
+
+def _relabelled(A: AlgMatrix, lay, to, label) -> AlgMatrix:
+    # A moved from layout lay to layout to, lab's coefficient to label(lab)
+    x = np.zeros((A.m, A.n, to.width))
+    x[..., [to.index[label(lab)] for lab in lay.labels]] = A._array(lay)
+    return AlgMatrix._of_array(to, x)
+
 
 def laurent_embed(A: AlgMatrix, delta: int) -> AlgMatrix:
     """View a Laurent matrix inside the cyclic group algebra (Z/delta)^kappa.
@@ -580,20 +575,14 @@ def laurent_embed(A: AlgMatrix, delta: int) -> AlgMatrix:
     spec = A.spec
     if not isinstance(spec, LaurentAlgebra):
         raise SpecMismatchError("laurent_embed needs a Laurent matrix")
-    maxexp = 0
-    for row in A.entries:
-        for e in row:
-            for lab in e.coeffs:
-                maxexp = max(maxexp, max((abs(x) for x in lab), default=0))
-    need = 2 * maxexp + 2
+    lay = spec.layout(A)
+    maxexp = max(lay.h)
     if delta % 2 or delta <= 2 * maxexp:
         raise AlgebraError(
             f"delta={delta} too small for exponents up to {maxexp}; "
-            f"need even delta >= {need}")
-    tgt = cyclic(spec.kappa, delta)
-    return AlgMatrix(tgt, [[Element(tgt, {tuple(x % delta for x in lab): c
-                                          for lab, c in e.coeffs.items()})
-                            for e in row] for row in A.entries])
+            f"need even delta >= {2 * maxexp + 2}")
+    return _relabelled(A, lay, cyclic(spec.kappa, delta).layout(),
+                       lambda lab: tuple(x % delta for x in lab))
 
 
 def laurent_unembed(A: AlgMatrix) -> AlgMatrix:
@@ -601,9 +590,8 @@ def laurent_unembed(A: AlgMatrix) -> AlgMatrix:
     spec = A.spec
     if not isinstance(spec, CyclicGroupAlgebra):
         raise SpecMismatchError("laurent_unembed needs a cyclic-algebra matrix")
-    tgt = laurent(spec.kappa)
     half = spec.delta // 2
-    return AlgMatrix(tgt, [[Element(tgt, {tuple(x - spec.delta if x > half else x
-                                                for x in lab): c
-                                          for lab, c in e.coeffs.items()})
-                            for e in row] for row in A.entries])
+    return _relabelled(A, spec.layout(), _Window(laurent(spec.kappa),
+                                                 half=[half] * spec.kappa),
+                       lambda lab: tuple(x - spec.delta if x > half else x
+                                         for x in lab))

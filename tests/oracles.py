@@ -90,3 +90,36 @@ def quat_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
                     a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
                     a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2], axis=-1)
     return out.sum(axis=1)
+
+
+# -- entry-wise Element arithmetic on grids of elements -----------------------
+
+def element_grid(X: AlgMatrix) -> list:
+    """The entries of X as a fresh grid, leaving X's own storage as it is."""
+    return X.copy().entries
+
+
+def herm_oracle(rows) -> list:
+    return [[rows[i][j].conj() for i in range(len(rows))]
+            for j in range(len(rows[0]))]
+
+
+def add_oracle(a, b) -> list:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def sub_oracle(a, b) -> list:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def neg_oracle(rows) -> list:
+    return [[-x for x in row] for row in rows]
+
+
+def frob_oracle(rows) -> float:
+    return math.sqrt(sum(e.norm2() ** 2 for row in rows for e in row))
+
+
+def identity_oracle(spec, m: int) -> list:
+    return [[spec.one() if i == j else spec.zero() for j in range(m)]
+            for i in range(m)]

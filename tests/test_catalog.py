@@ -4,10 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
-from algdecomp import (AlgebraError, Element, algebra_from_descriptor, biquat,
-                       boolean_group, clifford, clifford_twist, cyclic,
-                       cyclic_group, direct_sum_pm, laurent, quadquat,
-                       quaternion_algebra, random_element, real_algebra,
+from algdecomp import (AlgebraError, Element, UnsupportedOperationError,
+                       algebra_from_descriptor, biquat, boolean_group,
+                       clifford, clifford_twist, cyclic, cyclic_group,
+                       direct_sum_pm, laurent, quadquat, quaternion_algebra,
+                       random_element, random_matrix, real_algebra, tensor,
                        twisted_group)
 from algdecomp.verify import (check_associativity, check_unitary_basis,
                               verify_algebra)
@@ -164,6 +165,14 @@ def test_tensor_right_factor_fastest():
     assert spec.labels[2][1] == 0  # next left label starts
 
 
+def test_tensor_rejects_infinite_factors():
+    # a Laurent factor has no coefficient layout to multiply matrices in
+    for left, right in [(laurent(1), quaternion_algebra()),
+                        (quaternion_algebra(), laurent(1))]:
+        with pytest.raises(UnsupportedOperationError):
+            tensor(left, right)
+
+
 def test_direct_sum_split_complex_structure():
     R = real_algebra()
     ds = direct_sum_pm(R, R)
@@ -237,3 +246,20 @@ def test_random_generation_deterministic():
     a = random_element(spec, np.random.default_rng(42))
     b = random_element(spec, np.random.default_rng(42))
     assert a == b
+
+
+@pytest.mark.parametrize("spec", [clifford(4, 1), real_algebra(), laurent(2)])
+def test_random_matrix_draws_as_random_element(spec):
+    # one draw of the whole array, in the order of per-entry draws
+    X = random_matrix(spec, 3, 2, np.random.default_rng(9), degree=1)
+    rng = np.random.default_rng(9)
+    assert X.entries == [[random_element(spec, rng, degree=1)
+                          for _ in range(2)] for _ in range(3)]
+
+
+@pytest.mark.parametrize("shape,degree", [((0, 2), 1), ((2, -1), 1),
+                                          ((2, 2), -1)])
+def test_random_matrix_rejects_bad_sizes(shape, degree):
+    with pytest.raises(AlgebraError):
+        random_matrix(laurent(1), *shape, np.random.default_rng(0),
+                      degree=degree)

@@ -2,7 +2,8 @@
 which works one coefficient at a time through ``mul_basis``, and against
 the numpy oracles: finite specs of every catalog family (R, C and H
 included) in their structure-table layout, and Laurent specs in their
-exponent window.
+exponent window.  Matrix arithmetic has no element-wise path left, so the
+engines must never turn a matrix they made back into elements.
 """
 
 import cmath
@@ -13,13 +14,16 @@ from algdecomp import (AlgMatrix, GivensParams, apply_givens_left,
                        apply_shift_left, apply_shift_right, aqr, asvd,
                        beta_basis, biquat, boolean_group, clifford,
                        clifford_twist, cyclic, cyclic_group, direct_sum_pm,
-                       givens_matrix, laurent, quadquat, quaternion_algebra,
-                       random_matrix, representation_for, rmr, rmr_lift,
-                       tensor, twisted_group, wqr, wsvd)
-from algdecomp.core import _TableLayout, _Window
+                       givens_matrix, laurent, laurent_embed, quadquat,
+                       quaternion_algebra, random_matrix, rep_cyclic_dft,
+                       representation_for, rmr, rmr_lift, tensor,
+                       twisted_group, wqr, wsvd)
+from algdecomp.core import _Layout, _TableLayout, _Window
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import eval_laurent, spectrum_oracle
+from oracles import (add_oracle, element_grid, eval_laurent, frob_oracle,
+                     herm_oracle, identity_oracle, neg_oracle, spectrum_oracle,
+                     sub_oracle)
 
 # finite specs from every catalog family, dims 1 to 16
 FINITE = [
@@ -243,3 +247,100 @@ def test_qr_with_a_two_term_beta():
     assert rep.residual <= 1e-10
     assert (rep.q @ rep.r - A).frob() <= 1e-10 * A.frob()
     _check_unitary(rep.q, 1e-11 * A.m)
+
+
+# -- matrix arithmetic on the coefficient array ----------------------------------
+
+@settings(max_examples=60)
+@given(every, seeds, st.integers(1, 3), st.integers(1, 3))
+def test_matrix_arithmetic_equals_element_arithmetic(spec, seed, m, n):
+    # B's Laurent window is twice A's, and E holds its elements as a grid
+    rng = np.random.default_rng(seed)
+    A = random_matrix(spec, m, n, rng, degree=1)
+    B = random_matrix(spec, m, n, rng, degree=2)
+    a, b = element_grid(A), element_grid(B)
+    E = AlgMatrix(spec, b)
+    assert A.herm().entries == herm_oracle(a)
+    assert A.herm().herm().entries == a
+    assert (A + B).entries == add_oracle(a, b)
+    assert (E + A).entries == add_oracle(b, a)
+    assert (A - B).entries == sub_oracle(a, b)
+    assert (-A).entries == neg_oracle(a)
+    assert math.isclose(A.frob(), frob_oracle(a), rel_tol=1e-14)
+    assert (A - A).frob() == 0.0
+
+
+@settings(max_examples=40)
+@given(every, seeds, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+def test_products_across_windows(spec, seed, m, k, n):
+    # operands of different windows, one made by a product (window 2h) and
+    # one held as a grid of elements
+    rng = np.random.default_rng(seed)
+    A = random_matrix(spec, m, k, rng, degree=1)
+    B = random_matrix(spec, k, k, rng, degree=1) @ random_matrix(spec, k, n, rng,
+                                                                 degree=2)
+    a, b = element_grid(A), element_grid(B)
+    want = AlgMatrix(spec, [[sum((a[i][t] * b[t][j] for t in range(k)),
+                                 spec.zero()) for j in range(n)]
+                            for i in range(m)])
+    assert _close(A @ B, want, A.frob() * B.frob())
+    assert _close(AlgMatrix(spec, a) @ B, want, A.frob() * B.frob())
+    C = random_matrix(spec, m, n, rng, degree=2)
+    assert (A @ B + C).entries == add_oracle(element_grid(A @ B),
+                                             element_grid(C))
+
+
+@settings(max_examples=30)
+@given(every, st.integers(1, 3), st.integers(1, 3))
+def test_zeros_and_identity_equal_element_grids(spec, m, n):
+    Z = AlgMatrix.zeros(spec, m, n)
+    assert Z.entries == [[spec.zero()] * n for _ in range(m)]
+    assert AlgMatrix.identity(spec, m).entries == identity_oracle(spec, m)
+    assert AlgMatrix.identity(spec, m).herm().entries == identity_oracle(spec, m)
+    # entries stays a grid to write through, and arithmetic then reads it
+    Z[m - 1, 0] = spec.one()
+    assert (Z + Z).entries[m - 1][0] == spec.scalar(2.0)
+    assert AlgMatrix.zeros(spec, m, n).frob() == 0.0
+
+
+def _rebuilt_grids(monkeypatch):
+    """Shapes of every grid the layouts turn back into elements."""
+    shapes = []
+    rows = _Layout.rows
+
+    def counting(self, x):
+        shapes.append(x.shape[:2])
+        return rows(self, x)
+    monkeypatch.setattr(_Layout, "rows", counting)
+    return shapes
+
+
+def test_engines_never_rebuild_elements(monkeypatch):
+    # only a beta callable may see an element, one entry at a time
+    cl41 = random_matrix(clifford(4, 1), 3, 2, np.random.default_rng(7))
+    poly = random_matrix(laurent(1), 3, 2, np.random.default_rng(1), degree=1)
+    dft = rep_cyclic_dft(1, 32)
+    C = laurent_embed(random_matrix(laurent(1), 3, 2,
+                                    np.random.default_rng(11), degree=2), 32)
+    shapes = _rebuilt_grids(monkeypatch)
+    assert asvd(cl41, beta="basis", norm="inf", eps=1e-6).qrd_calls > 2
+    assert asvd(poly, beta="basis", norm="inf", eps=1e-3,
+                trim=1e-6).trimmed > 0
+    wqr(C, dft)
+    wsvd(C, dft, eps=1e-10)
+    assert shapes and set(shapes) == {(1, 1)}
+
+
+def test_step_matrices_keep_their_labels():
+    # the R handed to on_step shares its coefficients with the running aqr,
+    # whose window widens later: R's labels must not move with it
+    A = random_matrix(laurent(1), 3, 2, np.random.default_rng(1), degree=1)
+
+    def steps(keep):
+        seen = []
+        aqr(A, beta="basis", norm="inf", eps=1e-3, trim=1e-6,
+            on_step=lambda R: seen.append(keep(R)))
+        return seen
+    at_once = steps(lambda R: R.entries)
+    assert len(at_once) > 10
+    assert [R.entries for R in steps(lambda R: R)] == at_once

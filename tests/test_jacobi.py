@@ -470,9 +470,10 @@ def test_residual_helpers_propagate_nan():
     D = AlgMatrix.identity(spec, 3)
     D.entries[2][0] = Element._make(spec, {(0,): 5.0, (1,): math.nan})
     D.entries[1][0] = Element._make(spec, {(0,): 7.0})
-    for normfn in (Element.norm_inf, Element.norm2):
-        assert math.isnan(jacobi._below_diag_max(D, normfn))
-        assert math.isnan(jacobi._off_diag_max(D, normfn))
+    x = D._array(spec.layout(D))
+    for norm in ("inf", "two"):
+        assert math.isnan(jacobi._residual(x, norm))
+        assert math.isnan(jacobi._residual(x, norm, off=True))
 
 
 @pytest.mark.parametrize("spec", [clifford(4, 1), laurent(1)])

@@ -10,7 +10,7 @@ from algdecomp import (AlgMatrix, Element, MatrixFileError, biquat, clifford,
                        cyclic, laurent, random_matrix, read_matrix,
                        write_matrix)
 from algdecomp.cli import (EXIT_CONVERGENCE, EXIT_FILE, EXIT_OK, EXIT_SPEC,
-                           check_contract, main)
+                           EXIT_USAGE, check_contract, main)
 
 
 # -- file format ------------------------------------------------------------------
@@ -188,6 +188,28 @@ def test_exit_code_bad_tolerance(tmp_path, capsys, args):
     # Q = R = 0 with exit 0
     code = run(["decompose", *args, "--output-prefix", str(tmp_path / "x")])
     assert code == EXIT_SPEC
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args,message", [
+    (["sweep-eps", "--algebra", "quat", "--random", "2", "2",
+      "--eps-list", "1e-3", "--methods", "jacobi,bogus"], "--methods"),
+    (["sweep-eps", "--algebra", "quat", "--random", "2", "2",
+      "--eps-list", ""], "--eps-list"),
+    (["sweep-eps", "--algebra", "quat", "--random", "2", "2",
+      "--eps-list", "1e-3,abc"], "--eps-list"),
+    (["decompose", "--algebra", "laurent(1)", "--random", "2", "2",
+      "--degree", "-1"], "--degree"),
+])
+def test_exit_code_bad_argument(tmp_path, capsys, args, message):
+    # these once ran the representation route under the name "bogus"
+    # (exit 0), ended in a ValueError traceback (exit 1), or decomposed an
+    # all-zero matrix (exit 0)
+    with pytest.raises(SystemExit) as exc:
+        run([*args, "--output-prefix" if args[0] == "decompose" else "--output",
+             str(tmp_path / "x")])
+    assert exc.value.code == EXIT_USAGE
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
