@@ -146,8 +146,8 @@ class LaurentAlgebra(AlgebraSpec):
         super().__init__(f"laurent({kappa})", (0,) * kappa, labels=None)
 
     def _mul_raw(self, a, b):
-        # map is half the cost of a generator here, and every coefficient
-        # product of a Laurent rotation comes through this line
+        # map is half the cost of a generator here, and every product of
+        # Laurent Elements comes through this line (arrays shift instead)
         return 1.0, tuple(map(operator.add, a, b))
 
     def _inv_raw(self, a):

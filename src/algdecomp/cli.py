@@ -45,24 +45,8 @@ EXIT_CONVERGENCE = 5
 EXIT_RESIDUAL = 6
 
 
-@dataclass
-class RunConfig:
-    algebra: str
-    op: str = "qr"               # qr | svd
-    method: str = "jacobi"       # jacobi | wedderburn
-    eps: float = 1e-10
-    norm: str = "auto"           # inf | two | auto
-    beta: str = "auto"           # basis | division | auto
-    max_sweeps: int = 200
-    max_iters: int = 500
-    trim: float = 0.0
-    seed: int = 0
-    delta: int = 0               # DFT modulus for the Laurent route
-    degree: int = 2              # random Laurent exponent window
-
-
-def _load_or_generate(cfg: RunConfig, args):
-    spec = algebra_from_descriptor(cfg.algebra)
+def _load_or_generate(args):
+    spec = algebra_from_descriptor(args.algebra)
     if args.input:
         A = read_matrix(args.input)
         if A.spec != spec:
@@ -72,12 +56,16 @@ def _load_or_generate(cfg: RunConfig, args):
         return A
     if args.random:
         m, n = args.random
-        rng = np.random.default_rng(cfg.seed)
-        return random_matrix(spec, m, n, rng, degree=cfg.degree)
+        rng = np.random.default_rng(args.seed)
+        try:
+            return random_matrix(spec, m, n, rng, degree=args.degree)
+        except MemoryError as exc:
+            raise AlgebraError(f"a random {m}x{n} matrix over "
+                               f"{spec.descriptor} does not fit in memory") from exc
     raise AlgebraError("provide --input FILE or --random M N")
 
 
-def _run_engine(cfg: RunConfig, A: AlgMatrix):
+def _run_engine(args, A: AlgMatrix):
     """Returns (report, representation_or_None, matrix_in_engine_domain).
 
     Laurent matrices take the representation route through the cyclic
@@ -85,24 +73,24 @@ def _run_engine(cfg: RunConfig, A: AlgMatrix):
     reconstruction identity holds exactly (relabelling exponents back to
     the integers would break products that wrap around the modulus).
     """
-    if cfg.method == "jacobi":
-        if cfg.op == "qr":
-            return aqr(A, beta=cfg.beta, norm=cfg.norm, eps=cfg.eps,
-                       max_sweeps=cfg.max_sweeps, trim=cfg.trim), None, A
-        return asvd(A, beta=cfg.beta, norm=cfg.norm, eps=cfg.eps,
-                    max_iters=cfg.max_iters, max_sweeps=cfg.max_sweeps,
-                    trim=cfg.trim), None, A
+    if args.method == "jacobi":
+        if args.op == "qr":
+            return aqr(A, beta=args.beta, norm=args.norm, eps=args.eps,
+                       max_sweeps=args.max_sweeps, trim=args.trim), None, A
+        return asvd(A, beta=args.beta, norm=args.norm, eps=args.eps,
+                    max_iters=args.max_iters, max_sweeps=args.max_sweeps,
+                    trim=args.trim), None, A
 
     if isinstance(A.spec, LaurentAlgebra):
-        if not cfg.delta:
+        if not args.delta:
             raise AlgebraError("the wedderburn route over laurent(k) needs --delta")
-        A = laurent_embed(A, cfg.delta)
+        A = laurent_embed(A, args.delta)
     rep = representation_for(A.spec)
-    if cfg.op == "qr":
-        report = wqr(A, rep, eps=cfg.eps, max_sweeps=cfg.max_sweeps)
+    if args.op == "qr":
+        report = wqr(A, rep, eps=args.eps, max_sweeps=args.max_sweeps)
     else:
-        report = wsvd(A, rep, eps=cfg.eps, max_iters=cfg.max_iters,
-                      max_sweeps=cfg.max_sweeps)
+        report = wsvd(A, rep, eps=args.eps, max_iters=args.max_iters,
+                      max_sweeps=args.max_sweeps)
     return report, rep, A
 
 
@@ -150,16 +138,15 @@ def check_contract(report, A: AlgMatrix) -> Contract:
 
 
 def cmd_decompose(args) -> int:
-    cfg = args.config
-    A0 = _load_or_generate(cfg, args)
-    report, rep, A = _run_engine(cfg, A0)
+    A0 = _load_or_generate(args)
+    report, rep, A = _run_engine(args, A0)
     if A.spec != A0.spec:
         print(f"note: {A0.spec.descriptor} input embedded into "
               f"{A.spec.descriptor} for the representation route")
 
     prefix = args.output_prefix
     write_matrix(f"{prefix}.A.json", A)
-    names = (("q", "Q"), ("r", "R")) if cfg.op == "qr" else \
+    names = (("q", "Q"), ("r", "R")) if args.op == "qr" else \
         (("u", "U"), ("d", "D"), ("v", "V"))
     for attr, tag in names:
         write_matrix(f"{prefix}.{tag}.json", getattr(report, attr))
@@ -170,8 +157,8 @@ def cmd_decompose(args) -> int:
     print(f"reconstruction_error={c.reconstruction_error:.6e} "
           f"(relative {c.reconstruction_error / c.scale:.6e})")
     print(f"unitarity_error={c.unitarity_error:.6e}")
-    if cfg.method == "wedderburn":
-        mid = report.r if cfg.op == "qr" else report.d
+    if args.method == "wedderburn":
+        mid = report.r if args.op == "qr" else report.d
         labels = diagonal_support_labels(mid)
         print(f"diagonal_support={len(labels)} of {A.spec.dim} basis labels")
     print(f"factors written to {prefix}.*.json")
@@ -183,13 +170,13 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_sweep_eps(args) -> int:
-    cfg = args.config
-    A = _load_or_generate(cfg, args)
+    A = _load_or_generate(args)
     rows = []
     for eps in args.eps_list:
         for method in args.methods:
-            c = RunConfig(**{**cfg.__dict__, "eps": eps, "method": method})
-            report, rep, B = _run_engine(c, A)
+            run = argparse.Namespace(**{**vars(args), "eps": eps,
+                                        "method": method})
+            report, rep, B = _run_engine(run, A)
             contract = check_contract(report, B)
             rows.append({
                 "epsilon": eps,
@@ -305,13 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "algebra") and args.command != "verify":
-        args.config = RunConfig(
-            algebra=args.algebra, op=args.op, method=args.method,
-            eps=args.eps, norm=args.norm, beta=args.beta,
-            max_sweeps=args.max_sweeps, max_iters=args.max_iters,
-            trim=args.trim, seed=args.seed, delta=args.delta,
-            degree=args.degree)
     try:
         return args.func(args)
     except MatrixFileError as exc:

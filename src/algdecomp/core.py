@@ -331,8 +331,9 @@ def _check_shape(m: int, n: int):
 
 class AlgMatrix:
     """A dense m-by-n matrix of :class:`Element` sharing one spec.  Its
-    arithmetic works on coefficient arrays (:meth:`AlgebraSpec.layout`), and
-    elements are built only on first use of ``entries`` or ``[i, j]``."""
+    arithmetic works on coefficient arrays (:meth:`AlgebraSpec.layout`);
+    ``[i, j]`` builds one element from the array, and only ``entries``
+    turns the whole array into a grid of elements."""
 
     __slots__ = ("spec", "m", "n", "_entries", "_coeffs")
 
@@ -402,7 +403,10 @@ class AlgMatrix:
     # -- element access -------------------------------------------------------
     def __getitem__(self, ij) -> Element:
         i, j = ij
-        return self.entries[i][j]
+        if self._coeffs is None:
+            return self._entries[i][j]
+        lay, x = self._coeffs
+        return lay.rows(x[i, j][None, None])[0][0]
 
     def __setitem__(self, ij, value: Element):
         i, j = ij

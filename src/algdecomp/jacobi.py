@@ -190,18 +190,6 @@ def _require_unitary(b: Element, tol: float = 1e-12):
         raise AlgebraError("shift element is not unitary")
 
 
-def givens_matrix(spec: AlgebraSpec, m: int, g: GivensParams) -> AlgMatrix:
-    """G(theta, b, i, j) as an explicit m-by-m matrix (mainly for tests)."""
-    _require_unitary(g.b)
-    out = AlgMatrix.identity(spec, m)
-    c, s = math.cos(g.theta), math.sin(g.theta)
-    out[g.j, g.j] = spec.scalar(c)
-    out[g.i, g.i] = spec.scalar(c)
-    out[g.j, g.i] = g.b.conj() * (-s)
-    out[g.i, g.j] = g.b * s
-    return out
-
-
 def _rotate(P: np.ndarray, c: float, s: float, pair):
     """The rotation kernel, in place on a pair of rows P = (x, y) stacked on
     axis -2: (x, y) <- (c x - s conj(b) y, s b x + c y), adding b's terms
@@ -213,17 +201,40 @@ def _rotate(P: np.ndarray, c: float, s: float, pair):
         np.add(P, G, out=P)
 
 
+def _rotate_rows(lay, x: np.ndarray, j: int, i: int, c: float, s: float,
+                 b: Element) -> np.ndarray:
+    """Rows (j, i) on axis -2 of the coefficients ``x`` (layout ``lay``)
+    rotated in place by :func:`_rotate`; returns ``x``, or the wider array
+    that ``lay.room`` put it in.  Row i is written first, so for i == j the
+    shift x_j <- conj(b) x_j stays."""
+    x = lay.room(x, b)
+    P = x.take((j, i), axis=-2)
+    _rotate(P, c, s, lay.mul(b))
+    x[..., i, :] = P[..., 1, :]
+    x[..., j, :] = P[..., 0, :]
+    return x
+
+
+def _rotated(X: AlgMatrix, j: int, i: int, c: float, s: float,
+             b: Element) -> AlgMatrix:
+    """X with :func:`_rotate_rows` applied to its rows j and i."""
+    lay = X.spec.layout(X)
+    x = X._array(lay).copy().transpose(1, 0, 2)  # rows on axis -2
+    x = _rotate_rows(lay, x, j, i, c, s, b)
+    return AlgMatrix._of_array(lay, x.transpose(1, 0, 2))
+
+
+def givens_matrix(spec: AlgebraSpec, m: int, g: GivensParams) -> AlgMatrix:
+    """G(theta, b, i, j) as an explicit m-by-m matrix (mainly for tests)."""
+    return apply_givens_left(AlgMatrix.identity(spec, m), g)
+
+
 def apply_givens_left(X: AlgMatrix, g: GivensParams) -> AlgMatrix:
     """G(theta, b, i, j) @ X; only rows i and j change, norms are preserved."""
     _require_unitary(g.b)
     if g.i >= X.m:
         raise AlgebraError("row index out of range")
-    lay = X.spec.layout(X)
-    P = lay.room(lay.array(list(zip(X.entries[g.j], X.entries[g.i]))), g.b)
-    _rotate(P, math.cos(g.theta), math.sin(g.theta), lay.mul(g.b))
-    out = X.copy()
-    out.entries[g.j], out.entries[g.i] = map(list, zip(*lay.rows(P)))
-    return out
+    return _rotated(X, g.j, g.i, math.cos(g.theta), math.sin(g.theta), g.b)
 
 
 def apply_shift_left(X: AlgMatrix, b: Element, i: int) -> AlgMatrix:
@@ -231,20 +242,16 @@ def apply_shift_left(X: AlgMatrix, b: Element, i: int) -> AlgMatrix:
     _require_unitary(b)
     if not 0 <= i < X.m:
         raise AlgebraError("row index out of range")
-    out = X.copy()
-    out.entries[i] = [b * e for e in out.entries[i]]
-    return out
+    return _rotated(X, i, i, 0.0, -1.0, b.conj())
 
 
 def apply_shift_right(X: AlgMatrix, b: Element, i: int) -> AlgMatrix:
-    """X @ B(b, i): right-multiply column i by the unitary element b."""
+    """X @ B(b, i) = (B(conj(b), i) X^H)^H: right-multiply column i by the
+    unitary element b."""
     _require_unitary(b)
     if not 0 <= i < X.n:
         raise AlgebraError("column index out of range")
-    out = X.copy()
-    for row in out.entries:
-        row[i] = row[i] * b
-    return out
+    return _rotated(X.herm(), i, i, 0.0, -1.0, b).herm()
 
 
 # -- the QR iteration ----------------------------------------------------------------
@@ -347,19 +354,12 @@ class _ArrayWork:
         return float(sum(c * x[index[lab]] for lab, c in b.coeffs.items()
                          if lab in index))
 
-    def _pair(self, i: int, k: int, c: float, s: float, b: Element):
-        self.RQ = self.lay.room(self.RQ, b)
-        P = self.RQ.take((k, i), axis=1)
-        _rotate(P, c, s, self.lay.mul(b))
-        return P
-
     def shift(self, k: int, b: Element):
-        self.RQ[:, k] = self._pair(k, k, 0.0, -1.0, b)[:, 0]
+        self.RQ = _rotate_rows(self.lay, self.RQ, k, k, 0.0, -1.0, b)
 
     def rotate(self, i: int, k: int, theta: float, b: Element):
-        P = self._pair(i, k, math.cos(-theta), math.sin(-theta), b)
-        self.RQ[:, k] = P[:, 0]
-        self.RQ[:, i] = P[:, 1]
+        self.RQ = _rotate_rows(self.lay, self.RQ, k, i, math.cos(-theta),
+                               math.sin(-theta), b)
 
     def negate(self, k: int):
         self.RQ[:, k] *= -1.0

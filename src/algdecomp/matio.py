@@ -29,14 +29,14 @@ class MatrixFileError(AlgebraError):
 
 def matrix_to_dict(X: AlgMatrix) -> dict:
     spec = X.spec
+    lay = spec.layout(X)
+    names = [spec.label_str(lab) for lab in lay.labels]
     entries = []
-    for i in range(X.m):
-        for j in range(X.n):
-            coeffs = X.entries[i][j].coeffs
-            if not coeffs:
-                continue
-            entries.append([i, j, [[spec.label_str(lab), coeffs[lab]]
-                                   for lab in sorted(coeffs, key=spec.sort_key)]])
+    for i, row in enumerate(X._array(lay).tolist()):
+        for j, v in enumerate(row):
+            pairs = [[names[t], c] for t, c in enumerate(v) if c != 0.0]
+            if pairs:
+                entries.append([i, j, pairs])
     return {"format": FORMAT, "algebra": spec.descriptor,
             "m": X.m, "n": X.n, "entries": entries}
 
@@ -57,10 +57,13 @@ def matrix_from_dict(doc: dict) -> AlgMatrix:
                 if lab in coeffs:
                     raise MatrixFileError(f"duplicate label {lab_s!r} at ({i},{j})")
                 coeffs[lab] = float(c)
-            out.entries[i][j] = Element(spec, coeffs)
+            out[i, j] = Element(spec, coeffs)
         return out
     except MatrixFileError:
         raise
+    except MemoryError as exc:
+        raise MatrixFileError(f"a {doc['m']}x{doc['n']} matrix does not fit "
+                              f"in memory") from exc
     except (KeyError, TypeError, ValueError, AlgebraError) as exc:
         raise MatrixFileError(f"malformed matrix file: {exc}") from exc
 

@@ -238,6 +238,13 @@ def _clifford_factors(mask: int):
     return [1 << t for t in range(mask.bit_length()) if mask >> t & 1]
 
 
+def _tensor_factors(lab):
+    # generators of a label (a, b) of a tensor of two Clifford algebras
+    a, b = lab
+    return ([(f, 0) for f in _clifford_factors(a)]
+            + [(0, f) for f in _clifford_factors(b)])
+
+
 def rep_cl41() -> Representation:
     """cl(4,1) as complex 4x4 matrices."""
     src = clifford(4, 1)
@@ -272,13 +279,7 @@ def rep_quadquat() -> Representation:
                    [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
     gens = {(1, 0): [li], (2, 0): [lj], (0, 1): [ri], (0, 2): [rj]}
     blocks = (("R", 4),)
-
-    def factorize(lab):
-        a, b = lab
-        return [(f, 0) for f in _clifford_factors(a)] \
-            + [(0, f) for f in _clifford_factors(b)]
-
-    images = _images_from_generators(src, blocks, gens, factorize)
+    images = _images_from_generators(src, blocks, gens, _tensor_factors)
     return Representation(src, blocks, images, name="quadquat->R4x4")
 
 
@@ -291,13 +292,7 @@ def rep_biquat() -> Representation:
         (0, 1): [1j * np.eye(2)],
     }
     blocks = (("C", 2),)
-
-    def factorize(lab):
-        a, b = lab
-        return [(f, 0) for f in _clifford_factors(a)] \
-            + [(0, f) for f in _clifford_factors(b)]
-
-    images = _images_from_generators(src, blocks, gens, factorize)
+    images = _images_from_generators(src, blocks, gens, _tensor_factors)
     return Representation(src, blocks, images, name="biquat->C2x2")
 
 
@@ -423,32 +418,36 @@ def _block_eps(eps: float, d: int) -> float:
     return 0.0 if eps == 0.0 else eps * 2.0 / d
 
 
+def _per_block(A: AlgMatrix, rep: Representation, run) -> list:
+    """``run(B)`` on each block B of the lifted A; a block's
+    ConvergenceError is raised again naming the block."""
+    out = []
+    for l, B in enumerate(lift(A, rep)):
+        try:
+            out.append(run(B))
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"block {l} {rep.blocks[l]}: {exc}", exc.report) from exc
+    return out
+
+
 def wqr(A: AlgMatrix, rep: Representation, eps: float = 0.0,
         max_sweeps: int = 200) -> DecompReport:
     """QR through the representation: exact per-block triangularisation."""
     _check_tolerances(eps)
     t0 = time.perf_counter()
-    blocks = lift(A, rep)
     beps = _block_eps(eps, rep.source.dim)
-    qs, rs, rot, sweeps = [], [], [], 0
-    for l, B in enumerate(blocks):
-        try:
-            sub = aqr(B, beta="division", norm="two", eps=beps,
-                      max_sweeps=max_sweeps)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"block {l} {rep.blocks[l]}: {exc}", exc.report) from exc
-        qs.append(sub.q)
-        rs.append(sub.r)
-        rot.append(sub.rotations)
-        sweeps = max(sweeps, sub.sweeps)
-    Q = unlift(qs, rep, A.m, A.m)
-    R = unlift(rs, rep, A.m, A.n)
+    subs = _per_block(A, rep, lambda B: aqr(B, beta="division", norm="two",
+                                            eps=beps, max_sweeps=max_sweeps))
+    Q = unlift([sub.q for sub in subs], rep, A.m, A.m)
+    R = unlift([sub.r for sub in subs], rep, A.m, A.n)
+    rot = tuple(sub.rotations for sub in subs)
     return DecompReport(
-        kind="qr", method="wedderburn", rotations=sum(rot), sweeps=sweeps,
-        qrd_calls=0, residual=_residual(R._array(rep.source.layout()), "inf"),
+        kind="qr", method="wedderburn", rotations=sum(rot),
+        sweeps=max(sub.sweeps for sub in subs), qrd_calls=0,
+        residual=_residual(R._array(rep.source.layout()), "inf"),
         wall_time=time.perf_counter() - t0, eps=eps, norm="inf",
-        beta="division", q=Q, r=R, block_rotations=tuple(rot))
+        beta="division", q=Q, r=R, block_rotations=rot)
 
 
 def _sorted_block_svd(u, d, v):
@@ -469,31 +468,22 @@ def wsvd(A: AlgMatrix, rep: Representation, eps: float = 1e-10,
     """SVD through the representation; block singular values sorted descending."""
     _check_tolerances(eps, svd=True)
     t0 = time.perf_counter()
-    blocks = lift(A, rep)
     beps = _block_eps(eps, rep.source.dim)
-    factors, rot = [], []
-    qrd_calls = sweeps = 0
-    for l, B in enumerate(blocks):
-        try:
-            sub = asvd(B, beta="division", norm="two", eps=beps,
-                       max_iters=max_iters, max_sweeps=max_sweeps)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"block {l} {rep.blocks[l]}: {exc}", exc.report) from exc
-        factors.append(_sorted_block_svd(sub.u, sub.d, sub.v))
-        rot.append(sub.rotations)
-        qrd_calls += sub.qrd_calls
-        sweeps += sub.sweeps
-    us, ds, vs = zip(*factors)
+    subs = _per_block(A, rep, lambda B: asvd(
+        B, beta="division", norm="two", eps=beps, max_iters=max_iters,
+        max_sweeps=max_sweeps))
+    us, ds, vs = zip(*(_sorted_block_svd(sub.u, sub.d, sub.v) for sub in subs))
     U = unlift(us, rep, A.m, A.m)
     D = unlift(ds, rep, A.m, A.n)
     V = unlift(vs, rep, A.n, A.n)
+    rot = tuple(sub.rotations for sub in subs)
     return DecompReport(
-        kind="svd", method="wedderburn", rotations=sum(rot), sweeps=sweeps,
-        qrd_calls=qrd_calls,
+        kind="svd", method="wedderburn", rotations=sum(rot),
+        sweeps=sum(sub.sweeps for sub in subs),
+        qrd_calls=sum(sub.qrd_calls for sub in subs),
         residual=_residual(D._array(rep.source.layout()), "inf", off=True),
         wall_time=time.perf_counter() - t0, eps=eps, norm="inf",
-        beta="division", u=U, d=D, v=V, block_rotations=tuple(rot))
+        beta="division", u=U, d=D, v=V, block_rotations=rot)
 
 
 def diagonal_support_labels(M: AlgMatrix, rel_tol: float = 1e-8) -> list:
@@ -542,12 +532,15 @@ class IdempotentSet:
 
 
 def idempotent_split(A: AlgMatrix, idem: IdempotentSet) -> list[AlgMatrix]:
-    """Project a matrix onto each summand: parts_k = A * 1_k entry-wise."""
+    """Project a matrix onto each summand: parts_k = A * 1_k entry-wise,
+    computed as A P_k with P_k the diagonal matrix holding 1_k."""
     if A.spec != idem.spec:
         raise SpecMismatchError("matrix and idempotents use different algebras")
     idem.validate()
-    return [AlgMatrix(A.spec, [[e * p for e in row] for row in A.entries])
-            for p in idem.elements]
+    units = AlgMatrix(A.spec, [idem.elements])
+    lay = A.spec.layout(units)
+    eye = np.eye(A.n)[:, :, None]
+    return [A @ AlgMatrix._of_array(lay, eye * p) for p in units._array(lay)[0]]
 
 
 def idempotent_join(parts, idem: IdempotentSet) -> AlgMatrix:

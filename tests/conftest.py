@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 
 # make the sibling oracle helpers importable regardless of how pytest is run
@@ -10,3 +11,23 @@ sys.path.insert(0, str(Path(__file__).parent))
 # being slow on a loaded host.
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """Counts of whole-grid conversions, [grid -> array, array -> grid],
+    made while the test runs (``_Layout.array`` and ``_Layout.rows``)."""
+    from algdecomp.core import _Layout
+    counts = [0, 0]
+    array, rows = _Layout.array, _Layout.rows
+
+    def counting_array(self, grid):
+        counts[0] += 1
+        return array(self, grid)
+
+    def counting_rows(self, x):
+        counts[1] += 1
+        return rows(self, x)
+    monkeypatch.setattr(_Layout, "array", counting_array)
+    monkeypatch.setattr(_Layout, "rows", counting_rows)
+    return counts

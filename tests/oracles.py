@@ -120,6 +120,17 @@ def frob_oracle(rows) -> float:
     return math.sqrt(sum(e.norm2() ** 2 for row in rows for e in row))
 
 
+def givens_oracle(spec, m: int, g) -> AlgMatrix:
+    """G(theta, b, i, j) written entry by entry: cos(theta) at (j, j) and
+    (i, i), -sin(theta) conj(b) at (j, i), sin(theta) b at (i, j)."""
+    rows = identity_oracle(spec, m)
+    c, s = math.cos(g.theta), math.sin(g.theta)
+    rows[g.j][g.j] = rows[g.i][g.i] = spec.scalar(c)
+    rows[g.j][g.i] = g.b.conj() * (-s)
+    rows[g.i][g.j] = g.b * s
+    return AlgMatrix(spec, rows)
+
+
 def identity_oracle(spec, m: int) -> list:
     return [[spec.one() if i == j else spec.zero() for j in range(m)]
             for i in range(m)]

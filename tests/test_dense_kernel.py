@@ -10,20 +10,21 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 from algdecomp import (AlgMatrix, GivensParams, apply_givens_left,
                        apply_shift_left, apply_shift_right, aqr, asvd,
                        beta_basis, biquat, boolean_group, clifford,
                        clifford_twist, cyclic, cyclic_group, direct_sum_pm,
-                       givens_matrix, laurent, laurent_embed, quadquat,
-                       quaternion_algebra, random_matrix, rep_cyclic_dft,
-                       representation_for, rmr, rmr_lift, tensor,
-                       twisted_group, wqr, wsvd)
+                       givens_matrix, idempotent_split, laurent,
+                       laurent_embed, quadquat, quaternion_algebra,
+                       random_matrix, rep_cyclic_dft, representation_for, rmr,
+                       rmr_lift, tensor, twisted_group, wqr, wsvd)
 from algdecomp.core import _Layout, _TableLayout, _Window
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (add_oracle, element_grid, eval_laurent, frob_oracle,
-                     herm_oracle, identity_oracle, neg_oracle, spectrum_oracle,
-                     sub_oracle)
+                     givens_oracle, herm_oracle, identity_oracle, neg_oracle,
+                     spectrum_oracle, sub_oracle)
 
 # finite specs from every catalog family, dims 1 to 16
 FINITE = [
@@ -53,7 +54,7 @@ def test_every_spec_has_its_layout():
     assert all(isinstance(spec.layout(), _Window) for spec in LAURENT)
 
 
-def _unitary(spec, rng):
+def _unitary(spec, rng, two_terms=True):
     """A basis element with a random sign; over a finite spec also
     cos t + sin t e_a for a basis element with e_a^2 = -1 (two terms)."""
     sign = float(rng.choice([-1.0, 1.0]))
@@ -63,7 +64,7 @@ def _unitary(spec, rng):
     t = spec.tables
     roots = np.flatnonzero((t.inv_sign < 0)
                            & (t.inv_index == np.arange(spec.dim)))
-    if roots.size and rng.random() < 0.5:
+    if two_terms and roots.size and rng.random() < 0.5:
         a = spec.labels[int(rng.choice(roots))]
         phi = float(rng.uniform(0, 2 * math.pi))
         return spec.scalar(math.cos(phi)) + spec.basis_element(a, math.sin(phi))
@@ -109,7 +110,7 @@ def test_rotations_and_shifts_equal_explicit_products(spec, seed, m, n):
     g = GivensParams(float(rng.uniform(0, 2 * math.pi)), b, i, j)
     scale = X.frob()
     Y = apply_givens_left(X, g)
-    assert _close(Y, givens_matrix(spec, m, g) @ X, scale)
+    assert _close(Y, givens_oracle(spec, m, g) @ X, scale)
     assert math.isclose(Y.frob(), scale, rel_tol=1e-12)
     shift = AlgMatrix.identity(spec, m)
     shift[i, i] = b
@@ -121,6 +122,74 @@ def test_rotations_and_shifts_equal_explicit_products(spec, seed, m, n):
     Y = apply_shift_right(X, b, n - 1)
     assert _close(Y, X @ shift, scale)
     assert math.isclose(Y.frob(), scale, rel_tol=1e-12)
+
+
+@settings(max_examples=60)
+@given(every, seeds, st.integers(2, 4))
+def test_givens_matrix_equals_the_entry_oracle(spec, seed, m):
+    # exactly: each entry of G is one product, whatever the terms of b
+    rng = np.random.default_rng(seed)
+    j, i = sorted(int(v) for v in rng.choice(m, size=2, replace=False))
+    g = GivensParams(float(rng.uniform(0, 2 * math.pi)), _unitary(spec, rng),
+                     i, j)
+    assert givens_matrix(spec, m, g).entries == givens_oracle(spec, m, g).entries
+
+
+@settings(max_examples=60)
+@given(every, seeds, st.integers(2, 3), st.integers(1, 3))
+def test_one_term_rotations_and_shifts_equal_element_products(spec, seed, m, n):
+    # entry by entry through Element products and sums: exactly equal
+    rng = np.random.default_rng(seed)
+    X = random_matrix(spec, m, n, rng, degree=1)
+    b = _unitary(spec, rng, two_terms=False)
+    j, i = sorted(int(v) for v in rng.choice(m, size=2, replace=False))
+    theta = float(rng.uniform(0, 2 * math.pi))
+    c, s = math.cos(theta), math.sin(theta)
+    G = apply_givens_left(X, GivensParams(theta, b, i, j))
+    L = apply_shift_left(X, b, i)
+    R = apply_shift_right(X, b, n - 1)
+    for r in range(m):
+        for k in range(n):
+            x = X[r, k]
+            assert G[r, k] == {j: x * c + (b.conj() * X[i, k]) * (-s),
+                               i: (b * X[j, k]) * s + x * c}.get(r, x)
+            assert L[r, k] == (b * x if r == i else x)
+            assert R[r, k] == (x * b if k == n - 1 else x)
+
+
+@pytest.mark.parametrize("spec", [clifford(4, 1), quadquat(), clifford(0, 2),
+                                  laurent(1), laurent(2)])
+def test_rotations_and_shifts_stay_on_the_array(spec, conversions):
+    rng = np.random.default_rng(8)
+    m, n = 3, 2
+    X = random_matrix(spec, m, n, rng, degree=1)
+    b = _unitary(spec, rng)
+    grid = element_grid(X)
+    conversions[:] = [0, 0]
+    g = GivensParams(0.3, b, 2, 0)
+    Y = apply_shift_right(apply_shift_left(apply_givens_left(X, g), b, 1),
+                          b, n - 1)
+    givens_matrix(spec, m, g)
+    assert conversions == [0, 0]
+    assert Y._entries is None
+    # one entry at a time, negative indices included, as the grid reads
+    for i in range(-m, m):
+        for j in range(-n, n):
+            assert X[i, j] == grid[i][j]
+    assert X._entries is None
+    assert conversions[0] == 0
+    for i, j in ((m, 0), (0, n), (-m - 1, 0), (0, -n - 1)):
+        with pytest.raises(IndexError):
+            X[i, j]
+
+
+def test_idempotent_split_equals_entrywise_products():
+    rep = rep_cyclic_dft(1, 4)
+    idem = rep.idempotents()
+    A = random_matrix(rep.source, 2, 3, np.random.default_rng(3))
+    for part, p in zip(idempotent_split(A, idem), idem.elements):
+        want = AlgMatrix(A.spec, [[e * p for e in row] for row in element_grid(A)])
+        assert _close(part, want, A.frob(), tol=1e-15)
 
 
 def _check_unitary(Q: AlgMatrix, tol: float):
