@@ -294,15 +294,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MatrixFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FILE
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
+        return (EXIT_FILE if isinstance(exc, MatrixFileError) else
+                EXIT_CONVERGENCE if isinstance(exc, ConvergenceError) else
+                EXIT_SPEC)
 
 
 if __name__ == "__main__":

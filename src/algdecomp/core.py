@@ -60,6 +60,8 @@ class AlgebraSpec:
     """
 
     is_division = False  # True only for the real, complex, quaternion specs
+    # an infinite spec keeps these; a finite one sets them from its labels
+    _labels = dim = _index = _mul_table = _inv_table = None
 
     def __init__(self, descriptor: str, unit: Label, labels=None):
         self.descriptor = descriptor
@@ -70,14 +72,8 @@ class AlgebraSpec:
             self._index = {lab: t for t, lab in enumerate(self._labels)}
             if self._labels[0] != unit:
                 raise AlgebraError("unit must be the first basis label")
-            self._mul_table: dict | None = {}
+            self._mul_table = {}
             self._inv_table = {i: self._inv_raw(i) for i in self._labels}
-        else:
-            self._labels = None
-            self.dim = None
-            self._index = None
-            self._mul_table = None
-            self._inv_table = None
 
     # -- structure maps ----------------------------------------------------
     def _mul_raw(self, i: Label, j: Label) -> tuple[float, Label]:
@@ -264,8 +260,7 @@ class Element:
             return Element._make(self.spec, {})
         return Element._make(self.spec, {k: c * v for k, v in self.coeffs.items()})
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         return self.__mul__(1.0 / float(other))
@@ -508,8 +503,8 @@ class _Layout:
 
 
 class _TableLayout(_Layout):
-    """A finite spec: coefficients by canonical basis index, acted on
-    through the structure tables (``AlgebraSpec.tables``)."""
+    """A finite spec: coefficients by canonical basis index (``by_name``:
+    the label of each name), acted on through ``AlgebraSpec.tables``."""
 
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
@@ -517,6 +512,7 @@ class _TableLayout(_Layout):
         self.unit = 0
         self.labels = spec.labels
         self.index = spec._index
+        self.by_name = {spec.label_str(lab): lab for lab in self.labels}
         self._pairs = {}
 
     def conj(self, x: np.ndarray) -> np.ndarray:
@@ -563,6 +559,14 @@ class _TableLayout(_Layout):
         return (a.reshape(m, n * d) @ right).reshape(m, p, d), self
 
 
+@functools.lru_cache(maxsize=64)
+def _box_labels(h: tuple) -> tuple[tuple, dict]:
+    """The exponent vectors of the box [-h, h] in C order, and their
+    positions: shared by every window of half-widths ``h``."""
+    labels = tuple(itertools.product(*(range(-t, t + 1) for t in h)))
+    return labels, {lab: p for p, lab in enumerate(labels)}
+
+
 class _Window(_Layout):
     """A Laurent spec: coefficients on the box of exponents [-h, h] (one
     half-width per variable) in C order, the lexicographic order of
@@ -592,16 +596,14 @@ class _Window(_Layout):
                              for t in range(len(half)))
         self.width = math.prod(self.box)
         self.unit = self.width // 2
-        self.__dict__.pop("labels", None)
-        self.__dict__.pop("index", None)
 
-    @functools.cached_property
-    def labels(self) -> list:
-        return list(itertools.product(*(range(-t, t + 1) for t in self.h)))
+    @property
+    def labels(self) -> tuple:
+        return _box_labels(self.h)[0]
 
-    @functools.cached_property
+    @property
     def index(self) -> dict:
-        return {lab: p for p, lab in enumerate(self.labels)}
+        return _box_labels(self.h)[1]
 
     def conj(self, x: np.ndarray) -> np.ndarray:
         return x[..., ::-1].copy()

@@ -11,11 +11,14 @@ whose off-plane entries carry a unitary element b.  With beta chosen
 *decent* for the working norm (see :func:`decency_check`) every rotation
 strictly grows Re(r_kk)^2, which forces the below-diagonal mass under any
 positive tolerance.  The SVD alternates QR passes on D and on D^H until all
-off-diagonal entries are small.
+off-diagonal entries are small; a pass stops at max(eps, 0.1 g), g being
+D's largest off-diagonal norm before it (eps when g is not finite, so that
+QR rejects the entry), as the next pass on D^H puts mass back anyway.
 
 Over the real, complex and quaternion algebras, ``beta="division"``
 annihilates each targeted entry exactly, so QR terminates after one sweep
-with one rotation per nonzero below-diagonal entry even at eps = 0.
+with one rotation per nonzero below-diagonal entry even at eps = 0 (and
+the SVD's passes keep eps: a looser one would save no rotation).
 """
 
 from __future__ import annotations
@@ -290,14 +293,6 @@ def _trim_array(x: np.ndarray, tau: float) -> int:
     return int(drop.sum())
 
 
-def _trimmed(X: AlgMatrix, tau: float) -> tuple[AlgMatrix, int]:
-    """X with :func:`_trim_array` applied, and how many coefficients went."""
-    lay = X.spec.layout(X)
-    x = X._array(lay).copy()
-    dropped = _trim_array(x, tau)
-    return AlgMatrix._of_array(lay, x), dropped
-
-
 class _ArrayWork:
     """R and Q^H of one QR run in one coefficient array in the spec's layout,
     indexed (column, row, position): columns 0..n-1 hold R, the rest Q^H.
@@ -367,10 +362,15 @@ class _ArrayWork:
     def zero(self, i: int, k: int):
         self.RQ[k, i] = 0.0
 
-    def trim(self, rows, cols, tau: float) -> int:
-        n = self.n
-        return (sum(_trim_array(self.RQ[:n, i], tau) for i in rows)
-                + sum(_trim_array(self.RQ[n:, j], tau) for j in cols))
+    def trim(self, i: int, k: int, tau: float) -> int:
+        """Trim R's row k after a shift (i == k), or rows k and i of R and
+        Q^H in one pass after a rotation; returns how many went."""
+        if i == k:
+            return _trim_array(self.RQ[:self.n, k], tau)
+        P = self.RQ[:, (k, i)]  # a copy: written back
+        dropped = _trim_array(P, tau)
+        self.RQ[:, (k, i)] = P
+        return dropped
 
     def residual(self) -> float:
         return _residual(self.RQ[:self.n].transpose(1, 0, 2), self.norm_name)
@@ -478,7 +478,7 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
                 old_re = abs(W.re(k, k))
                 W.shift(k, b)
                 if trim > 0.0:
-                    trimmed += W.trim((k,), (), trim)
+                    trimmed += W.trim(k, k, trim)
                 if abs(W.re(k, k)) + 1e-12 * max(old_re, 1.0) < old_re:
                     warnings += 1
                 step()
@@ -522,7 +522,7 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
                     # (division specs only)
                     W.zero(i, k)
                 if trim > 0.0:
-                    trimmed += W.trim((i, k), (i, k), trim)
+                    trimmed += W.trim(i, k, trim)
                 step()
         g1 = W.residual()
 
@@ -536,6 +536,9 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
 
 # -- the SVD iteration -----------------------------------------------------------------
 
+_INNER_EPS = 0.1  # each QR pass of asvd stops at max(eps, _INNER_EPS * g)
+
+
 def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
          max_iters: int = 500, max_sweeps: int = 200,
          trim: float = 0.0) -> DecompReport:
@@ -545,13 +548,19 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
     off-diagonal entry of D has norm at most ``eps``.  ``max_iters`` bounds
     the number of QR calls.  Diagonal entries are not sorted: there is no
     canonical scalar order over a general algebra.
+
+    Each QR call stops at max(eps, 0.1 g), g being D's largest off-diagonal
+    norm before the pair of calls; only the outer test is held to eps.  An
+    exact beta (``beta="division"``) removes each entry whatever the
+    tolerance, so its calls keep eps, as they do when g is not finite (then
+    :func:`aqr` rejects the entry instead of returning at once).
     """
     spec = A.spec
     _check_tolerances(eps, trim, svd=True)
     if max_iters < 1:
         raise AlgebraError("max_iters must be at least 1")
     _, norm_name = resolve_norm(spec, norm)
-    _, beta_name, _ = resolve_beta(spec, beta)
+    _, beta_name, exact = resolve_beta(spec, beta)
 
     t0 = time.perf_counter()
     U = AlgMatrix.identity(spec, A.m)
@@ -576,10 +585,11 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
             raise ConvergenceError(
                 f"SVD did not reach eps={eps:g} within {max_iters} QR calls",
                 partial_report())
+        inner = eps if exact or not math.isfinite(g) else max(eps, _INNER_EPS * g)
         for hermitian_side in (False, True):
             work = D.herm() if hermitian_side else D
             try:
-                sub = aqr(work, beta=beta, norm=norm, eps=eps,
+                sub = aqr(work, beta=beta, norm=norm, eps=inner,
                           max_sweeps=max_sweeps, trim=trim)
             except ConvergenceError as exc:
                 raise ConvergenceError(f"QR call {qrd_calls + 1}: {exc}",
@@ -590,16 +600,16 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
             trimmed += sub.trimmed
             stalled += sub.stalled_pivots
             warnings += sub.decency_warnings
-            if hermitian_side:
-                D, V = sub.r.herm(), V @ sub.q
-            else:
-                D, U = sub.r, U @ sub.q
+            X = (V if hermitian_side else U) @ sub.q
             if trim > 0.0:
-                if hermitian_side:
-                    V, dropped = _trimmed(V, trim)
-                else:
-                    U, dropped = _trimmed(U, trim)
-                trimmed += dropped
+                lay = spec.layout(X)
+                x = X._array(lay).copy()
+                trimmed += _trim_array(x, trim)
+                X = AlgMatrix._of_array(lay, x)
+            if hermitian_side:
+                D, V = sub.r.herm(), X
+            else:
+                D, U = sub.r, X
         g = residual()
 
     return partial_report()

@@ -48,12 +48,13 @@ def matrix_from_dict(doc: dict) -> AlgMatrix:
         spec = algebra_from_descriptor(doc["algebra"])
         m, n = int(doc["m"]), int(doc["n"])
         out = AlgMatrix.zeros(spec, m, n)
+        named = spec.layout().by_name if spec.dim else {}  # Laurent: parse all
         for i, j, pairs in doc["entries"]:
             if not (0 <= i < m and 0 <= j < n):
                 raise MatrixFileError(f"entry ({i},{j}) outside {m}x{n}")
             coeffs = {}
             for lab_s, c in pairs:
-                lab = spec.parse_label(lab_s)
+                lab = named[lab_s] if lab_s in named else spec.parse_label(lab_s)
                 if lab in coeffs:
                     raise MatrixFileError(f"duplicate label {lab_s!r} at ({i},{j})")
                 coeffs[lab] = float(c)

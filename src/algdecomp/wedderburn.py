@@ -52,13 +52,8 @@ _FIELD_DIM = {"R": 1, "C": 2, "H": 4}
 
 
 def _field_spec(tag: str) -> AlgebraSpec:
-    if tag == "R":
-        return real_algebra()
-    if tag == "C":
-        return complex_algebra()
-    if tag == "H":
-        return quaternion_algebra()
-    raise AlgebraError(f"unknown field tag {tag!r}")
+    return {"R": real_algebra, "C": complex_algebra,
+            "H": quaternion_algebra}[tag]()
 
 
 @functools.lru_cache(maxsize=None)
@@ -346,16 +341,8 @@ def rep_trivial(spec: AlgebraSpec) -> Representation:
     if not spec.is_division:
         raise AlgebraError("rep_trivial needs the real/complex/quaternion algebra")
     tag = {1: "R", 2: "C", 4: "H"}[spec.dim]
-    images = {}
-    for lab in spec.labels:
-        vec = np.zeros(spec.dim)
-        vec[spec.label_index(lab)] = 1.0
-        if tag == "R":
-            images[lab] = [np.array([[1.0]])]
-        elif tag == "C":
-            images[lab] = [np.array([[vec[0] + 1j * vec[1]]])]
-        else:
-            images[lab] = [vec.reshape(1, 1, 4)]
+    images = {lab: [_unflatten_block(tag, e, 1)]
+              for lab, e in zip(spec.labels, np.eye(spec.dim))}
     return Representation(spec, ((tag, 1),), images,
                           name=f"{spec.descriptor}->trivial")
 

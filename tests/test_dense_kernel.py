@@ -413,3 +413,13 @@ def test_step_matrices_keep_their_labels():
     at_once = steps(lambda R: R.entries)
     assert len(at_once) > 10
     assert [R.entries for R in steps(lambda R: R)] == at_once
+
+
+def test_windows_of_one_width_share_their_labels():
+    a, b = _Window(laurent(2), half=[1, 2]), _Window(laurent(2), half=[1, 2])
+    assert a.labels is b.labels and a.index is b.index
+    assert list(a.labels) == sorted(a.labels) and len(a.labels) == a.width
+    assert all(a.index[lab] == p for p, lab in enumerate(a.labels))
+    a._resize([2, 2])  # aqr widens its window in place
+    assert len(a.labels) == a.width == 25 and max(a.labels) == (2, 2)
+    assert len(b.labels) == b.width == 15

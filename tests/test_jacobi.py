@@ -368,8 +368,8 @@ def test_qr_counts_and_factors_pinned(trim, trimmed, digests):
 def test_svd_counts_pinned():
     A = random_matrix(quadquat(), 3, 2, np.random.default_rng(7))
     rep = asvd(A, beta="basis", norm="inf", eps=1e-10)
-    assert (rep.rotations, rep.qrd_calls, rep.sweeps) == (7015, 108, 109)
-    assert _digest(rep.d) == "f1e2fe18594d5647"
+    assert (rep.rotations, rep.qrd_calls, rep.sweeps) == (2291, 118, 120)
+    assert _digest(rep.d) == "8d6977d1ce635591"
 
 
 @pytest.mark.parametrize("kappa,m,n,seed,eps,trim,counts,digests", [
@@ -391,8 +391,68 @@ def test_laurent_svd_counts_pinned():
     A = random_matrix(laurent(1), 3, 2, np.random.default_rng(1), degree=1)
     rep = asvd(A, beta="basis", norm="inf", eps=1e-3, trim=1e-6)
     assert (rep.rotations, rep.qrd_calls, rep.sweeps, rep.trimmed) == \
-        (451, 16, 16, 25937)
-    assert _digest(rep.d) == "4bedaf3725fc133a"
+        (238, 18, 18, 11066)
+    assert _digest(rep.d) == "6372a9495ef500b2"
+
+
+def _recorded_aqr_calls(monkeypatch):
+    """Patch ``jacobi.aqr`` (what ``asvd`` calls) to record each call's
+    input and eps."""
+    calls, aqr_ = [], jacobi.aqr
+
+    def recording(A, **kw):
+        calls.append((A, kw["eps"]))
+        return aqr_(A, **kw)
+    monkeypatch.setattr(jacobi, "aqr", recording)
+    return calls
+
+
+@pytest.mark.parametrize("spec,eps,trim", [
+    (clifford(4, 1), 1e-10, 0.0), (quadquat(), 1e-10, 0.0),
+    (laurent(1), 1e-3, 1e-6)])
+def test_svd_inner_eps_follows_the_off_diagonal_mass(spec, eps, trim,
+                                                      monkeypatch):
+    calls = _recorded_aqr_calls(monkeypatch)
+    A = random_matrix(spec, 3, 2, np.random.default_rng(1), degree=1)
+    rep = asvd(A, beta="basis", norm="inf", eps=eps, trim=trim)
+    assert rep.qrd_calls == len(calls) and rep.residual <= eps
+    for t, (work, inner) in enumerate(calls):
+        assert math.isfinite(inner) and inner >= eps
+        if t % 2 == 0:  # the first call of a pair runs on D itself
+            g = jacobi._residual(work._array(spec.layout(work)), "inf", off=True)
+            assert inner == max(eps, jacobi._INNER_EPS * g)
+    assert calls[0][1] > eps  # the early calls stop short of eps
+
+
+@pytest.mark.parametrize("spec", [clifford(0, 1), clifford(0, 2)])
+def test_svd_inner_eps_stays_eps_for_an_exact_beta(spec, monkeypatch):
+    calls = _recorded_aqr_calls(monkeypatch)
+    A = random_matrix(spec, 4, 3, np.random.default_rng(2))
+    rep = asvd(A, beta="division", eps=1e-10)
+    assert len(calls) == rep.qrd_calls > 2
+    assert all(inner == 1e-10 for _, inner in calls)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fused_trim_equals_per_row_trims(seed):
+    # one pass over rows (k, i) of R and Q^H zeroes what four per-row
+    # _trim_array calls zero, with the same count; a shift's trim (i == k)
+    # touches R's row k alone
+    rng = np.random.default_rng(seed)
+    A = random_matrix(laurent(1), 4, 3, rng, degree=2)
+    W = jacobi._ArrayWork(A, beta_basis, "inf")
+    W.RQ = rng.standard_normal(W.RQ.shape) * 10.0 ** rng.integers(
+        -12, 1, W.RQ.shape)
+    W.RQ[rng.random(W.RQ.shape) < 0.2] = 0.0
+    n, tau = W.n, 1e-6
+    for i, k in ((1, 1), (2, 0), (3, 1)):
+        want = W.RQ.copy()
+        rows = (i, k) if i != k else (k,)
+        count = sum(jacobi._trim_array(want[:n, r], tau) for r in rows)
+        if i != k:
+            count += sum(jacobi._trim_array(want[n:, r], tau) for r in rows)
+        assert W.trim(i, k, tau) == count > 0
+        assert np.array_equal(W.RQ, want)
 
 
 def test_block_engine_counts_pinned():

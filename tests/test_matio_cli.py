@@ -9,8 +9,10 @@ import pytest
 from algdecomp import (AlgMatrix, Element, MatrixFileError, biquat, clifford,
                        cyclic, laurent, random_matrix, read_matrix,
                        write_matrix)
+from algdecomp.catalog import algebra_from_descriptor
 from algdecomp.cli import (EXIT_CONVERGENCE, EXIT_FILE, EXIT_OK, EXIT_SPEC,
                            EXIT_USAGE, check_contract, main)
+from algdecomp.matio import matrix_from_dict
 
 
 # -- file format ------------------------------------------------------------------
@@ -56,6 +58,30 @@ def test_malformed_documents_rejected(tmp_path, doc):
     path.write_text(json.dumps(doc))
     with pytest.raises(MatrixFileError):
         read_matrix(path)
+
+
+@pytest.mark.parametrize("desc", ["real", "complex", "quat", "cl(4,1)",
+                                  "quadquat", "biquat", "cyclic(2,4)"])
+def test_label_names_agree_with_the_parser(desc):
+    # the reader looks canonical names up instead of parsing them
+    spec = algebra_from_descriptor(desc)
+    by_name = spec.layout().by_name
+    assert len(by_name) == spec.dim
+    assert all(spec.parse_label(s) == lab for s, lab in by_name.items())
+
+
+def test_reader_parses_only_other_spellings(monkeypatch):
+    spec, parsed = cyclic(1, 8), []
+    parse = type(spec).parse_label
+    monkeypatch.setattr(type(spec), "parse_label",
+                        lambda self, s: parsed.append(s) or parse(self, s))
+    doc = {"format": "algdecomp-mat/1", "algebra": "cyclic(1,8)", "m": 1,
+           "n": 1, "entries": [[0, 0, [["1", 1.0], ["z1^9", 2.0]]]]}
+    assert matrix_from_dict(doc)[0, 0] == Element(spec, {(0,): 1.0, (1,): 2.0})
+    assert parsed == ["z1^9"]
+    doc["entries"][0][2].append(["z1^1", 3.0])  # z1^9 spelled canonically
+    with pytest.raises(MatrixFileError, match="duplicate label 'z1\\^1'"):
+        matrix_from_dict(doc)
 
 
 def test_not_json(tmp_path):
