@@ -11,9 +11,9 @@ whose off-plane entries carry a unitary element b.  With beta chosen
 *decent* for the working norm (see :func:`decency_check`) every rotation
 strictly grows Re(r_kk)^2, which forces the below-diagonal mass under any
 positive tolerance.  The SVD alternates QR passes on D and on D^H until all
-off-diagonal entries are small; a pass stops at max(eps, 0.1 g), g being
-D's largest off-diagonal norm before it (eps when g is not finite, so that
-QR rejects the entry), as the next pass on D^H puts mass back anyway.
+off-diagonal entries are small; after a first pair run to eps, a pass
+stops at max(eps, 0.1 g), g being D's largest off-diagonal norm before
+it (eps if g is not finite), as the pass on D^H puts mass back anyway.
 
 Over the real, complex and quaternion algebras, ``beta="division"``
 annihilates each targeted entry exactly, so QR terminates after one sweep
@@ -536,7 +536,7 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
 
 # -- the SVD iteration -----------------------------------------------------------------
 
-_INNER_EPS = 0.1  # each QR pass of asvd stops at max(eps, _INNER_EPS * g)
+_INNER_EPS = 0.1  # later QR passes of asvd stop at max(eps, _INNER_EPS * g)
 
 
 def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
@@ -549,9 +549,11 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
     the number of QR calls.  Diagonal entries are not sorted: there is no
     canonical scalar order over a general algebra.
 
-    Each QR call stops at max(eps, 0.1 g), g being D's largest off-diagonal
-    norm before the pair of calls; only the outer test is held to eps.  An
-    exact beta (``beta="division"``) removes each entry whatever the
+    The first pair of QR calls runs to eps, as loose first calls steer D,
+    on some inputs, to a diagonal whose later passes are several times
+    slower.  Each later call stops at max(eps, 0.1 g), g being D's largest
+    off-diagonal norm before the pair; only the outer test is held to eps.
+    An exact beta (``beta="division"``) removes each entry whatever the
     tolerance, so its calls keep eps, as they do when g is not finite (then
     :func:`aqr` rejects the entry instead of returning at once).
     """
@@ -585,7 +587,8 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
             raise ConvergenceError(
                 f"SVD did not reach eps={eps:g} within {max_iters} QR calls",
                 partial_report())
-        inner = eps if exact or not math.isfinite(g) else max(eps, _INNER_EPS * g)
+        loose = qrd_calls and not exact and math.isfinite(g)
+        inner = max(eps, _INNER_EPS * g) if loose else eps
         for hermitian_side in (False, True):
             work = D.herm() if hermitian_side else D
             try:
