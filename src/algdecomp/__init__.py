@@ -32,27 +32,3 @@ from .verify import CheckResult, verify_algebra
 from .matio import FORMAT, MatrixFileError, read_matrix, write_matrix
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlgebraError", "AlgebraSpec", "AlgMatrix", "Element",
-    "SpecMismatchError", "UnsupportedOperationError",
-    "rmr", "rmr_lift",
-    "CliffordAlgebra", "LaurentAlgebra", "CyclicGroupAlgebra",
-    "TwistedGroupAlgebra", "TensorAlgebra", "DirectSumPMAlgebra",
-    "FiniteGroup", "boolean_group", "cyclic_group",
-    "clifford", "laurent", "cyclic", "twisted_group", "clifford_twist",
-    "tensor", "direct_sum_pm", "real_algebra", "complex_algebra",
-    "quaternion_algebra", "quadquat", "biquat", "algebra_from_descriptor",
-    "random_element", "random_matrix",
-    "aqr", "asvd", "beta_basis", "beta_division", "beta_prime",
-    "decency_check", "GivensParams", "givens_matrix",
-    "apply_givens_left", "apply_shift_left", "apply_shift_right",
-    "DecompReport", "DecencyResult", "ConvergenceError",
-    "Representation", "rep_cl41", "rep_quadquat", "rep_biquat",
-    "rep_cyclic_dft", "rep_trivial", "representation_for",
-    "lift", "unlift", "wqr", "wsvd",
-    "IdempotentSet", "idempotent_split", "idempotent_join",
-    "laurent_embed", "laurent_unembed",
-    "CheckResult", "verify_algebra",
-    "FORMAT", "MatrixFileError", "read_matrix", "write_matrix",
-]

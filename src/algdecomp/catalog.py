@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (AlgebraError, AlgebraSpec, AlgMatrix, Element,
-                   UnsupportedOperationError, _check_shape, _Window)
+                   UnsupportedOperationError, _check_shape, _window, _window_of)
 
 
 # -- Clifford algebras ---------------------------------------------------------
@@ -156,8 +156,8 @@ class LaurentAlgebra(AlgebraSpec):
     def sort_key(self, lab):
         return lab
 
-    def layout(self, *matrices) -> _Window:
-        return _Window(self, matrices)
+    def layout(self, *matrices):
+        return _window_of(self, matrices)
 
     def label_str(self, lab) -> str:
         return _monomial_str(lab)
@@ -282,9 +282,6 @@ class TwistedGroupAlgebra(AlgebraSpec):
     def _inv_raw(self, g):
         gi = self.group.inverse[g]
         return float(self.alpha(g, gi)), gi
-
-    def label_str(self, lab) -> str:
-        return str(lab)
 
     def _key(self):
         return (id(self.group), id(self.alpha))
@@ -460,36 +457,25 @@ def biquat() -> TensorAlgebra:
     return tensor(quaternion_algebra(), complex_algebra(), descriptor="biquat")
 
 
-_DESCRIPTOR_RE = {
-    "cl": _re.compile(r"cl\(\s*(\d+)\s*,\s*(\d+)\s*\)"),
-    "laurent": _re.compile(r"laurent\(\s*(\d+)\s*\)"),
-    "cyclic": _re.compile(r"cyclic\(\s*(\d+)\s*,\s*(\d+)\s*\)"),
-}
+_NAMED = {"real": real_algebra, "complex": complex_algebra,
+          "quat": quaternion_algebra, "quadquat": quadquat, "biquat": biquat}
+_FAMILIES = [
+    (_re.compile(r"cl\(\s*(\d+)\s*,\s*(\d+)\s*\)"), clifford),
+    (_re.compile(r"laurent\(\s*(\d+)\s*\)"), laurent),
+    (_re.compile(r"cyclic\(\s*(\d+)\s*,\s*(\d+)\s*\)"), cyclic),
+]
 
 
 def algebra_from_descriptor(desc: str) -> AlgebraSpec:
     """Parse a descriptor string: cl(p,q), laurent(k), cyclic(k,delta),
     quat, complex, real, quadquat, biquat."""
     s = desc.strip().lower()
-    if s == "real":
-        return real_algebra()
-    if s == "complex":
-        return complex_algebra()
-    if s == "quat":
-        return quaternion_algebra()
-    if s == "quadquat":
-        return quadquat()
-    if s == "biquat":
-        return biquat()
-    m = _DESCRIPTOR_RE["cl"].fullmatch(s)
-    if m:
-        return clifford(int(m.group(1)), int(m.group(2)))
-    m = _DESCRIPTOR_RE["laurent"].fullmatch(s)
-    if m:
-        return laurent(int(m.group(1)))
-    m = _DESCRIPTOR_RE["cyclic"].fullmatch(s)
-    if m:
-        return cyclic(int(m.group(1)), int(m.group(2)))
+    if s in _NAMED:
+        return _NAMED[s]()
+    for pattern, make in _FAMILIES:
+        m = pattern.fullmatch(s)
+        if m:
+            return make(*map(int, m.groups()))
     raise AlgebraError(f"unknown algebra descriptor {desc!r}")
 
 
@@ -514,7 +500,7 @@ def random_matrix(spec: AlgebraSpec, m: int, n: int, rng: np.random.Generator,
     if isinstance(spec, LaurentAlgebra):
         if degree < 0:
             raise AlgebraError(f"degree must be non-negative, got {degree}")
-        lay = _Window(spec, half=[degree] * spec.kappa)
+        lay = _window(spec, (degree,) * spec.kappa)
     else:
         lay = spec.layout()
     return AlgMatrix._of_array(lay, rng.standard_normal((m, n, lay.width)))

@@ -10,9 +10,10 @@ Subcommands:
 * ``verify`` -- run the invariant suites for an algebra (and its cataloged
   representation, when one exists).
 
-Exit codes: 0 success, 2 bad usage (argparse), 3 malformed input file,
-4 algebra/spec errors, 5 convergence failure, 6 residual contract
-violation, 1 verification failure.
+Exit codes: 0 success, 2 bad usage (argparse), 3 malformed or unreadable
+input file, 4 algebra/spec errors, 5 convergence failure, 6 residual
+contract violation, 7 unwritable output (a missing directory is found
+before the computation), 1 verification failure.
 
 Random matrices are reproducible: coefficients come from numpy's
 ``default_rng`` (PCG64) as standard normal draws, entry by entry in
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
+import os
 import sys
 from dataclasses import dataclass
 
@@ -43,6 +46,14 @@ EXIT_FILE = 3
 EXIT_SPEC = 4
 EXIT_CONVERGENCE = 5
 EXIT_RESIDUAL = 6
+EXIT_OUTPUT = 7
+
+
+def _check_folder(path: str):
+    # the error that writing to a missing directory would raise, made early
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, "no such directory", folder)
 
 
 def _load_or_generate(args):
@@ -131,14 +142,13 @@ def check_contract(report, A: AlgMatrix) -> Contract:
         recon = report.u @ report.d @ report.v.herm()
         unitary = (report.u, report.v)
     # np.max, unlike max, keeps a NaN wherever it occurs
-    unit = float(np.max([
-        (X.herm() @ X - AlgMatrix.identity(X.spec, X.m)).frob()
-        for X in unitary]))
+    unit = float(np.max([X.unitarity_error() for X in unitary]))
     return Contract((recon - A).frob(), unit, max(A.frob(), 1e-300))
 
 
 def cmd_decompose(args) -> int:
     A0 = _load_or_generate(args)
+    _check_folder(args.output_prefix)
     report, rep, A = _run_engine(args, A0)
     if A.spec != A0.spec:
         print(f"note: {A0.spec.descriptor} input embedded into "
@@ -171,6 +181,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_sweep_eps(args) -> int:
     A = _load_or_generate(args)
+    if args.output:
+        _check_folder(args.output)
     rows = []
     for eps in args.eps_list:
         for method in args.methods:
@@ -299,6 +311,9 @@ def main(argv=None) -> int:
         return (EXIT_FILE if isinstance(exc, MatrixFileError) else
                 EXIT_CONVERGENCE if isinstance(exc, ConvergenceError) else
                 EXIT_SPEC)
+    except OSError as exc:  # read_matrix raises MatrixFileError instead
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

@@ -434,8 +434,7 @@ class AlgMatrix:
             raise AlgebraError(
                 f"inner dimensions disagree: {self.shape} @ {other.shape}")
         lay = self.spec.layout(self, other)
-        prod, out = lay.matmul(self._array(lay), other._array(lay))
-        return AlgMatrix._of_array(out, prod)
+        return AlgMatrix._of_array(*lay.matmul(self._array(lay), other._array(lay)))
 
     # -- *-structure and norms ---------------------------------------------------
     def herm(self) -> "AlgMatrix":
@@ -447,10 +446,14 @@ class AlgMatrix:
         lay = self.spec.layout(self)
         return float(np.linalg.norm(self._array(lay)))
 
-    def is_unitary(self, tol: float = 1e-12) -> bool:
+    def unitarity_error(self) -> float:
+        """||X^H X - I||_F; NaN when a coefficient is NaN."""
         if self.m != self.n:
             raise AlgebraError("unitarity is defined for square matrices only")
-        return (self.herm() @ self - AlgMatrix.identity(self.spec, self.m)).frob() <= tol
+        return (self.herm() @ self - AlgMatrix.identity(self.spec, self.m)).frob()
+
+    def is_unitary(self, tol: float = 1e-12) -> bool:
+        return self.unitarity_error() <= tol
 
     def isclose(self, other: "AlgMatrix", tol: float = 1e-12) -> bool:
         self._check(other)
@@ -465,14 +468,17 @@ class AlgMatrix:
 class _Layout:
     """Where each label's coefficient sits on the last axis of an (m, n,
     width) array holding a grid of elements, and how the spec acts there.
+    A layout is an immutable value, shared by every array that uses it.
 
     Subclasses set ``spec``, ``width``, ``unit`` (the unit's position),
     ``labels`` (the label at each position) and ``index`` (its inverse, a
-    mapping), and define ``conj``, ``room``, ``matmul`` and ``mul``: ``mul(b)`` maps a pair of rows
-    P = (x, y), stacked on axis -2, and s to one array per term c_t e_t of
-    b, (-s c_t conj(e_t) y, s c_t e_t x), each coefficient rounded as
-    entry-wise Element arithmetic rounds it.  Layouts with the same ``h``
-    (a window's half-widths; None for a finite spec) place labels alike.
+    mapping), and define ``conj``, ``matmul`` and ``mul``.  ``matmul(a, b)``
+    returns the layout of the product and its array.  ``mul(b)`` maps a pair
+    of rows P = (x, y), stacked on axis -2, and s to one array per term
+    c_t e_t of b, (-s c_t conj(e_t) y, s c_t e_t x), each coefficient
+    rounded as entry-wise Element arithmetic rounds it.  Layouts with the
+    same ``h`` (a window's half-widths; None for a finite spec) place labels
+    alike.
     """
 
     h = None
@@ -496,10 +502,16 @@ class _Layout:
         return [[make(spec, {labels[t]: c for t, c in enumerate(v) if c != 0.0})
                  for v in row] for row in x.tolist()]
 
-    def room(self, x: np.ndarray, b: Element) -> np.ndarray:
-        """``x``, or ``x`` on a wider layout, such that multiplying any of
-        its rows by b or conj(b) keeps every coefficient."""
-        return x
+    def room(self, x: np.ndarray, b: Element, reach):
+        """(layout, array, reach): ``x`` on this layout or a wider one, such
+        that multiplying any of its rows by b or conj(b) keeps every
+        coefficient.  ``reach`` bounds the exponents ``x`` holds (None for a
+        finite spec); the returned one bounds those of the products."""
+        return self, x, reach
+
+    def cropped(self, x: np.ndarray):
+        """(layout, array): ``x`` on the narrowest layout that holds it."""
+        return self, x
 
 
 class _TableLayout(_Layout):
@@ -546,7 +558,7 @@ class _TableLayout(_Layout):
         return p
 
     def matmul(self, a: np.ndarray, b: np.ndarray):
-        """Product of (m, n, d) and (n, p, d) arrays, and its layout: every
+        """Layout and product of (m, n, d) and (n, p, d) arrays: every
         right entry is gathered once per e_a (a signed gather, as in
         :meth:`_pair`), and one real matrix product sums over k and a."""
         t = self.spec.tables
@@ -556,15 +568,25 @@ class _TableLayout(_Layout):
         gathered = b.take(t.index[inv], axis=-1)     # (n, p, d_a, d_t)
         gathered *= t.inv_sign[:, None] * t.sign[inv]
         right = gathered.transpose(0, 2, 1, 3).reshape(n * d, p * d)
-        return (a.reshape(m, n * d) @ right).reshape(m, p, d), self
+        return self, (a.reshape(m, n * d) @ right).reshape(m, p, d)
 
 
 @functools.lru_cache(maxsize=64)
-def _box_labels(h: tuple) -> tuple[tuple, dict]:
-    """The exponent vectors of the box [-h, h] in C order, and their
-    positions: shared by every window of half-widths ``h``."""
-    labels = tuple(itertools.product(*(range(-t, t + 1) for t in h)))
-    return labels, {lab: p for p, lab in enumerate(labels)}
+def _window(spec: AlgebraSpec, h: tuple) -> "_Window":
+    """The window of half-widths ``h``: one value per (spec, h)."""
+    return _Window(spec, h)
+
+
+def _window_of(spec: AlgebraSpec, matrices) -> "_Window":
+    """The window of the widest of ``matrices``: an array-backed matrix's
+    window bounds what its array holds, so only a grid is scanned."""
+    half = [0] * spec.kappa
+    for X in matrices:
+        held = (X._coeffs[0].h if X._coeffs else
+                np.abs([half] + [lab for row in X._entries for e in row
+                                 for lab in e.coeffs]).max(axis=0))
+        half = [int(h) for h in map(max, half, held)]
+    return _window(spec, tuple(half))
 
 
 class _Window(_Layout):
@@ -572,38 +594,23 @@ class _Window(_Layout):
     half-width per variable) in C order, the lexicographic order of
     exponent vectors (``sort_key``).  The unit sits in the middle and
     conjugation (e -> -e) reverses the axis.  z^a shifts the axis;
-    :meth:`room` widens the box before a shift would push a coefficient
-    past its edge.
+    :meth:`room` moves an array to a wider window before a shift would push
+    a coefficient past its edge.
+
+    A window is a value: :func:`_window` hands out one per half-widths and
+    nothing changes it after its constructor.  The window of an array-backed
+    matrix bounds what the array holds; products, rotated matrices, ``aqr``'s
+    factors and ``laurent_unembed`` crop theirs to it (:meth:`cropped`).
     """
 
-    def __init__(self, spec: AlgebraSpec, matrices=(), half=None):
-        # fresh, as aqr widens its window in place; sized to what is held
-        self.spec = spec
-        if half is None:
-            half = [0] * spec.kappa
-            for X in matrices:
-                held = (X._coeffs[0].held(X._coeffs[1]) if X._coeffs else
-                        np.abs([half] + [lab for row in X._entries for e in row
-                                         for lab in e.coeffs]).max(axis=0))
-                half = [int(h) for h in map(max, half, held)]
-        self.reach = list(half)  # every coefficient held has |e_t| <= reach[t]
-        self._resize(half)
-
-    def _resize(self, half):
-        self.h = tuple(half)
-        self.box = tuple(2 * t + 1 for t in half)
-        self.strides = tuple(math.prod(self.box[t + 1:])
-                             for t in range(len(half)))
+    def __init__(self, spec: AlgebraSpec, h: tuple):
+        self.spec, self.h = spec, h
+        self.box = tuple(2 * t + 1 for t in h)
+        self.strides = tuple(math.prod(self.box[t + 1:]) for t in range(len(h)))
         self.width = math.prod(self.box)
         self.unit = self.width // 2
-
-    @property
-    def labels(self) -> tuple:
-        return _box_labels(self.h)[0]
-
-    @property
-    def index(self) -> dict:
-        return _box_labels(self.h)[1]
+        self.labels = tuple(itertools.product(*(range(-t, t + 1) for t in h)))
+        self.index = {lab: p for p, lab in enumerate(self.labels)}
 
     def conj(self, x: np.ndarray) -> np.ndarray:
         return x[..., ::-1].copy()
@@ -626,11 +633,11 @@ class _Window(_Layout):
             return out
         return pair
 
-    def held(self, x: np.ndarray) -> list:
+    def held(self, x: np.ndarray) -> tuple:
         """Per variable, the largest |exponent| ``x`` holds (non-zero or NaN)."""
         nonzero = np.flatnonzero((x.reshape(-1, self.width) != 0).any(axis=0))
         coords = np.unravel_index(nonzero, self.box)
-        return [int(np.abs(c - h).max(initial=0)) for c, h in zip(coords, self.h)]
+        return tuple(int(np.abs(c - h).max(initial=0)) for c, h in zip(coords, self.h))
 
     def moved(self, x: np.ndarray, h) -> np.ndarray:
         """``x``, held on the box of half-widths ``h``, padded with zeros or
@@ -643,28 +650,34 @@ class _Window(_Layout):
         out[dst] = x.reshape(lead + tuple(2 * o + 1 for o in h))[src]
         return out.reshape(lead + (self.width,))
 
-    def room(self, x: np.ndarray, b: Element) -> np.ndarray:
+    def cropped(self, x: np.ndarray):
+        """The window of what ``x`` holds, and ``x`` on it."""
+        lay = _window(self.spec, self.held(x))
+        return lay, (x if lay.h == self.h else lay.moved(x, self.h))
+
+    def room(self, x: np.ndarray, b: Element, reach):
         step = [max((abs(lab[t]) for lab in b.coeffs), default=0)
                 for t in range(len(self.h))]
-        need = [r + s for r, s in zip(self.reach, step)]
+        need = [r + s for r, s in zip(reach, step)]
+        lay = self
         if any(n > h for n, h in zip(need, self.h)):
             # the bound is loose after trims and cancellations: tighten it
             # to the coefficients held, then widen to twice what is needed
             need = [r + s for r, s in zip(self.held(x), step)]
             if any(n > h for n, h in zip(need, self.h)):
-                old = self.h
-                self._resize([max(h, 2 * n) for h, n in zip(old, need)])
-                x = self.moved(x, old)
-        self.reach = need
-        return x
+                lay = _window(self.spec, tuple(max(h, 2 * n)
+                                               for h, n in zip(self.h, need)))
+                x = lay.moved(x, self.h)
+        return lay, x, need
 
     def matmul(self, a: np.ndarray, b: np.ndarray):
         """Product of (m, n, W) and (n, p, W) arrays of this window, on the
-        window twice as wide: a sum of convolutions.  Both operands sit at
-        the low corner of the product's box, so the flat index of a sum of
-        exponents is the sum of flat indices (Kronecker substitution) and
-        one 1-D convolution per entry pair serves any number of variables."""
-        out = _Window(self.spec, half=[2 * h for h in self.h])
+        window twice as wide (then cropped): a sum of convolutions.  Both
+        operands sit at the low corner of the product's box, so the flat
+        index of a sum of exponents is the sum of flat indices (Kronecker
+        substitution) and one 1-D convolution per entry pair serves any
+        number of variables."""
+        out = _window(self.spec, tuple(2 * h for h in self.h))
         corner = tuple(slice(0, w) for w in self.box)
         span = sum((w - 1) * s for w, s in zip(self.box, out.strides)) + 1
 
@@ -678,7 +691,7 @@ class _Window(_Layout):
         for i, j, k in itertools.product(range(a.shape[0]), range(b.shape[1]),
                                          range(a.shape[1])):
             prod[i, j] += np.convolve(a[i, k], b[k, j])
-        return prod, out
+        return out.cropped(prod)
 
 
 # -- real matrix representation ------------------------------------------------

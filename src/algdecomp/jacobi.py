@@ -23,7 +23,6 @@ the SVD's passes keep eps: a looser one would save no rotation).
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import time
@@ -204,18 +203,18 @@ def _rotate(P: np.ndarray, c: float, s: float, pair):
         np.add(P, G, out=P)
 
 
-def _rotate_rows(lay, x: np.ndarray, j: int, i: int, c: float, s: float,
-                 b: Element) -> np.ndarray:
-    """Rows (j, i) on axis -2 of the coefficients ``x`` (layout ``lay``)
-    rotated in place by :func:`_rotate`; returns ``x``, or the wider array
-    that ``lay.room`` put it in.  Row i is written first, so for i == j the
-    shift x_j <- conj(b) x_j stays."""
-    x = lay.room(x, b)
+def _rotate_rows(lay, x: np.ndarray, reach, j: int, i: int, c: float,
+                 s: float, b: Element):
+    """Rows (j, i) on axis -2 of the coefficients ``x`` rotated in place by
+    :func:`_rotate`, after ``lay.room(x, b, reach)``, whose (layout, array,
+    reach) it returns.  Row i is written first, so for i == j the shift
+    x_j <- conj(b) x_j stays."""
+    lay, x, reach = lay.room(x, b, reach)
     P = x.take((j, i), axis=-2)
     _rotate(P, c, s, lay.mul(b))
     x[..., i, :] = P[..., 1, :]
     x[..., j, :] = P[..., 0, :]
-    return x
+    return lay, x, reach
 
 
 def _rotated(X: AlgMatrix, j: int, i: int, c: float, s: float,
@@ -223,8 +222,8 @@ def _rotated(X: AlgMatrix, j: int, i: int, c: float, s: float,
     """X with :func:`_rotate_rows` applied to its rows j and i."""
     lay = X.spec.layout(X)
     x = X._array(lay).copy().transpose(1, 0, 2)  # rows on axis -2
-    x = _rotate_rows(lay, x, j, i, c, s, b)
-    return AlgMatrix._of_array(lay, x.transpose(1, 0, 2))
+    lay, x, _ = _rotate_rows(lay, x, lay.h, j, i, c, s, b)
+    return AlgMatrix._of_array(*lay.cropped(x.transpose(1, 0, 2)))
 
 
 def givens_matrix(spec: AlgebraSpec, m: int, g: GivensParams) -> AlgMatrix:
@@ -303,6 +302,7 @@ class _ArrayWork:
     def __init__(self, A: AlgMatrix, betafn, norm_name: str):
         self.spec = A.spec
         self.lay = lay = A.spec.layout(A)
+        self.reach = lay.h
         self.n = A.n
         self.RQ = np.zeros((A.n + A.m, A.m, lay.width))
         self.RQ[:A.n] = A._array(lay).transpose(1, 0, 2)
@@ -350,11 +350,13 @@ class _ArrayWork:
                          if lab in index))
 
     def shift(self, k: int, b: Element):
-        self.RQ = _rotate_rows(self.lay, self.RQ, k, k, 0.0, -1.0, b)
+        self.lay, self.RQ, self.reach = _rotate_rows(
+            self.lay, self.RQ, self.reach, k, k, 0.0, -1.0, b)
 
     def rotate(self, i: int, k: int, theta: float, b: Element):
-        self.RQ = _rotate_rows(self.lay, self.RQ, k, i, math.cos(-theta),
-                               math.sin(-theta), b)
+        self.lay, self.RQ, self.reach = _rotate_rows(
+            self.lay, self.RQ, self.reach, k, i, math.cos(-theta),
+            math.sin(-theta), b)
 
     def negate(self, k: int):
         self.RQ[:, k] *= -1.0
@@ -376,10 +378,11 @@ class _ArrayWork:
         return _residual(self.RQ[:self.n].transpose(1, 0, 2), self.norm_name)
 
     def factors(self) -> tuple[AlgMatrix, AlgMatrix]:
-        # a window widens in place later in the run: hand out a snapshot
-        lay, n = copy.copy(self.lay) if self.lay.h else self.lay, self.n
-        return (AlgMatrix._of_array(lay, lay.conj(self.RQ[n:])),
-                AlgMatrix._of_array(lay, self.RQ[:n].transpose(1, 0, 2).copy()))
+        """Q and R, each on the narrowest layout that holds it."""
+        lay, n = self.lay, self.n
+        return (AlgMatrix._of_array(*lay.cropped(lay.conj(self.RQ[n:]))),
+                AlgMatrix._of_array(*lay.cropped(
+                    self.RQ[:n].transpose(1, 0, 2).copy())))
 
 
 def _check_tolerances(eps: float, trim: float = 0.0, svd: bool = False):
@@ -608,7 +611,7 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
                 lay = spec.layout(X)
                 x = X._array(lay).copy()
                 trimmed += _trim_array(x, trim)
-                X = AlgMatrix._of_array(lay, x)
+                X = AlgMatrix._of_array(*lay.cropped(x))
             if hermitian_side:
                 D, V = sub.r.herm(), X
             else:

@@ -75,7 +75,9 @@ def write_matrix(path, X: AlgMatrix) -> None:
 
 def read_matrix(path) -> AlgMatrix:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise MatrixFileError(f"not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MatrixFileError(f"cannot read input: {exc}") from exc
     return matrix_from_dict(doc)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AlgebraError, AlgebraSpec, AlgMatrix, Element,
-                   SpecMismatchError, UnsupportedOperationError, _Window, rmr)
+                   SpecMismatchError, UnsupportedOperationError, _window, rmr)
 from .catalog import (CyclicGroupAlgebra, LaurentAlgebra, biquat, clifford,
                       complex_algebra, cyclic, laurent, quadquat,
                       quaternion_algebra, real_algebra)
@@ -539,11 +539,11 @@ def idempotent_join(parts, idem: IdempotentSet) -> AlgMatrix:
 
 # -- Laurent <-> cyclic transport ------------------------------------------------------
 
-def _relabelled(A: AlgMatrix, lay, to, label) -> AlgMatrix:
-    # A moved from layout lay to layout to, lab's coefficient to label(lab)
-    x = np.zeros((A.m, A.n, to.width))
-    x[..., [to.index[label(lab)] for lab in lay.labels]] = A._array(lay)
-    return AlgMatrix._of_array(to, x)
+def _relabelled(x: np.ndarray, lay, to, label) -> AlgMatrix:
+    # coefficients x moved from layout lay to layout to, lab's to label(lab)
+    y = np.zeros(x.shape[:2] + (to.width,))
+    y[..., [to.index[label(lab)] for lab in lay.labels]] = x
+    return AlgMatrix._of_array(*to.cropped(y))
 
 
 def laurent_embed(A: AlgMatrix, delta: int) -> AlgMatrix:
@@ -556,13 +556,14 @@ def laurent_embed(A: AlgMatrix, delta: int) -> AlgMatrix:
     if not isinstance(spec, LaurentAlgebra):
         raise SpecMismatchError("laurent_embed needs a Laurent matrix")
     lay = spec.layout(A)
+    lay, x = lay.cropped(A._array(lay))  # the window of what A holds
     maxexp = max(lay.h)
     if delta % 2 or delta <= 2 * maxexp:
         raise AlgebraError(
             f"delta={delta} too small for exponents up to {maxexp}; "
             f"need even delta >= {2 * maxexp + 2}")
-    return _relabelled(A, lay, cyclic(spec.kappa, delta).layout(),
-                       lambda lab: tuple(x % delta for x in lab))
+    return _relabelled(x, lay, cyclic(spec.kappa, delta).layout(),
+                       lambda lab: tuple(e % delta for e in lab))
 
 
 def laurent_unembed(A: AlgMatrix) -> AlgMatrix:
@@ -570,8 +571,8 @@ def laurent_unembed(A: AlgMatrix) -> AlgMatrix:
     spec = A.spec
     if not isinstance(spec, CyclicGroupAlgebra):
         raise SpecMismatchError("laurent_unembed needs a cyclic-algebra matrix")
-    half = spec.delta // 2
-    return _relabelled(A, spec.layout(), _Window(laurent(spec.kappa),
-                                                 half=[half] * spec.kappa),
+    half, lay = spec.delta // 2, spec.layout()
+    return _relabelled(A._array(lay), lay, _window(laurent(spec.kappa),
+                                                   (half,) * spec.kappa),
                        lambda lab: tuple(x - spec.delta if x > half else x
                                          for x in lab))

@@ -19,7 +19,7 @@ from algdecomp import (AlgMatrix, GivensParams, apply_givens_left,
                        laurent_embed, quadquat, quaternion_algebra,
                        random_matrix, rep_cyclic_dft, representation_for, rmr,
                        rmr_lift, tensor, twisted_group, wqr, wsvd)
-from algdecomp.core import _Layout, _TableLayout, _Window
+from algdecomp.core import _Layout, _TableLayout, _Window, _window
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (add_oracle, element_grid, eval_laurent, frob_oracle,
@@ -415,11 +415,63 @@ def test_step_matrices_keep_their_labels():
     assert [R.entries for R in steps(lambda R: R)] == at_once
 
 
-def test_windows_of_one_width_share_their_labels():
-    a, b = _Window(laurent(2), half=[1, 2]), _Window(laurent(2), half=[1, 2])
-    assert a.labels is b.labels and a.index is b.index
-    assert list(a.labels) == sorted(a.labels) and len(a.labels) == a.width
+def _state(lay):
+    # every attribute of a layout, its label index copied
+    return {k: dict(v) if isinstance(v, dict) else v for k, v in vars(lay).items()}
+
+
+def test_windows_of_one_width_share_their_labels(monkeypatch):
+    # equal half-widths give equal windows, and nothing changes a window
+    # once it is handed out, not even the work window of a running aqr
+    a, b = _window(laurent(2), (1, 2)), _Window(laurent(2), (1, 2))
+    assert a is _window(laurent(2), (1, 2)) and _state(a) == _state(b)
+    assert list(a.labels) == sorted(a.labels) and len(a.labels) == a.width == 15
     assert all(a.index[lab] == p for p, lab in enumerate(a.labels))
-    a._resize([2, 2])  # aqr widens its window in place
-    assert len(a.labels) == a.width == 25 and max(a.labels) == (2, 2)
-    assert len(b.labels) == b.width == 15
+    made, init = [], _Window.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        made.append((self, _state(self)))
+    monkeypatch.setattr(_Window, "__init__", recording)
+    _window.cache_clear()
+    A = random_matrix(laurent(1), 3, 2, np.random.default_rng(1), degree=1)
+    asvd(A, beta="basis", norm="inf", eps=1e-3, trim=1e-6)
+    assert max(lay.h for lay, _ in made) > (4,)  # the work windows widened
+    assert all(_state(lay) == state for lay, state in made)
+
+
+def _tight(X):
+    lay, x = X._coeffs
+    return lay.held(x) == lay.h
+
+
+@pytest.mark.parametrize("spec", LAURENT)
+def test_products_and_factors_hold_what_their_windows_cover(spec):
+    rng = np.random.default_rng(2)
+    A = random_matrix(spec, 2, 1, rng, degree=1)
+    B = random_matrix(spec, 1, 2, rng, degree=1)
+    qr = aqr(A, beta="basis", norm="inf", eps=3e-2, trim=1e-3)
+    # over laurent(1) 2x2, trims leave U and V narrower than their products
+    C = random_matrix(spec, 2, 3 - spec.kappa, rng, degree=1)
+    svd = asvd(C, beta="basis", norm="inf", eps=3e-2, trim=1e-3)
+    assert all(map(_tight, (A @ B, B.herm() @ A.herm(), qr.q, qr.r, svd.u,
+                            svd.d, svd.v)))
+    z = spec.basis_element((1,) * spec.kappa)
+    one = AlgMatrix(spec, [[z]]) @ AlgMatrix(spec, [[z.conj()]])
+    assert one._coeffs[0].h == (0,) * spec.kappa and one[0, 0] == spec.one()
+
+
+def test_layout_of_arrays_reads_their_windows(monkeypatch):
+    rng = np.random.default_rng(3)
+    for spec in LAURENT:
+        X = random_matrix(spec, 2, 3, rng, degree=1)
+        Y = X.herm() @ random_matrix(spec, 2, 2, rng, degree=2)
+        scans = []
+        held = _Window.held
+        monkeypatch.setattr(_Window, "held",
+                            lambda self, x: scans.append(x.shape) or held(self, x))
+        assert spec.layout(X, Y).h == (3,) * spec.kappa
+        grid = AlgMatrix(spec, X.copy().entries)  # scanned label by label
+        assert spec.layout(grid, X).h == (1,) * spec.kappa
+        assert scans == []
+        monkeypatch.undo()

@@ -10,8 +10,9 @@ from algdecomp import (AlgMatrix, Element, MatrixFileError, biquat, clifford,
                        cyclic, laurent, random_matrix, read_matrix,
                        write_matrix)
 from algdecomp.catalog import algebra_from_descriptor
-from algdecomp.cli import (EXIT_CONVERGENCE, EXIT_FILE, EXIT_OK, EXIT_SPEC,
-                           EXIT_USAGE, check_contract, main)
+from algdecomp import cli
+from algdecomp.cli import (EXIT_CONVERGENCE, EXIT_FILE, EXIT_OK, EXIT_OUTPUT,
+                           EXIT_SPEC, EXIT_USAGE, check_contract, main)
 from algdecomp.matio import matrix_from_dict
 
 
@@ -164,6 +165,49 @@ def test_exit_code_file_error(tmp_path, capsys):
     path.write_text("{broken")
     code = run(["decompose", "--algebra", "real", "--input", str(path)])
     assert code == EXIT_FILE
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["missing.json", ".", "latin1.json"],
+                         ids=["missing", "directory", "not-utf8"])
+def test_exit_code_unreadable_input(tmp_path, capsys, name):
+    # FileNotFoundError, IsADirectoryError and UnicodeDecodeError once ended
+    # in a traceback with exit 1
+    (tmp_path / "latin1.json").write_bytes(b'{"format": "\xe9"}')
+    code = run(["decompose", "--algebra", "real", "--input",
+                str(tmp_path / name), "--output-prefix", str(tmp_path / "x")])
+    assert code == EXIT_FILE and _one_error_line(capsys)
+
+
+DECOMPOSE = ["decompose", "--algebra", "quat", "--random", "2", "2",
+             "--output-prefix"]
+SWEEP = ["sweep-eps", "--algebra", "quat", "--random", "2", "2",
+         "--methods", "jacobi", "--eps-list", "1e-3", "--output"]
+
+
+@pytest.mark.parametrize("args,target,computed", [
+    (DECOMPOSE, "missing/x", False), (SWEEP, "missing/s.csv", False),
+    (DECOMPOSE, "x", True), (SWEEP, "s.csv", True),
+], ids=["decompose-missing-dir", "sweep-missing-dir", "decompose-to-dir",
+        "sweep-to-dir"])
+def test_exit_code_unwritable_output(tmp_path, capsys, monkeypatch, args,
+                                     target, computed):
+    # these once ended in a traceback with exit 1, after the computation; a
+    # missing directory now fails before it, a file that is a directory
+    # (x.A.json, s.csv) when it is written
+    ran = []
+    engine = cli._run_engine
+    monkeypatch.setattr(cli, "_run_engine",
+                        lambda *a: ran.append(a) or engine(*a))
+    (tmp_path / "x.A.json").mkdir()
+    (tmp_path / "s.csv").mkdir()
+    code = run([*args, str(tmp_path / target)])
+    assert code == EXIT_OUTPUT and _one_error_line(capsys)
+    assert bool(ran) == computed
 
 
 @pytest.mark.parametrize("algebra,label", [("quat", "g1"), ("cl(4,1)", "g2")])
