@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("algebra")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", default=100, type=_checked(
+        int, lambda t: t >= 1, "a positive integer"))
     p.set_defaults(func=cmd_verify)
 
     return ap

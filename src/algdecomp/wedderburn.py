@@ -5,7 +5,10 @@ full matrix algebras over R, C and H.  Given such an isomorphism as an
 invertible linear map on coefficients (a :class:`Representation`), a matrix
 over the source algebra lifts to one block matrix per summand, each block
 is decomposed independently with the rotation engine over its division
-algebra (where QR terminates exactly), and the factors map back.
+algebra, and the factors map back.  There QR terminates exactly (``aqr``
+with ``beta="division"``), and the SVD is one-sided Jacobi followed by one
+exact QR (``jacobi._block_svd``), which needs no shift and converges
+quadratically.
 
 Shipped representations:
 
@@ -45,8 +48,8 @@ from .core import (AlgebraError, AlgebraSpec, AlgMatrix, Element,
 from .catalog import (CyclicGroupAlgebra, LaurentAlgebra, biquat, clifford,
                       complex_algebra, cyclic, laurent, quadquat,
                       quaternion_algebra, real_algebra)
-from .jacobi import (ConvergenceError, DecompReport, _check_tolerances,
-                     _residual, aqr, asvd)
+from .jacobi import (ConvergenceError, DecompReport, _block_svd,
+                     _check_tolerances, _residual, aqr)
 
 _FIELD_DIM = {"R": 1, "C": 2, "H": 4}
 
@@ -437,32 +440,26 @@ def wqr(A: AlgMatrix, rep: Representation, eps: float = 0.0,
         beta="division", q=Q, r=R, block_rotations=rot)
 
 
-def _sorted_block_svd(u, d, v):
-    """The block SVD with D's diagonal sorted by descending real part (a
-    stable sort), U's and V's leading columns permuted to match."""
-    lay = d.spec.layout()
-    L = min(d.m, d.n)
-    order = np.argsort(-d._array(lay)[range(L), range(L), lay.unit],
-                       kind="stable")
-    pu, pv = (np.concatenate([order, np.arange(L, k)]) for k in (d.m, d.n))
-    return (AlgMatrix._of_array(lay, u._array(lay)[:, pu]),
-            AlgMatrix._of_array(lay, d._array(lay)[np.ix_(pu, pv)]),
-            AlgMatrix._of_array(lay, v._array(lay)[:, pv]))
-
-
 def wsvd(A: AlgMatrix, rep: Representation, eps: float = 1e-10,
          max_iters: int = 500, max_sweeps: int = 200) -> DecompReport:
-    """SVD through the representation; block singular values sorted descending."""
+    """SVD through the representation; block singular values sorted descending.
+
+    Each block runs the one-sided Jacobi SVD of the rotation engine
+    (``jacobi._block_svd``): at most ``max_iters`` Jacobi sweeps, to
+    round-off whatever ``eps``, then one exact QR of at most ``max_sweeps``
+    sweeps.  Its D is diagonal, so ``residual`` is 0 and ``eps`` (> 0) only
+    states the contract.  ``rotations`` counts the rotations of both
+    (``block_rotations`` per block), ``sweeps`` the Jacobi and QR sweeps,
+    and ``qrd_calls`` the QR calls: one per block.
+    """
     _check_tolerances(eps, svd=True)
+    if max_iters < 1:
+        raise AlgebraError("max_iters must be at least 1")
     t0 = time.perf_counter()
-    beps = _block_eps(eps, rep.source.dim)
-    subs = _per_block(A, rep, lambda B: asvd(
-        B, beta="division", norm="two", eps=beps, max_iters=max_iters,
-        max_sweeps=max_sweeps))
-    us, ds, vs = zip(*(_sorted_block_svd(sub.u, sub.d, sub.v) for sub in subs))
-    U = unlift(us, rep, A.m, A.m)
-    D = unlift(ds, rep, A.m, A.n)
-    V = unlift(vs, rep, A.n, A.n)
+    subs = _per_block(A, rep, lambda B: _block_svd(B, max_iters, max_sweeps))
+    U = unlift([sub.u for sub in subs], rep, A.m, A.m)
+    D = unlift([sub.d for sub in subs], rep, A.m, A.n)
+    V = unlift([sub.v for sub in subs], rep, A.n, A.n)
     rot = tuple(sub.rotations for sub in subs)
     return DecompReport(
         kind="svd", method="wedderburn", rotations=sum(rot),
@@ -558,7 +555,10 @@ def laurent_embed(A: AlgMatrix, delta: int) -> AlgMatrix:
     lay = spec.layout(A)
     lay, x = lay.cropped(A._array(lay))  # the window of what A holds
     maxexp = max(lay.h)
-    if delta % 2 or delta <= 2 * maxexp:
+    if delta % 2:
+        raise AlgebraError(f"delta={delta} is odd; the DFT route needs an "
+                           f"even delta")
+    if delta <= 2 * maxexp:
         raise AlgebraError(
             f"delta={delta} too small for exponents up to {maxexp}; "
             f"need even delta >= {2 * maxexp + 2}")

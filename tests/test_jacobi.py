@@ -490,19 +490,20 @@ def test_fused_trim_equals_per_row_trims(seed):
 
 def test_block_engine_counts_pinned():
     # per-block rotation and QR-call counts of the representation engine,
-    # whose blocks run aqr/asvd over R and C
+    # whose blocks run aqr (wqr) or one-sided Jacobi and one exact aqr
+    # (wsvd) over R and C
     dft = rep_cyclic_dft(1, 32)
     A = laurent_embed(random_matrix(laurent(1), 3, 3,
                                     np.random.default_rng(11), degree=2), 32)
     assert wqr(A, dft).block_rotations == (3,) * 17
     rep = wsvd(A, dft, eps=1e-10)
-    assert rep.block_rotations == (79, 78, 73, 67, 75, 113, 145, 124, 100, 88,
-                                   89, 89, 72, 58, 60, 56, 57)
-    assert rep.qrd_calls == 744
+    assert rep.block_rotations == (13, 13, 14, 14, 13, 13, 14, 13, 12, 13, 13,
+                                   13, 13, 13, 13, 13, 13)
+    assert (rep.qrd_calls, rep.sweeps) == (17, 101)
     A = random_matrix(clifford(4, 1), 3, 2, np.random.default_rng(7))
     assert wqr(A, rep_cl41()).block_rotations == (60,)
     rep = wsvd(A, rep_cl41(), eps=1e-10)
-    assert (rep.block_rotations, rep.qrd_calls) == ((1969,), 364)
+    assert (rep.block_rotations, rep.qrd_calls, rep.sweeps) == ((196,), 1, 8)
 
 
 def test_basis_rotation_chain_pinned():

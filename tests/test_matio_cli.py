@@ -241,6 +241,21 @@ def test_exit_code_spec_error(tmp_path, capsys):
     assert code == EXIT_SPEC
 
 
+@pytest.mark.parametrize("delta,message", [
+    ("7", "delta=7 is odd"), ("9", "delta=9 is odd"),
+    ("4", "delta=4 too small for exponents up to 2; need even delta >= 6"),
+])
+def test_exit_code_bad_delta(tmp_path, capsys, delta, message):
+    # an odd delta was once reported as too small, 7 and 9 included
+    code = run(["decompose", "--algebra", "laurent(1)", "--method",
+                "wedderburn", "--random", "2", "2", "--delta", delta,
+                "--output-prefix", str(tmp_path / "x")])
+    assert code == EXIT_SPEC
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and ("small" in err) == ("small" in message)
+
+
 @pytest.mark.parametrize("args", [
     ["--algebra", "quat", "--random", "3", "2", "--eps", "nan"],
     ["--algebra", "quat", "--random", "3", "2", "--eps", "-1"],
@@ -270,11 +285,13 @@ def test_exit_code_bad_tolerance(tmp_path, capsys, args):
       "--eps-list", "1e-3,abc"], "--eps-list"),
     (["decompose", "--algebra", "laurent(1)", "--random", "2", "2",
       "--degree", "-1"], "--degree"),
+    (["verify", "cl(1,0)", "--trials", "-3"], "--trials"),
+    (["verify", "cl(1,0)", "--trials", "0"], "--trials"),
 ])
 def test_exit_code_bad_argument(tmp_path, capsys, args, message):
     # these once ran the representation route under the name "bogus"
-    # (exit 0), ended in a ValueError traceback (exit 1), or decomposed an
-    # all-zero matrix (exit 0)
+    # (exit 0), ended in a ValueError traceback (exit 1), decomposed an
+    # all-zero matrix (exit 0), or ran no random check and passed (exit 0)
     with pytest.raises(SystemExit) as exc:
         run([*args, "--output-prefix" if args[0] == "decompose" else "--output",
              str(tmp_path / "x")])

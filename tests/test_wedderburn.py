@@ -1,14 +1,21 @@
 """Block-representation engine: reps, lifting, QR/SVD, idempotents, DFT."""
 
+import math
+
 import numpy as np
 import pytest
-from algdecomp import (AlgebraError, AlgMatrix, Element, IdempotentSet,
-                       Representation, SpecMismatchError, aqr, asvd, clifford,
-                       cyclic, direct_sum_pm, idempotent_join, idempotent_split,
-                       laurent, laurent_embed, laurent_unembed, lift, quadquat,
-                       random_matrix, real_algebra, rep_biquat, rep_cl41,
-                       rep_cyclic_dft, rep_quadquat, rep_trivial,
-                       representation_for, unlift, wqr, wsvd)
+from algdecomp import (AlgebraError, AlgMatrix, ConvergenceError, Element,
+                       IdempotentSet, Representation, SpecMismatchError, aqr,
+                       asvd, clifford, complex_algebra, cyclic, direct_sum_pm,
+                       idempotent_join, idempotent_split, laurent,
+                       laurent_embed, laurent_unembed, lift, quadquat,
+                       quaternion_algebra, random_matrix, real_algebra,
+                       rep_biquat, rep_cl41, rep_cyclic_dft, rep_quadquat,
+                       rep_trivial, representation_for, rmr_lift, unlift, wqr,
+                       wsvd)
+from algdecomp.jacobi import _block_svd
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (complex_ndarray, eval_laurent, quat_matmul,
                      spectrum_oracle)
 
@@ -277,6 +284,129 @@ def test_engines_agree_on_spectrum():
     assert np.allclose(np.sort(sj), np.sort(sw), atol=1e-6)
 
 
+# -- wsvd: one-sided Jacobi on each block ------------------------------------------
+
+def _block_spectra(X, rep):
+    """numpy's singular values of the real forms of X's lifted blocks."""
+    return np.sort(np.concatenate([np.linalg.svd(rmr_lift(B), compute_uv=False)
+                                   for B in lift(X, rep)]))
+
+
+def _checked_wsvd(A, rep, eps):
+    out = wsvd(A, rep, eps=eps)
+    scale = max(A.frob(), 1.0)
+    assert out.residual <= eps
+    assert (out.u @ out.d @ out.v.herm() - A).frob() <= 1e-13 * scale
+    assert out.u.unitarity_error() <= 1e-13 * A.m
+    assert out.v.unitarity_error() <= 1e-13 * A.n
+    np.testing.assert_allclose(_block_spectra(out.d, rep),
+                               _block_spectra(A, rep), atol=1e-13 * scale)
+    return out
+
+
+@pytest.mark.parametrize("spec,shape,seed,eps", [
+    (clifford(4, 1), (6, 4), 5, 1e-10),
+    (clifford(4, 1), (4, 4), 0, 1e-10),
+    (quadquat(), (3, 2), 803, 1e-8),
+])
+def test_wsvd_converges_on_close_singular_values(spec, shape, seed, eps):
+    # the per-block alternating-QR SVD raised ConvergenceError on these
+    # Gaussian inputs (500 QR calls): neighbouring singular values too close
+    A = random_matrix(spec, *shape, RNG(seed))
+    _checked_wsvd(A, representation_for(spec), eps)
+
+
+def test_wsvd_converges_on_laurent_frequency_blocks():
+    # block 0 (R, 3x2) once missed its QR-call budget
+    A = random_matrix(laurent(1), 3, 2, RNG(27), degree=1)
+    out = _checked_wsvd(laurent_embed(A, 32), rep_cyclic_dft(1, 32), 1e-10)
+    assert out.qrd_calls == 17  # one completing QR per block
+
+
+def test_wsvd_is_scale_free():
+    # Jacobi's stopping test is relative to each column pair, so a power-of-2
+    # scaling scales the singular values and changes no rotation; the
+    # per-block alternating QR ran out of QR calls at 2^20 (its off-diagonal
+    # test was absolute)
+    rep = rep_cl41()
+    A = random_matrix(rep.source, 3, 2, RNG(7))
+    lay = A.spec.layout()
+    counts = {_checked_wsvd(AlgMatrix._of_array(lay, A._array(lay) * scale),
+                            rep, 1e-10).block_rotations
+              for scale in (2.0 ** -20, 1.0, 2.0 ** 20)}
+    assert len(counts) == 1
+
+
+def test_wsvd_gaussian_cl41_seeds():
+    # 8 of these 60 seeds once raised ConvergenceError
+    rep = rep_cl41()
+    for seed in range(60):
+        _checked_wsvd(random_matrix(rep.source, 3, 2, RNG(seed)), rep, 1e-10)
+
+
+_FIELDS = {"R": real_algebra(), "C": complex_algebra(), "H": quaternion_algebra()}
+
+
+@settings(max_examples=60)
+@given(st.sampled_from("RCH"), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 4), st.integers(1, 4), st.integers(0, 4))
+def test_block_svd_matches_numpy(tag, seed, m, n, rank):
+    # tall, wide, rank-deficient (a product through rank columns) and zero
+    # blocks over R, C and H, through the identity representation
+    field, rng = _FIELDS[tag], RNG(seed)
+    rank = min(rank, m, n)
+    B = (random_matrix(field, m, rank, rng) @ random_matrix(field, rank, n, rng)
+         if rank else AlgMatrix.zeros(field, m, n))
+    rep = rep_trivial(field)
+    out = _checked_wsvd(B, rep, 1e-12)
+    lay = field.layout()
+    d = out.d._array(lay)[range(min(m, n)), range(min(m, n))]
+    tol = 1e-13 * max(B.frob(), 1.0)
+    assert np.all(np.abs(d[:, 1:]) <= tol)       # real diagonal,
+    assert np.all(np.diff(d[:, 0]) <= tol)       # descending,
+    assert np.all(d[:, 0] >= 0.0)                # non-negative
+    np.testing.assert_allclose(np.repeat(d[:, 0], field.dim),
+                               np.linalg.svd(rmr_lift(B), compute_uv=False),
+                               atol=tol)
+
+
+@pytest.mark.parametrize("spec,shape", [
+    (clifford(4, 1), (3, 2)), (clifford(4, 1), (2, 3)), (cyclic(1, 4), (3, 1)),
+])
+def test_wsvd_non_finite_entry_raises(spec, shape):
+    # a NaN Gram entry must not read as converged, nor a NaN residual be
+    # returned; a block of one column has no pair to rotate
+    A = random_matrix(spec, *shape, RNG(7))
+    coeffs = dict(A[0, 0].coeffs)
+    coeffs[spec.unit] = math.nan
+    A.entries[0][0] = Element._make(spec, coeffs)  # skips the finite check
+    with pytest.raises(ConvergenceError, match=r"block \d .*non-finite") as exc:
+        wsvd(A, representation_for(spec), eps=1e-10)
+    assert not exc.value.report.residual <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_block_svd_non_finite_entry_raises(bad):
+    # an infinite source entry turns into NaN in lift (inf * 0); a block
+    # entry itself may be infinite
+    B = random_matrix(quaternion_algebra(), 3, 2, RNG(3))
+    B.entries[2][1] = Element._make(B.spec, {0: bad})
+    with pytest.raises(ConvergenceError, match="non-finite") as exc:
+        _block_svd(B, 500, 200)
+    assert not exc.value.report.residual <= 1e-10
+
+
+def test_block_svd_overflowing_gram_raises():
+    # finite entries whose squares overflow: the Gram entries are inf or
+    # NaN, which must not read as converged
+    B = random_matrix(quaternion_algebra(), 3, 2, RNG(3))
+    lay = B.spec.layout()
+    huge = AlgMatrix._of_array(lay, B._array(lay) * 1e160)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="non-finite Gram"):
+            _block_svd(huge, 500, 200)
+
+
 def test_blocks_decompose_independently():
     rep = rep_cyclic_dft(1, 8)
     A = random_matrix(rep.source, 2, 2, RNG(10))
@@ -357,10 +487,19 @@ def test_embed_round_trip():
 def test_embed_rejects_small_modulus():
     L = laurent(1)
     A = AlgMatrix(L, [[L.basis_element((3,))]])
-    with pytest.raises(AlgebraError, match="need even delta >= 8"):
+    with pytest.raises(AlgebraError, match="delta=4 too small .* need even "
+                                           "delta >= 8"):
         laurent_embed(A, 4)
-    with pytest.raises(AlgebraError):
-        laurent_embed(A, 9)  # odd
+
+
+@pytest.mark.parametrize("delta", [7, 9])
+def test_embed_rejects_odd_modulus(delta):
+    # an odd delta was once reported as too small, 9 included
+    L = laurent(1)
+    A = AlgMatrix(L, [[L.basis_element((3,))]])
+    with pytest.raises(AlgebraError, match=f"delta={delta} is odd") as exc:
+        laurent_embed(A, delta)
+    assert "small" not in str(exc.value)
 
 
 def test_dft_route_matches_frequency_oracle():
