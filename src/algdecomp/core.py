@@ -11,7 +11,7 @@ structure:
 
 :class:`AlgebraSpec` encodes the basis and the two structure maps,
 :class:`Element` is a finitely supported real coefficient vector over one
-spec, and :class:`AlgMatrix` is a dense m-by-n array of elements sharing a
+spec, and :class:`AlgMatrix` is a dense m-by-n coefficient array over a
 spec.  Specs are immutable and may be shared freely across threads;
 elements and matrices are value-like (operations return new objects).
 """
@@ -324,52 +324,58 @@ def _check_shape(m: int, n: int):
         raise AlgebraError("matrix dimensions must be positive")
 
 
-class AlgMatrix:
-    """A dense m-by-n matrix of :class:`Element` sharing one spec.  Its
-    arithmetic works on coefficient arrays (:meth:`AlgebraSpec.layout`);
-    ``[i, j]`` builds one element from the array, and only ``entries``
-    turns the whole array into a grid of elements."""
+class _Row(list):
+    """A row of :attr:`AlgMatrix.entries`: item writes also go to the matrix."""
 
-    __slots__ = ("spec", "m", "n", "_entries", "_coeffs")
+    def __init__(self, matrix: "AlgMatrix", i: int, items):
+        super().__init__(items)
+        self._matrix, self._i = matrix, i
+
+    def __setitem__(self, j, value: Element):
+        self._matrix[self._i, j] = value
+        super().__setitem__(j, value)
+
+
+class AlgMatrix:
+    """A dense m-by-n matrix over one spec, held as one (m, n, width)
+    coefficient array (:meth:`AlgebraSpec.layout`) that no other matrix
+    holds.  ``[i, j]`` reads one element from it, ``[i, j] = e`` writes one
+    (a grid is written entry by entry), and ``entries`` builds the rows."""
+
+    __slots__ = ("spec", "m", "n", "_coeffs")
 
     def __init__(self, spec: AlgebraSpec, entries: Sequence[Sequence[Element]]):
-        self.spec = spec
-        self._entries = [list(row) for row in entries]
-        self._coeffs = None
-        self.m = len(self._entries)
-        self.n = len(self._entries[0]) if self.m else 0
-        _check_shape(self.m, self.n)
-        for row in self._entries:
-            if len(row) != self.n:
-                raise AlgebraError("ragged rows")
-            for e in row:
-                if e.spec != spec:
-                    raise SpecMismatchError("entry does not belong to the matrix algebra")
+        rows = [list(row) for row in entries]
+        m, n = len(rows), (len(rows[0]) if rows else 0)
+        self.spec, self.m, self.n = spec, m, n
+        self._coeffs = AlgMatrix.zeros(spec, m, n)._coeffs
+        if any(len(row) != n for row in rows):
+            raise AlgebraError("ragged rows")
+        for i, j in itertools.product(range(m), range(n)):
+            self[i, j] = rows[i][j]
 
     # -- constructors ----------------------------------------------------------
     @classmethod
     def _of_array(cls, lay: "_Layout", x: np.ndarray) -> "AlgMatrix":
         # internal: the matrix with coefficients x, an (m, n, width) array in
-        # layout lay that nothing changes any more
+        # layout lay that no other matrix holds
         X = object.__new__(cls)
         X.spec, X.m, X.n = lay.spec, x.shape[0], x.shape[1]
-        X._entries, X._coeffs = None, (lay, x)
+        X._coeffs = (lay, x)
         return X
 
     @property
     def entries(self) -> list:
-        """The rows of elements, a grid the caller may change: it is built on
-        first use and the array is dropped."""
-        if self._entries is None:
-            lay, x = self._coeffs
-            self._entries, self._coeffs = lay.rows(x), None
-        return self._entries
+        """The rows of elements, built from the array: lists whose item
+        writes also go to the matrix (``X.entries[i][j] = e``).  The rows are
+        a snapshot: replacing a whole row (``X.entries[i] = [...]``) does not
+        write through, and later writes to the matrix do not show in them."""
+        lay, x = self._coeffs
+        return [_Row(self, i, row) for i, row in enumerate(lay.rows(x))]
 
     def _array(self, lay: "_Layout") -> np.ndarray:
         """The coefficients in layout ``lay``, as an (m, n, width) array that
         may be this matrix's own: read it, do not change it."""
-        if self._coeffs is None:
-            return lay.array(self._entries)
         own, x = self._coeffs
         return x if own.h == lay.h else lay.moved(x, own.h)
 
@@ -391,15 +397,12 @@ class AlgMatrix:
         return (self.m, self.n)
 
     def copy(self) -> "AlgMatrix":
-        if self._coeffs is None:
-            return AlgMatrix(self.spec, self._entries)
-        return AlgMatrix._of_array(*self._coeffs)  # arrays never change
+        lay, x = self._coeffs
+        return AlgMatrix._of_array(lay, x.copy())
 
     # -- element access -------------------------------------------------------
     def __getitem__(self, ij) -> Element:
         i, j = ij
-        if self._coeffs is None:
-            return self._entries[i][j]
         lay, x = self._coeffs
         return lay.rows(x[i, j][None, None])[0][0]
 
@@ -407,7 +410,14 @@ class AlgMatrix:
         i, j = ij
         if value.spec != self.spec:
             raise SpecMismatchError("entry does not belong to the matrix algebra")
-        self.entries[i][j] = value
+        lay, x = self._coeffs
+        wide = lay.widened(value.coeffs)  # a Laurent window may be too narrow
+        if wide is not lay:
+            self._coeffs = (wide, wide.moved(x, lay.h))
+        coeffs = [0.0] * wide.width  # one numpy write per entry
+        for lab, c in value.coeffs.items():
+            coeffs[wide.index[lab]] = c
+        self._coeffs[1][i, j] = coeffs
 
     # -- arithmetic ------------------------------------------------------------
     def _check(self, other: "AlgMatrix"):
@@ -483,21 +493,9 @@ class _Layout:
 
     h = None
 
-    def array(self, rows) -> np.ndarray:
-        """Coefficients of a grid of elements as an (m, n, width) array."""
-        index, w = self.index, self.width
-        flat = [0.0] * (len(rows) * len(rows[0]) * w)
-        base = 0
-        for row in rows:
-            for e in row:
-                for lab, c in e.coeffs.items():
-                    flat[base + index[lab]] = c
-                base += w
-        return np.array(flat).reshape(len(rows), -1, w)
-
     def rows(self, x: np.ndarray) -> list:
-        """Inverse of :meth:`array`: a grid of elements, zeros dropped, each
-        with its labels in position order."""
+        """The elements of (m, n, width) coefficients as a grid, zeros
+        dropped, each with its labels in position order."""
         labels, spec, make = self.labels, self.spec, Element._make
         return [[make(spec, {labels[t]: c for t, c in enumerate(v) if c != 0.0})
                  for v in row] for row in x.tolist()]
@@ -512,6 +510,10 @@ class _Layout:
     def cropped(self, x: np.ndarray):
         """(layout, array): ``x`` on the narrowest layout that holds it."""
         return self, x
+
+    def widened(self, labels) -> "_Layout":
+        """This layout, or the narrowest wider one that places ``labels``."""
+        return self
 
 
 class _TableLayout(_Layout):
@@ -578,15 +580,12 @@ def _window(spec: AlgebraSpec, h: tuple) -> "_Window":
 
 
 def _window_of(spec: AlgebraSpec, matrices) -> "_Window":
-    """The window of the widest of ``matrices``: an array-backed matrix's
-    window bounds what its array holds, so only a grid is scanned."""
-    half = [0] * spec.kappa
+    """The window of the widest of ``matrices``, whose windows bound what
+    their arrays hold."""
+    half = (0,) * spec.kappa
     for X in matrices:
-        held = (X._coeffs[0].h if X._coeffs else
-                np.abs([half] + [lab for row in X._entries for e in row
-                                 for lab in e.coeffs]).max(axis=0))
-        half = [int(h) for h in map(max, half, held)]
-    return _window(spec, tuple(half))
+        half = tuple(map(max, half, X._coeffs[0].h))
+    return _window(spec, half)
 
 
 class _Window(_Layout):
@@ -598,8 +597,8 @@ class _Window(_Layout):
     a coefficient past its edge.
 
     A window is a value: :func:`_window` hands out one per half-widths and
-    nothing changes it after its constructor.  The window of an array-backed
-    matrix bounds what the array holds; products, rotated matrices, ``aqr``'s
+    nothing changes it after its constructor.  The window of a matrix bounds
+    what its array holds; products, rotated matrices, ``aqr``'s
     factors and ``laurent_unembed`` crop theirs to it (:meth:`cropped`).
     """
 
@@ -654,6 +653,13 @@ class _Window(_Layout):
         """The window of what ``x`` holds, and ``x`` on it."""
         lay = _window(self.spec, self.held(x))
         return lay, (x if lay.h == self.h else lay.moved(x, self.h))
+
+    def widened(self, labels) -> "_Window":
+        # plain Python: one element's few labels cost less than a numpy call
+        if all(map(self.index.__contains__, labels)):
+            return self
+        return _window(self.spec, tuple(map(max, self.h, self.h, *(
+            map(abs, lab) for lab in labels))))
 
     def room(self, x: np.ndarray, b: Element, reach):
         step = [max((abs(lab[t]) for lab in b.coeffs), default=0)
@@ -714,7 +720,7 @@ def rmr(a: Element) -> np.ndarray:
     conjugation with the matrix transpose.
     """
     spec = a.spec  # an infinite spec has no tables: UnsupportedOperationError
-    return _rmr_array(spec, spec.layout().array([[a]])[0, 0])
+    return _rmr_array(spec, AlgMatrix(spec, [[a]])._coeffs[1][0, 0])
 
 
 def rmr_lift(X: AlgMatrix) -> np.ndarray:

@@ -317,11 +317,13 @@ class _ArrayWork:
         self.norms = _NORMS[norm_name]
 
     def column(self, k: int) -> tuple[float, int]:
-        """2-norm of column k from the pivot down, and its coefficient width
+        """2-norm of column k from the pivot down, scaled by its largest
+        coefficient so that no square overflows, and its coefficient width
         (the dimension, or the largest support over an infinite spec)."""
         col = self.RQ[k, k:]
         width = self.spec.dim or max(int(np.count_nonzero(col, axis=-1).max()), 1)
-        return float(_norms_two(col.ravel())), width
+        top = float(np.abs(col).max())
+        return (top * float(_norms_two(col.ravel() / top)) if top else 0.0), width
 
     def norm(self, i: int, k: int) -> float:
         return float(self.norms(self.RQ[k, i]))
@@ -410,17 +412,17 @@ def _rotation_budget(max_sweeps: int, rows: int, colnorm: float, width: int,
     column's remaining mass (slots = rows * width), slots * 2 ln(colnorm /
     eps) rotations would bring it under eps^2.  The budget is
     ``max_sweeps`` times that, and ``max_sweeps * slots`` for exact
-    termination.
+    termination.  The logarithms are taken apart: colnorm / eps overflows.
     """
     slots = max_sweeps * rows * width
     if eps > 0.0 and colnorm > eps:
-        return slots * (1 + math.ceil(2.0 * math.log(colnorm / eps)))
+        logs = math.log(min(colnorm, np.finfo(float).max)) - math.log(eps)
+        return slots * (1 + math.ceil(2.0 * logs))
     return slots
 
 
 def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
-        max_sweeps: int = 200, trim: float = 0.0,
-        on_step=None) -> DecompReport:
+        max_sweeps: int = 200, trim: float = 0.0) -> DecompReport:
     """QR decomposition by columns: A = Q R with Q unitary.
 
     Every below-diagonal entry of R ends with norm at most ``eps`` and the
@@ -434,11 +436,11 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
     (structure tables for finite specs, an exponent window for Laurent
     specs) and rotated through one kernel, :func:`_rotate`.
 
-    Raises :class:`ConvergenceError` carrying the partial factors when
-    ``max_sweeps`` is exhausted, when one column in one sweep exceeds its
-    rotation budget (:func:`_rotation_budget`), or when a pivot or a
-    targeted entry has a non-finite norm.  ``on_step(R)`` is called after
-    every modification of R, which the tests use to watch invariants.
+    Raises :class:`ConvergenceError` carrying the partial factors when an
+    entry of A is not finite, when ``max_sweeps`` is exhausted, when one
+    column in one sweep exceeds its rotation budget
+    (:func:`_rotation_budget`), or when a pivot or a targeted entry has a
+    non-finite norm.
     """
     spec = A.spec
     betafn, beta_name, exact = resolve_beta(spec, beta)
@@ -465,11 +467,9 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
             beta=beta_name, q=q, r=r, trimmed=trimmed,
             stalled_pivots=stalled, decency_warnings=warnings)
 
-    def step():
-        if on_step is not None:
-            on_step(W.factors()[1])
-
-    g1 = eps + 1.0
+    if not np.isfinite(W.RQ).all():
+        raise ConvergenceError("non-finite entry", partial_report())
+    g1 = math.inf  # one sweep at least, however large eps is
     while not g1 <= eps:
         if sweeps >= max_sweeps:
             raise ConvergenceError(
@@ -488,7 +488,6 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
                     trimmed += W.trim(k, k, trim)
                 if abs(W.re(k, k)) + 1e-12 * max(old_re, 1.0) < old_re:
                     warnings += 1
-                step()
             if k == m - 1:
                 break
             spent, budget = 0, None
@@ -530,13 +529,11 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
                     W.zero(i, k)
                 if trim > 0.0:
                     trimmed += W.trim(i, k, trim)
-                step()
         g1 = W.residual()
 
     for k in range(min(m, n)):
         if W.re(k, k) < 0:
             W.negate(k)
-            step()
 
     return partial_report(g1)  # negation keeps every norm
 
@@ -637,12 +634,13 @@ def _block_svd(B: AlgMatrix, max_iters: int, max_sweeps: int) -> DecompReport:
     conj(gamma)/|gamma| and tan 2 theta = 2 |gamma| / (beta - alpha)
     (|theta| <= pi/4) zeroes their inner product over R, C and H.  A
     sweep visits every pair once and rotates those with |gamma| > m
-    epsilon_machine sqrt(alpha beta) (m the rows of B); the sweeps stop
-    when none rotates, at most ``max_iters`` of them.  An exact QR of W =
-    B V (:func:`aqr`, ``max_sweeps``), its columns sorted by descending
-    norm, then gives U and R.  R's off-diagonal entries are the round-off
-    of orthogonal columns, each below m epsilon_machine times its column's
-    norm; D is R without them, as :func:`aqr` drops each entry its
+    epsilon_machine sqrt(alpha beta) (m the rows of B) and min(alpha, beta)
+    > (m epsilon_machine ||B||_F)^2, which leaves round-off columns alone;
+    the sweeps stop when none rotates, at most ``max_iters`` of them.  An
+    exact QR of W = B V (:func:`aqr`, ``max_sweeps``), its columns sorted by
+    descending norm, then gives U and R.  R's off-diagonal entries are the
+    round-off of orthogonal columns, each below m epsilon_machine times its
+    column's norm; D is R without them, as :func:`aqr` drops each entry its
     rotation annihilates.  A wide B goes through B^H.
 
     Raises :class:`ConvergenceError` when an entry of B or of a pair's
@@ -672,33 +670,38 @@ def _block_svd(B: AlgMatrix, max_iters: int, max_sweeps: int) -> DecompReport:
 
     if not np.isfinite(x).all():
         raise ConvergenceError("non-finite block entry", report())
+    top = float(np.abs(x[:m]).max())
+    floor = tol * top * float(np.linalg.norm(x[:m] / top)) if top else 0.0
+    floor *= floor  # no square of an entry overflows on the way
     turned = True
-    while turned:
-        if sweeps >= max_iters:
-            raise ConvergenceError(
-                f"Jacobi SVD did not converge within {max_iters} sweeps",
-                report())
-        sweeps += 1
-        turned = False
-        for j in range(n - 1):
-            for i in range(j + 1, n):
-                P = x[:m, (j, i)]
-                G = lay.matmul(P.transpose(1, 0, 2), lay.conj(P))[1]
-                alpha, beta = G[0, 0, lay.unit], G[1, 1, lay.unit]
-                g = math.sqrt(G[0, 1] @ G[0, 1])
-                if not math.isfinite(alpha + beta + g):
-                    raise ConvergenceError(
-                        f"non-finite Gram entries of columns ({j}, {i})",
-                        report())
-                if g <= tol * math.sqrt(alpha * beta):
-                    continue
-                zeta = (beta - alpha) / (2.0 * g)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                b = lay.rows(lay.conj(G[0, 1] / g)[None, None])[0][0]
-                lay, x, _ = _rotate_rows(lay, x, lay.h, j, i, c, c * t, b)
-                rotations += 1
-                turned = True
+    with np.errstate(over="ignore", invalid="ignore"):  # the Gram is checked
+        while turned:
+            if sweeps >= max_iters:
+                raise ConvergenceError(
+                    f"Jacobi SVD did not converge within {max_iters} sweeps",
+                    report())
+            sweeps += 1
+            turned = False
+            for j in range(n - 1):
+                for i in range(j + 1, n):
+                    P = x[:m, (j, i)]
+                    G = lay.matmul(P.transpose(1, 0, 2), lay.conj(P))[1]
+                    alpha, beta = G[0, 0, lay.unit], G[1, 1, lay.unit]
+                    g = math.sqrt(G[0, 1] @ G[0, 1])
+                    if not math.isfinite(alpha + beta + g):
+                        raise ConvergenceError(
+                            f"non-finite Gram entries of columns ({j}, {i})",
+                            report())
+                    if (min(alpha, beta) <= floor
+                            or g <= tol * math.sqrt(alpha * beta)):
+                        continue
+                    zeta = (beta - alpha) / (2.0 * g)
+                    t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                    c = 1.0 / math.sqrt(1.0 + t * t)
+                    b = lay.rows(lay.conj(G[0, 1] / g)[None, None])[0][0]
+                    lay, x, _ = _rotate_rows(lay, x, lay.h, j, i, c, c * t, b)
+                    rotations += 1
+                    turned = True
 
     W = lay.conj(x[:m])
     order = np.argsort(-np.add.reduce(W * W, axis=(0, 2)), kind="stable")

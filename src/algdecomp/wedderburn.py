@@ -52,6 +52,7 @@ from .jacobi import (ConvergenceError, DecompReport, _block_svd,
                      _check_tolerances, _residual, aqr)
 
 _FIELD_DIM = {"R": 1, "C": 2, "H": 4}
+_VERIFY_TOL = 1e-12  # worst entry error of a verified product or involution
 
 
 def _field_spec(tag: str) -> AlgebraSpec:
@@ -116,7 +117,7 @@ class Representation:
     """
 
     def __init__(self, source: AlgebraSpec, blocks, basis_images: dict,
-                 name: str = "", tol: float = 1e-12):
+                 name: str = ""):
         if source.dim is None:
             raise UnsupportedOperationError(
                 "representations need a finite-dimensional source")
@@ -142,13 +143,13 @@ class Representation:
             raise AlgebraError(f"{self.name}: basis images are not independent")
         self._basis_images = {lab: [np.asarray(M) for M in mats]
                               for lab, mats in basis_images.items()}
-        self.verification = self._verify(tol)
+        self.verification = self._verify()
 
     def _slices(self):
         return zip(self.blocks, self._offsets, self._offsets[1:])
 
     # -- verification ------------------------------------------------------
-    def _verify(self, tol: float) -> RepVerification:
+    def _verify(self) -> RepVerification:
         src = self.source
         labels = src.labels
         d = src.dim
@@ -165,14 +166,14 @@ class Representation:
             mult = np.maximum(mult, err.max(axis=(2, 3)))
             err = np.abs(E.transpose(0, 2, 1) - inv_sign * E[inv_idx])
             star = np.maximum(star, err.max(axis=(1, 2)))
-        bad = np.flatnonzero(~(mult <= tol))
+        bad = np.flatnonzero(~(mult <= _VERIFY_TOL))
         if bad.size:
             i, j = divmod(int(bad[0]), d)
             raise AlgebraError(
                 f"{self.name}: image is not multiplicative at basis pair "
                 f"({src.label_str(labels[i])}, {src.label_str(labels[j])}): "
                 f"error {mult[i, j]:.3e}")
-        bad = np.flatnonzero(~(star <= tol))
+        bad = np.flatnonzero(~(star <= _VERIFY_TOL))
         if bad.size:
             i = int(bad[0])
             raise AlgebraError(
@@ -191,7 +192,7 @@ class Representation:
         """Block matrices of one algebra element."""
         if a.spec != self.source:
             raise SpecMismatchError("element does not belong to the source algebra")
-        params = self.fwd @ self.source.layout().array([[a]])[0, 0]
+        params = self.fwd @ AlgMatrix(a.spec, [[a]])._coeffs[1][0, 0]
         return [_unflatten_block(tag, params[lo:hi], n)
                 for (tag, n), lo, hi in self._slices()]
 
@@ -375,11 +376,13 @@ def representation_for(spec: AlgebraSpec) -> Representation:
 def lift(A: AlgMatrix, rep: Representation) -> list[AlgMatrix]:
     """One (n_l m) x (n_l n) matrix over R/C/H per block of the representation.
 
-    Entry (i, j) of A becomes the (i, j) block of size n_l x n_l.
+    Entry (i, j) of A becomes the (i, j) block of size n_l x n_l; a
+    non-finite coefficient gives non-finite block entries, rejected there.
     """
     if A.spec != rep.source:
         raise SpecMismatchError("matrix algebra does not match the representation")
-    params = A._array(rep.source.layout()) @ rep.fwd.T
+    with np.errstate(invalid="ignore", over="ignore"):  # inf times a zero of fwd
+        params = A._array(rep.source.layout()) @ rep.fwd.T
     out = []
     for (tag, nl), lo, hi in rep._slices():
         field = _field_spec(tag)

@@ -16,18 +16,19 @@ settings.load_profile("deterministic")
 @pytest.fixture
 def conversions(monkeypatch):
     """Counts of whole-grid conversions, [grid -> array, array -> grid],
-    made while the test runs (``_Layout.array`` and ``_Layout.rows``)."""
-    from algdecomp.core import _Layout
+    made while the test runs (``AlgMatrix(spec, grid)`` and
+    ``_Layout.rows``)."""
+    from algdecomp.core import AlgMatrix, _Layout
     counts = [0, 0]
-    array, rows = _Layout.array, _Layout.rows
+    init, rows = AlgMatrix.__init__, _Layout.rows
 
-    def counting_array(self, grid):
+    def counting_init(self, spec, grid):
         counts[0] += 1
-        return array(self, grid)
+        init(self, spec, grid)
 
     def counting_rows(self, x):
         counts[1] += 1
         return rows(self, x)
-    monkeypatch.setattr(_Layout, "array", counting_array)
+    monkeypatch.setattr(AlgMatrix, "__init__", counting_init)
     monkeypatch.setattr(_Layout, "rows", counting_rows)
     return counts

@@ -94,11 +94,6 @@ def quat_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 # -- entry-wise Element arithmetic on grids of elements -----------------------
 
-def element_grid(X: AlgMatrix) -> list:
-    """The entries of X as a fresh grid, leaving X's own storage as it is."""
-    return X.copy().entries
-
-
 def herm_oracle(rows) -> list:
     return [[rows[i][j].conj() for i in range(len(rows))]
             for j in range(len(rows[0]))]

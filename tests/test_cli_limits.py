@@ -53,7 +53,7 @@ def test_decompose_writes_factors_from_their_arrays(tmp_path, capsys,
             str(tmp_path / "x")]
     assert main(args + ["--random", "3", "2"]) == EXIT_OK
     assert conversions == [0, 0]
-    # the reader builds A's grid once; A goes to the array on each use, and
-    # Q and R are written without a grid
+    # the reader writes each entry into A's array, and Q and R are written
+    # from theirs: no grid either way
     assert main(args + ["--input", str(path)]) == EXIT_OK
-    assert conversions == [4, 1]
+    assert conversions == [0, 0]

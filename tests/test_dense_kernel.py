@@ -11,20 +11,22 @@ import math
 
 import numpy as np
 import pytest
-from algdecomp import (AlgMatrix, GivensParams, apply_givens_left,
+from algdecomp import (AlgMatrix, GivensParams, SpecMismatchError,
+                       apply_givens_left,
                        apply_shift_left, apply_shift_right, aqr, asvd,
                        beta_basis, biquat, boolean_group, clifford,
                        clifford_twist, cyclic, cyclic_group, direct_sum_pm,
-                       givens_matrix, idempotent_split, laurent,
+                       givens_matrix, idempotent_split, jacobi, laurent,
                        laurent_embed, quadquat, quaternion_algebra,
-                       random_matrix, rep_cyclic_dft, representation_for, rmr,
-                       rmr_lift, tensor, twisted_group, wqr, wsvd)
+                       random_element, random_matrix, rep_cyclic_dft,
+                       representation_for, rmr, rmr_lift, tensor,
+                       twisted_group, wqr, wsvd)
 from algdecomp.core import _Layout, _TableLayout, _Window, _window
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (add_oracle, element_grid, eval_laurent, frob_oracle,
-                     givens_oracle, herm_oracle, identity_oracle, neg_oracle,
-                     spectrum_oracle, sub_oracle)
+from oracles import (add_oracle, eval_laurent, frob_oracle, givens_oracle,
+                     herm_oracle, identity_oracle, neg_oracle, spectrum_oracle,
+                     sub_oracle)
 
 # finite specs from every catalog family, dims 1 to 16
 FINITE = [
@@ -164,19 +166,17 @@ def test_rotations_and_shifts_stay_on_the_array(spec, conversions):
     m, n = 3, 2
     X = random_matrix(spec, m, n, rng, degree=1)
     b = _unitary(spec, rng)
-    grid = element_grid(X)
+    grid = X.entries
     conversions[:] = [0, 0]
     g = GivensParams(0.3, b, 2, 0)
     Y = apply_shift_right(apply_shift_left(apply_givens_left(X, g), b, 1),
                           b, n - 1)
     givens_matrix(spec, m, g)
     assert conversions == [0, 0]
-    assert Y._entries is None
     # one entry at a time, negative indices included, as the grid reads
     for i in range(-m, m):
         for j in range(-n, n):
             assert X[i, j] == grid[i][j]
-    assert X._entries is None
     assert conversions[0] == 0
     for i, j in ((m, 0), (0, n), (-m - 1, 0), (0, -n - 1)):
         with pytest.raises(IndexError):
@@ -188,7 +188,7 @@ def test_idempotent_split_equals_entrywise_products():
     idem = rep.idempotents()
     A = random_matrix(rep.source, 2, 3, np.random.default_rng(3))
     for part, p in zip(idempotent_split(A, idem), idem.elements):
-        want = AlgMatrix(A.spec, [[e * p for e in row] for row in element_grid(A)])
+        want = AlgMatrix(A.spec, [[e * p for e in row] for row in A.entries])
         assert _close(part, want, A.frob(), tol=1e-15)
 
 
@@ -325,11 +325,11 @@ def test_qr_with_a_two_term_beta():
 @settings(max_examples=60)
 @given(every, seeds, st.integers(1, 3), st.integers(1, 3))
 def test_matrix_arithmetic_equals_element_arithmetic(spec, seed, m, n):
-    # B's Laurent window is twice A's, and E holds its elements as a grid
+    # B's Laurent window is twice A's, and E is built from a grid of elements
     rng = np.random.default_rng(seed)
     A = random_matrix(spec, m, n, rng, degree=1)
     B = random_matrix(spec, m, n, rng, degree=2)
-    a, b = element_grid(A), element_grid(B)
+    a, b = A.entries, B.entries
     E = AlgMatrix(spec, b)
     assert A.herm().entries == herm_oracle(a)
     assert A.herm().herm().entries == a
@@ -345,20 +345,19 @@ def test_matrix_arithmetic_equals_element_arithmetic(spec, seed, m, n):
 @given(every, seeds, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
 def test_products_across_windows(spec, seed, m, k, n):
     # operands of different windows, one made by a product (window 2h) and
-    # one held as a grid of elements
+    # one built from a grid of elements
     rng = np.random.default_rng(seed)
     A = random_matrix(spec, m, k, rng, degree=1)
     B = random_matrix(spec, k, k, rng, degree=1) @ random_matrix(spec, k, n, rng,
                                                                  degree=2)
-    a, b = element_grid(A), element_grid(B)
+    a, b = A.entries, B.entries
     want = AlgMatrix(spec, [[sum((a[i][t] * b[t][j] for t in range(k)),
                                  spec.zero()) for j in range(n)]
                             for i in range(m)])
     assert _close(A @ B, want, A.frob() * B.frob())
     assert _close(AlgMatrix(spec, a) @ B, want, A.frob() * B.frob())
     C = random_matrix(spec, m, n, rng, degree=2)
-    assert (A @ B + C).entries == add_oracle(element_grid(A @ B),
-                                             element_grid(C))
+    assert (A @ B + C).entries == add_oracle((A @ B).entries, C.entries)
 
 
 @settings(max_examples=30)
@@ -368,7 +367,7 @@ def test_zeros_and_identity_equal_element_grids(spec, m, n):
     assert Z.entries == [[spec.zero()] * n for _ in range(m)]
     assert AlgMatrix.identity(spec, m).entries == identity_oracle(spec, m)
     assert AlgMatrix.identity(spec, m).herm().entries == identity_oracle(spec, m)
-    # entries stays a grid to write through, and arithmetic then reads it
+    # a write goes into the array, and arithmetic then reads it
     Z[m - 1, 0] = spec.one()
     assert (Z + Z).entries[m - 1][0] == spec.scalar(2.0)
     assert AlgMatrix.zeros(spec, m, n).frob() == 0.0
@@ -402,15 +401,22 @@ def test_engines_never_rebuild_elements(monkeypatch):
     assert shapes and set(shapes) == {(1, 1)}
 
 
-def test_step_matrices_keep_their_labels():
-    # the R handed to on_step shares its coefficients with the running aqr,
-    # whose window widens later: R's labels must not move with it
+def test_step_matrices_keep_their_labels(monkeypatch):
+    # R cut from a running aqr's work array after every shift and rotation
+    # keeps its labels while the work window widens later
     A = random_matrix(laurent(1), 3, 2, np.random.default_rng(1), degree=1)
+    rotate_rows = jacobi._rotate_rows
 
     def steps(keep):
         seen = []
-        aqr(A, beta="basis", norm="inf", eps=1e-3, trim=1e-6,
-            on_step=lambda R: seen.append(keep(R)))
+
+        def recording(*args):
+            lay, x, reach = rotate_rows(*args)
+            R = x[:A.n].transpose(1, 0, 2).copy()  # columns 0..n-1 hold R
+            seen.append(keep(AlgMatrix._of_array(*lay.cropped(R))))
+            return lay, x, reach
+        monkeypatch.setattr(jacobi, "_rotate_rows", recording)
+        aqr(A, beta="basis", norm="inf", eps=1e-3, trim=1e-6)
         return seen
     at_once = steps(lambda R: R.entries)
     assert len(at_once) > 10
@@ -477,3 +483,61 @@ def test_layout_of_arrays_reads_their_windows(monkeypatch):
         assert spec.layout(grid, X).h == (1,) * spec.kappa
         assert scans == []
         monkeypatch.undo()
+
+
+# -- one storage: the coefficient array ---------------------------------------------
+
+STORAGE = [clifford(0, 0), clifford(0, 1), clifford(0, 2), clifford(4, 1),
+           quadquat()] + LAURENT
+
+
+@pytest.mark.parametrize("spec", STORAGE, ids=lambda spec: spec.descriptor)
+def test_writes_go_to_the_array(spec, conversions):
+    rng = np.random.default_rng(5)
+    m, n = 3, 2
+    X = random_matrix(spec, m, n, rng, degree=1)
+    e, f = (random_element(spec, rng, degree=1) for _ in range(2))
+    X[-1, 0] = e
+    rows = X.entries
+    rows[1][-1] = f
+    assert X[m - 1, 0] == e and X[1, n - 1] == f and rows[1][n - 1] == f
+    assert rows == [list(row) for row in X.entries]  # rows compare as lists
+    other = clifford(1, 1).one()
+
+    def write_row(ij, value):
+        X.entries[ij[0]][ij[1]] = value
+    for write in (X.__setitem__, write_row):
+        for ij in ((m, 0), (0, n), (-m - 1, 0), (0, -n - 1)):
+            with pytest.raises(IndexError):
+                write(ij, e)
+        with pytest.raises(SpecMismatchError):
+            write((0, 0), other)
+    assert X[m - 1, 0] == e and X[1, n - 1] == f
+    # a copy holds its own array, both ways
+    Y = X.copy()
+    Y[0, 0] = e
+    X.entries[0][1] = f
+    assert X[0, 0] != e and Y[0, 0] == e and Y[0, 1] != f and X[0, 1] == f
+    # after entries, no operation turns a grid back into an array
+    conversions[:] = [0, 0]
+    grid = X.entries
+    (X @ Y.herm() - X.copy() @ Y.herm()).frob()
+    assert conversions == [0, 1] and X.entries == grid
+
+
+@pytest.mark.parametrize("spec", LAURENT)
+def test_laurent_write_widens_the_window(spec):
+    rng = np.random.default_rng(6)
+    X = random_matrix(spec, 2, 2, rng, degree=1)
+    B = random_matrix(spec, 2, 3, rng, degree=2)
+    e = random_element(spec, rng, degree=3)
+    rows = [list(row) for row in X.entries]  # plain lists: no write-through
+    rows[1][0] = e
+    X[1, 0] = e
+    grid = AlgMatrix(spec, rows)
+    assert X._coeffs[0].h == grid._coeffs[0].h == (3,) * spec.kappa
+    assert X[1, 0] == e
+    assert np.array_equal(X._coeffs[1], grid._coeffs[1])
+    P, Q = X @ B, grid @ B
+    assert P._coeffs[0] is Q._coeffs[0]
+    assert np.array_equal(P._coeffs[1], Q._coeffs[1])

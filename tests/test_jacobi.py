@@ -3,14 +3,16 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from algdecomp import (AlgebraError, AlgMatrix, ConvergenceError, Element,
                        GivensParams, apply_givens_left, apply_shift_left, aqr,
                        asvd, beta_basis, beta_division, beta_prime, biquat,
-                       clifford, cyclic, decency_check, givens_matrix, jacobi,
-                       laurent, laurent_embed, quadquat, random_element,
+                       clifford, complex_algebra, cyclic, decency_check,
+                       givens_matrix, jacobi, laurent, laurent_embed,
+                       quadquat, quaternion_algebra, random_element,
                        random_matrix, rep_cl41, rep_cyclic_dft,
                        representation_for, wqr, wsvd)
 from algdecomp.matio import matrix_to_dict
@@ -301,19 +303,26 @@ def test_qr_reconstruction_contract(spec, shape):
         assert rep.r[k, k].re() >= 0.0
 
 
-def test_qr_invariants_via_steps():
+def test_qr_invariants_via_steps(monkeypatch):
+    # R after every shift and rotation, read where aqr's work array is
+    # rotated: its columns 0..n-1 hold R
     spec = clifford(2, 1)
     rng = np.random.default_rng(8)
     A = random_matrix(spec, 4, 3, rng)
     norms = []
     tops = []
+    rotate_rows = jacobi._rotate_rows
 
-    def watch(R):
-        norms.append(R.frob())
-        tops.append(R[0, 0].re() ** 2)
+    def watch(*args):
+        lay, x, reach = rotate_rows(*args)
+        norms.append(float(np.linalg.norm(x[:A.n])))
+        tops.append(x[0, 0, lay.unit] ** 2)
+        return lay, x, reach
 
-    aqr(A, eps=1e-9, on_step=watch)
+    monkeypatch.setattr(jacobi, "_rotate_rows", watch)
+    aqr(A, eps=1e-9)
     base = A.frob()
+    assert len(norms) > 10
     assert all(abs(f - base) <= 1e-12 * base for f in norms)
     assert all(b >= a - 1e-13 * max(base ** 2, 1.0)
                for a, b in zip(tops, tops[1:]))
@@ -559,6 +568,24 @@ def test_qr_non_finite_entry_raises(spec, bad):
     assert not exc.value.report.residual <= 1e-6
 
 
+@pytest.mark.parametrize("spec", [clifford(4, 1), laurent(1),
+                                  quaternion_algebra()],
+                         ids=lambda spec: spec.descriptor)
+@pytest.mark.parametrize("pos", [(0, 1), (1, 1), (2, 1)])
+def test_qr_non_finite_entry_raises_before_any_warning(spec, pos):
+    # an infinity past the pivot column once met a shift's zero factor or
+    # a rotation's opposite infinity: numpy warned before the pivot check
+    A = random_matrix(spec, 3, 2, np.random.default_rng(7), degree=1)
+    coeffs = dict(A[pos].coeffs)
+    coeffs[spec.unit] = math.inf
+    A[pos] = Element._make(spec, coeffs)  # skips the finite check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="non-finite entry") as exc:
+            aqr(A)
+    assert exc.value.report.q is not None and exc.value.report.sweeps == 0
+
+
 def test_residual_helpers_propagate_nan():
     spec = laurent(1)
     D = AlgMatrix.identity(spec, 3)
@@ -579,6 +606,37 @@ def test_qr_rotation_budget_raises_with_partials(spec, monkeypatch):
     rep = exc.value.report
     assert rep.rotations == 3
     assert (rep.q @ rep.r - A).frob() <= 1e-12 * A.frob()
+
+
+def test_qr_runs_a_sweep_whatever_eps():
+    # the loop's first test once read eps + 1 <= eps for eps >= 2^53, and
+    # returned R untouched with eps for its residual
+    spec = complex_algebra()
+    lay = spec.layout()
+    B = random_matrix(spec, 3, 2, np.random.default_rng(0))
+    B = AlgMatrix._of_array(lay, B._array(lay) * 1e20)
+    rep = aqr(B, eps=1e16)
+    assert rep.sweeps == 1
+    assert rep.residual == jacobi._residual(rep.r._array(lay), "two") <= 1e16
+    assert (rep.q @ rep.r - B).frob() <= 1e-12 * B.frob()
+
+
+@pytest.mark.parametrize("spec", [clifford(4, 1), quadquat()],
+                         ids=lambda spec: spec.descriptor)
+def test_qr_budget_at_the_ends_of_the_float_range(spec):
+    # colnorm / eps overflowed at eps 1e-308, and the column norm's squares
+    # at coefficients near 2^530: an OverflowError, a traceback in the CLI
+    lay = spec.layout()
+    A = random_matrix(spec, 3, 2, np.random.default_rng(1))
+    huge = AlgMatrix._of_array(lay, A._array(lay) * 2.0 ** 530)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = aqr(huge, eps=1e-10)
+    assert rep.residual == jacobi._residual(rep.r._array(lay), "inf") <= 1e-10
+    r = AlgMatrix._of_array(lay, rep.r._array(lay) * 2.0 ** -530)
+    assert (rep.q @ r - A).frob() <= 1e-13 * A.frob()
+    assert jacobi._rotation_budget(1, 2, 10.0, 32, 1e-308) > 0
+    assert jacobi._rotation_budget(1, 2, math.inf, 32, 1e-10) > 0
 
 
 def test_rotation_budget_covers_observed_counts():

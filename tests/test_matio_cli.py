@@ -308,6 +308,14 @@ def test_exit_code_convergence(tmp_path, capsys):
     assert code == EXIT_CONVERGENCE
 
 
+def test_smallest_eps_decomposes(tmp_path, capsys):
+    # the rotation budget once overflowed here: a traceback and exit 1
+    code = run(["decompose", "--algebra", "cl(4,1)", "--random", "3", "2",
+                "--eps", "1e-308", "--output-prefix", str(tmp_path / "x")])
+    assert code == EXIT_OK
+    assert "rotations=34270 " in capsys.readouterr().out
+
+
 def test_sweep_csv_columns_and_trends(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run(["sweep-eps", "--algebra", "cl(4,1)", "--op", "qr",

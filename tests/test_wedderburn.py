@@ -1,6 +1,7 @@
 """Block-representation engine: reps, lifting, QR/SVD, idempotents, DFT."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -402,9 +403,45 @@ def test_block_svd_overflowing_gram_raises():
     B = random_matrix(quaternion_algebra(), 3, 2, RNG(3))
     lay = B.spec.layout()
     huge = AlgMatrix._of_array(lay, B._array(lay) * 1e160)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning once came first
         with pytest.raises(ConvergenceError, match="non-finite Gram"):
             _block_svd(huge, 500, 200)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("spec", [clifford(4, 1), laurent(1)],
+                         ids=lambda spec: spec.descriptor)
+def test_non_finite_entry_raises_before_any_warning(spec, bad):
+    # lift's product once warned (inf times a zero of fwd) before the block
+    # engines' checks, so under -W error the warning was raised instead
+    A = random_matrix(spec, 3, 2, RNG(7), degree=1)
+    coeffs = dict(A[1, 0].coeffs)
+    coeffs[spec.unit] = bad
+    A[1, 0] = Element._make(spec, coeffs)  # skips the finite check
+    rep = rep_cl41()
+    if spec.dim is None:
+        A, rep = laurent_embed(A, 8), rep_cyclic_dft(1, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (wqr, wsvd):
+            with pytest.raises(ConvergenceError, match="non-finite") as exc:
+                run(A, rep)
+            assert not exc.value.report.residual <= 1e-10
+
+
+def test_block_svd_leaves_round_off_columns_alone():
+    # columns (x, x, 2x): after the first rotations two columns are
+    # round-off, which Jacobi kept rotating against each other (554
+    # rotations in 13 sweeps)
+    spec = clifford(4, 1)
+    lay = spec.layout()
+    x = random_matrix(spec, 3, 1, RNG(1))._array(lay)
+    A = AlgMatrix._of_array(lay, np.concatenate([x, x, 2.0 * x], axis=1))
+    out = _checked_wsvd(A, rep_cl41(), 1e-10)
+    assert (out.rotations, out.sweeps) == (331, 7)
+    np.testing.assert_allclose(spectrum_oracle(out.d), spectrum_oracle(A),
+                               atol=1e-14 * A.frob())
 
 
 def test_blocks_decompose_independently():
