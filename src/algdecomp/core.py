@@ -453,8 +453,14 @@ class AlgMatrix:
         return AlgMatrix._of_array(lay, lay.conj(self._array(lay)).transpose(1, 0, 2))
 
     def frob(self) -> float:
+        """Frobenius norm, taken on the coefficients scaled by 2^-e, 2^e the
+        power of two just above the largest, so that no square overflows
+        (exact in the normal range); inf only past the float range."""
         lay = self.spec.layout(self)
-        return float(np.linalg.norm(self._array(lay)))
+        x = self._array(lay)
+        e = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
 
     def unitarity_error(self) -> float:
         """||X^H X - I||_F; NaN when a coefficient is NaN."""
@@ -624,7 +630,7 @@ class _Window(_Layout):
         def pair(P, s):
             out = []
             for off, c in terms:
-                G = np.zeros_like(P)
+                G = np.zeros(P.shape)
                 for half, shift, k in ((0, -off, -s * c), (1, off, s * c)):
                     src = P[..., 1 - half, max(-shift, 0):w - max(shift, 0)]
                     np.multiply(src, k, out=G[..., half, max(shift, 0):w + min(shift, 0)])
@@ -633,10 +639,18 @@ class _Window(_Layout):
         return pair
 
     def held(self, x: np.ndarray) -> tuple:
-        """Per variable, the largest |exponent| ``x`` holds (non-zero or NaN)."""
-        nonzero = np.flatnonzero((x.reshape(-1, self.width) != 0).any(axis=0))
-        coords = np.unravel_index(nonzero, self.box)
-        return tuple(int(np.abs(c - h).max(initial=0)) for c, h in zip(coords, self.h))
+        """Per variable, the largest |exponent| ``x`` holds (non-zero or NaN):
+        from the first and last live index of the box's axis t, lo and hi
+        positions in from its two ends, it is h - min(lo, hi)."""
+        any_of = np.logical_or.reduce
+        live = any_of(x.reshape(-1, self.width) != 0, axis=0).reshape(self.box)
+        axes = range(len(self.h))
+        held = []
+        for t, h in enumerate(self.h):
+            line = any_of(live, axis=tuple(a for a in axes if a != t))
+            lo, hi = int(line.argmax()), int(line[::-1].argmax())
+            held.append(h - min(lo, hi) if line[lo] else 0)
+        return tuple(held)
 
     def moved(self, x: np.ndarray, h) -> np.ndarray:
         """``x``, held on the box of half-widths ``h``, padded with zeros or

@@ -208,14 +208,18 @@ def _rotate(P: np.ndarray, c: float, s: float, pair):
 
 
 def _rotate_rows(lay, x: np.ndarray, reach, j: int, i: int, c: float,
-                 s: float, b: Element):
+                 s: float, b: Element, cut=None):
     """Rows (j, i) on axis -2 of the coefficients ``x`` rotated in place by
     :func:`_rotate`, after ``lay.room(x, b, reach)``, whose (layout, array,
-    reach) it returns.  Row i is written first, so for i == j the shift
-    x_j <- conj(b) x_j stays."""
+    reach) it returns.  ``cut``, if given, acts in place on the rotated pair
+    P = (x_j, x_i) before it is written back (``aqr`` zeroes and trims
+    there).  Row i is written first, so for i == j the shift x_j <- conj(b)
+    x_j stays, with what ``cut`` did to P's row 0."""
     lay, x, reach = lay.room(x, b, reach)
     P = x.take((j, i), axis=-2)
     _rotate(P, c, s, lay.mul(b))
+    if cut is not None:
+        cut(P)
     x[..., i, :] = P[..., 1, :]
     x[..., j, :] = P[..., 0, :]
     return lay, x, reach
@@ -289,11 +293,15 @@ def _residual(x: np.ndarray, norm_name: str, off: bool = False) -> float:
 
 def _trim_array(x: np.ndarray, tau: float) -> int:
     """In place on (..., d) coefficients: zero those at or below ``tau``
-    times their entry's largest; returns how many nonzero ones went."""
+    times their entry's largest; returns how many nonzero ones went.  A
+    kept coefficient is nonzero (a NaN is not kept), so that is how many
+    nonzero ones were not kept."""
     mag = np.abs(x)
-    drop = (x != 0.0) & ~(mag > tau * mag.max(axis=-1, keepdims=True))
-    x[drop] = 0.0
-    return int(drop.sum())
+    keep = mag > tau * np.maximum.reduce(mag, axis=-1, keepdims=True)
+    dropped = int(np.count_nonzero(mag)) - int(np.count_nonzero(keep))
+    if dropped:
+        np.copyto(x, 0.0, where=~keep)
+    return dropped
 
 
 class _ArrayWork:
@@ -301,9 +309,15 @@ class _ArrayWork:
     indexed (column, row, position): columns 0..n-1 hold R, the rest Q^H.
     R <- G R and Q <- Q G^H make Q^H <- G Q^H, so every shift and rotation
     acts on two rows through :func:`_rotate`, rounding as entry-wise Element
-    arithmetic does; only 2-norms are summed in another order."""
+    arithmetic does; only 2-norms are summed in another order.
 
-    def __init__(self, A: AlgMatrix, betafn, norm_name: str):
+    The step trims the rotated rows before it writes them back
+    (:func:`_rotate_rows`' ``cut``): after a shift R's row k, after a
+    rotation rows k and i of R and Q^H, whose entry (i, k) an exact beta
+    zeroes first.  ``trimmed`` counts the coefficients dropped."""
+
+    def __init__(self, A: AlgMatrix, betafn, norm_name: str,
+                 exact: bool = False, tau: float = 0.0):
         self.spec = A.spec
         self.lay = lay = A.spec.layout(A)
         self.reach = lay.h
@@ -315,6 +329,8 @@ class _ArrayWork:
         self.betafn = betafn
         self.norm_name = norm_name
         self.norms = _NORMS[norm_name]
+        self.exact, self.tau = exact, tau
+        self.trimmed = 0
 
     def column(self, k: int) -> tuple[float, int]:
         """2-norm of column k from the pivot down, scaled by its largest
@@ -328,23 +344,31 @@ class _ArrayWork:
     def norm(self, i: int, k: int) -> float:
         return float(self.norms(self.RQ[k, i]))
 
-    def pick(self, k: int) -> tuple[int, float]:
+    def pick(self, k: int) -> tuple[int, float, Optional[np.ndarray]]:
         """Row and norm of the largest below-pivot entry; ties toward the
-        lowest row, and a NaN norm wins."""
-        norms = self.norms(self.RQ[k, k + 1:])
+        lowest row, and a NaN norm wins.  Under the sup norm also the
+        entry's coefficient magnitudes, for :meth:`beta` (else None)."""
+        rows = self.RQ[k, k + 1:]
+        if self.norm_name == "inf":
+            mag = np.abs(rows)
+            norms = np.maximum.reduce(mag, axis=-1)
+        else:
+            mag, norms = None, self.norms(rows)
         j = int(norms.argmax())  # first maximum, or first NaN
-        return k + 1 + j, float(norms[j])
+        return k + 1 + j, float(norms[j]), (None if mag is None else mag[j])
 
     def re(self, i: int, k: int) -> float:
         return float(self.RQ[k, i, self.lay.unit])
 
-    def beta(self, i: int, k: int) -> Element:
+    def beta(self, i: int, k: int, mag: Optional[np.ndarray] = None) -> Element:
+        """beta of entry (i, k); ``mag``, if given, holds its coefficient
+        magnitudes (:meth:`pick`)."""
         x = self.RQ[k, i]
         spec = self.spec
         if self.betafn is beta_basis:
             # the first largest coefficient (beta_basis's tie-break: position
             # order is canonical order); beta_basis(0) = 1
-            p = int(np.abs(x).argmax())
+            p = int((np.abs(x) if mag is None else mag).argmax())
             return (spec.basis_element(self.lay.labels[p]) if x[p] != 0.0
                     else spec.one())
         return self.betafn(self.lay.rows(x[None, None])[0][0])
@@ -356,29 +380,26 @@ class _ArrayWork:
                          if lab in index))
 
     def shift(self, k: int, b: Element):
+        def cut(P):
+            if self.tau:  # R's row k
+                self.trimmed += _trim_array(P[:self.n, 0], self.tau)
         self.lay, self.RQ, self.reach = _rotate_rows(
-            self.lay, self.RQ, self.reach, k, k, 0.0, -1.0, b)
+            self.lay, self.RQ, self.reach, k, k, 0.0, -1.0, b, cut)
 
     def rotate(self, i: int, k: int, theta: float, b: Element):
+        def cut(P):
+            if self.exact:
+                # the rotation annihilates entry (i, k) up to round-off
+                # (division specs only)
+                P[k, 1] = 0.0
+            if self.tau:
+                self.trimmed += _trim_array(P, self.tau)
         self.lay, self.RQ, self.reach = _rotate_rows(
             self.lay, self.RQ, self.reach, k, i, math.cos(-theta),
-            math.sin(-theta), b)
+            math.sin(-theta), b, cut)
 
     def negate(self, k: int):
         self.RQ[:, k] *= -1.0
-
-    def zero(self, i: int, k: int):
-        self.RQ[k, i] = 0.0
-
-    def trim(self, i: int, k: int, tau: float) -> int:
-        """Trim R's row k after a shift (i == k), or rows k and i of R and
-        Q^H in one pass after a rotation; returns how many went."""
-        if i == k:
-            return _trim_array(self.RQ[:self.n, k], tau)
-        P = self.RQ[:, (k, i)]  # a copy: written back
-        dropped = _trim_array(P, tau)
-        self.RQ[:, (k, i)] = P
-        return dropped
 
     def residual(self) -> float:
         return _residual(self.RQ[:self.n].transpose(1, 0, 2), self.norm_name)
@@ -453,10 +474,9 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
 
     t0 = time.perf_counter()
     m, n = A.m, A.n
-    W = _ArrayWork(A, betafn, norm_name)
+    W = _ArrayWork(A, betafn, norm_name, exact, trim)
     one = spec.one()
-    rotations = sweeps = 0
-    trimmed = stalled = warnings = 0
+    rotations = sweeps = stalled = warnings = 0
 
     def partial_report(residual=None):
         q, r = W.factors()
@@ -464,72 +484,65 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
             kind="qr", method="jacobi", rotations=rotations, sweeps=sweeps,
             qrd_calls=0, residual=W.residual() if residual is None else residual,
             wall_time=time.perf_counter() - t0, eps=eps, norm=norm_name,
-            beta=beta_name, q=q, r=r, trimmed=trimmed,
+            beta=beta_name, q=q, r=r, trimmed=W.trimmed,
             stalled_pivots=stalled, decency_warnings=warnings)
 
     if not np.isfinite(W.RQ).all():
         raise ConvergenceError("non-finite entry", partial_report())
     g1 = math.inf  # one sweep at least, however large eps is
-    while not g1 <= eps:
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(
-                f"QR did not reach eps={eps:g} within {max_sweeps} sweeps",
-                partial_report())
-        sweeps += 1
-        for k in range(min(m, n)):
-            if not math.isfinite(W.norm(k, k)):
-                raise ConvergenceError(f"non-finite pivot ({k}, {k})",
-                                       partial_report())
-            b = W.beta(k, k)
-            if b.coeffs != one.coeffs:
-                old_re = abs(W.re(k, k))
-                W.shift(k, b)
-                if trim > 0.0:
-                    trimmed += W.trim(k, k, trim)
-                if abs(W.re(k, k)) + 1e-12 * max(old_re, 1.0) < old_re:
-                    warnings += 1
-            if k == m - 1:
-                break
-            spent, budget = 0, None
-            while True:
-                i, g2 = W.pick(k)
-                if g2 <= eps:
-                    break
-                if not math.isfinite(g2):
-                    raise ConvergenceError(f"non-finite target entry ({i}, {k})",
+    with np.errstate(over="ignore"):  # an overflowed norm is caught
+        while not g1 <= eps:
+            if sweeps >= max_sweeps:
+                raise ConvergenceError(
+                    f"QR did not reach eps={eps:g} within {max_sweeps} sweeps",
+                    partial_report())
+            sweeps += 1
+            for k in range(min(m, n)):
+                if not math.isfinite(W.norm(k, k)):
+                    raise ConvergenceError(f"non-finite pivot ({k}, {k})",
                                            partial_report())
-                if spent >= m - k - 1:
-                    # past one rotation per row, which exact termination
-                    # never needs: only now is the budget worked out
-                    if budget is None:
-                        budget = _rotation_budget(max_sweeps, m - k - 1,
-                                                  *W.column(k), eps)
-                    if spent >= budget:
-                        raise ConvergenceError(
-                            f"QR column {k} did not reach eps={eps:g} within "
-                            f"its rotation budget", partial_report())
-                spent += 1
-                b = W.beta(i, k)
-                t_re = W.aligned(i, k, b)
-                old_re = abs(W.re(i, k))
-                if abs(t_re) + 1e-12 * max(old_re, 1.0) < old_re:
-                    warnings += 1
-                if t_re == 0.0:
-                    # theta would be 0 or pi and the pivot cannot grow, so
-                    # further rotations on this column make no progress
-                    # (only possible for an indecent beta)
-                    stalled += 1
+                b = W.beta(k, k)
+                if b.coeffs != one.coeffs:
+                    old_re = abs(W.re(k, k))
+                    W.shift(k, b)
+                    if abs(W.re(k, k)) + 1e-12 * max(old_re, 1.0) < old_re:
+                        warnings += 1
+                if k == m - 1:
                     break
-                theta = math.atan2(t_re, W.re(k, k))
-                W.rotate(i, k, theta, b)
-                rotations += 1
-                if exact:
-                    # the rotation annihilates the entry up to round-off
-                    # (division specs only)
-                    W.zero(i, k)
-                if trim > 0.0:
-                    trimmed += W.trim(i, k, trim)
-        g1 = W.residual()
+                spent, budget = 0, None
+                while True:
+                    i, g2, mag = W.pick(k)
+                    if g2 <= eps:
+                        break
+                    if not math.isfinite(g2):
+                        raise ConvergenceError(f"non-finite target entry ({i}, {k})",
+                                               partial_report())
+                    if spent >= m - k - 1:
+                        # past one rotation per row, which exact termination
+                        # never needs: only now is the budget worked out
+                        if budget is None:
+                            budget = _rotation_budget(max_sweeps, m - k - 1,
+                                                      *W.column(k), eps)
+                        if spent >= budget:
+                            raise ConvergenceError(
+                                f"QR column {k} did not reach eps={eps:g} within "
+                                f"its rotation budget", partial_report())
+                    spent += 1
+                    b = W.beta(i, k, mag)
+                    t_re = W.aligned(i, k, b)
+                    old_re = abs(W.re(i, k))
+                    if abs(t_re) + 1e-12 * max(old_re, 1.0) < old_re:
+                        warnings += 1
+                    if t_re == 0.0:
+                        # theta would be 0 or pi and the pivot cannot grow, so
+                        # further rotations on this column make no progress
+                        # (only possible for an indecent beta)
+                        stalled += 1
+                        break
+                    theta = math.atan2(t_re, W.re(k, k))
+                    W.rotate(i, k, theta, b)
+                    rotations += 1
+            g1 = W.residual()
 
     for k in range(min(m, n)):
         if W.re(k, k) < 0:
@@ -559,7 +572,8 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
     off-diagonal norm before the pair; only the outer test is held to eps.
     An exact beta (``beta="division"``) removes each entry whatever the
     tolerance, so its calls keep eps, as they do when g is not finite (then
-    :func:`aqr` rejects the entry instead of returning at once).
+    :func:`aqr` rejects the entry instead of returning at once).  The first
+    pair takes its Q's as U and V: the product with the identity is exact.
     """
     spec = A.spec
     _check_tolerances(eps, trim, svd=True)
@@ -585,39 +599,41 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
             beta=beta_name, u=U, d=D, v=V, trimmed=trimmed,
             stalled_pivots=stalled, decency_warnings=warnings)
 
-    g = residual()
-    while not g <= eps:
-        if qrd_calls >= max_iters:
-            raise ConvergenceError(
-                f"SVD did not reach eps={eps:g} within {max_iters} QR calls",
-                partial_report())
-        loose = qrd_calls and not exact and math.isfinite(g)
-        inner = max(eps, _INNER_EPS * g) if loose else eps
-        for hermitian_side in (False, True):
-            work = D.herm() if hermitian_side else D
-            try:
-                sub = aqr(work, beta=beta, norm=norm, eps=inner,
-                          max_sweeps=max_sweeps, trim=trim)
-            except ConvergenceError as exc:
-                raise ConvergenceError(f"QR call {qrd_calls + 1}: {exc}",
-                                       partial_report()) from exc
-            qrd_calls += 1
-            rotations += sub.rotations
-            sweeps += sub.sweeps
-            trimmed += sub.trimmed
-            stalled += sub.stalled_pivots
-            warnings += sub.decency_warnings
-            X = (V if hermitian_side else U) @ sub.q
-            if trim > 0.0:
-                lay = spec.layout(X)
-                x = X._array(lay).copy()
-                trimmed += _trim_array(x, trim)
-                X = AlgMatrix._of_array(*lay.cropped(x))
-            if hermitian_side:
-                D, V = sub.r.herm(), X
-            else:
-                D, U = sub.r, X
+    with np.errstate(over="ignore"):  # an overflowed norm is caught
         g = residual()
+        while not g <= eps:
+            if qrd_calls >= max_iters:
+                raise ConvergenceError(
+                    f"SVD did not reach eps={eps:g} within {max_iters} QR calls",
+                    partial_report())
+            first = qrd_calls == 0  # U and V are still the identity
+            loose = not first and not exact and math.isfinite(g)
+            inner = max(eps, _INNER_EPS * g) if loose else eps
+            for hermitian_side in (False, True):
+                work = D.herm() if hermitian_side else D
+                try:
+                    sub = aqr(work, beta=beta, norm=norm, eps=inner,
+                              max_sweeps=max_sweeps, trim=trim)
+                except ConvergenceError as exc:
+                    raise ConvergenceError(f"QR call {qrd_calls + 1}: {exc}",
+                                           partial_report()) from exc
+                qrd_calls += 1
+                rotations += sub.rotations
+                sweeps += sub.sweeps
+                trimmed += sub.trimmed
+                stalled += sub.stalled_pivots
+                warnings += sub.decency_warnings
+                X = sub.q if first else (V if hermitian_side else U) @ sub.q
+                if trim > 0.0:
+                    lay = spec.layout(X)
+                    x = X._array(lay).copy()
+                    trimmed += _trim_array(x, trim)
+                    X = AlgMatrix._of_array(*lay.cropped(x))
+                if hermitian_side:
+                    D, V = sub.r.herm(), X
+                else:
+                    D, U = sub.r, X
+            g = residual()
 
     return partial_report()
 

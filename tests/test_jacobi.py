@@ -404,6 +404,70 @@ def test_laurent_svd_counts_pinned():
     assert _digest(rep.d) == "c5a4d059fce74299"
 
 
+# an exact beta zeroes each annihilated entry before the trim sees it
+@pytest.mark.parametrize("spec,seed,qr,svd,digests", [
+    (quaternion_algebra(), 0, (6, 1, 16), (109, 44, 440),
+     ("f38e455f16f2272f", "e85e8b70fc8771b6", "31f1fc8e22eeb018",
+      "864a0dcacabd9d0c", "05b7c5fd473db9ac")),
+    (quaternion_algebra(), 1, (6, 1, 17), (93, 38, 348),
+     ("3d50b34e08ba0b3c", "538defee2b5dc030", "c5039c514cd15300",
+      "998def8043af53ac", "24a513694c4aedb9")),
+    (quaternion_algebra(), 2, (6, 1, 15), (135, 72, 503),
+     ("565de4fb711c0bcd", "dc7c1b470dba1113", "a2f6e47520be8197",
+      "1a65c786b93c993a", "e9f929cdc1b44a8c")),
+    (quaternion_algebra(), 3, (6, 1, 16), (101, 52, 363),
+     ("344cb2b25db06608", "393cd5c9d2ecdb74", "600c2540357ecffb",
+      "bef17ae93d15d07b", "ef128e94e5a248ac")),
+    (quaternion_algebra(), 4, (6, 1, 15), (138, 86, 505),
+     ("4680b42a721ab071", "083bc66afea3e42d", "beae3aac5752fe77",
+      "744aa04a8161df01", "4d6dc78fbf0fb82f")),
+    (complex_algebra(), 0, (6, 1, 4), (108, 58, 103),
+     ("43791d619c4ad73d", "814a4dfd8a4f6a28", "a188bfe7030ef3c6",
+      "545e45035ff0ce68", "25feffa042ba0cde")),
+    (complex_algebra(), 1, (6, 1, 2), (111, 74, 108),
+     ("95d41986affdf73b", "2d25ef72c6657045", "55bef67f83669028",
+      "892a0f8cb4737e25", "78b4497e7fce0b8b")),
+    (complex_algebra(), 2, (6, 1, 5), (112, 50, 118),
+     ("c3cdf9ee145bd5b4", "a7b3d6b53c9903d8", "26d3224ef9dcf526",
+      "4e65d3526ad7f6bd", "86c3e79f4d1bc46b")),
+    (complex_algebra(), 3, (6, 1, 6), (88, 56, 82),
+     ("7e813ae6d90e5559", "7eef6d9ac6ccf549", "b66288e438029aea",
+      "89d3292453b73d74", "19f5dc8e7ee3d349")),
+    (complex_algebra(), 4, (6, 1, 2), (143, 82, 141),
+     ("222a7c3b4b481483", "b7e4186c3b5f3138", "7f79005ff753c70f",
+      "3940530ba21555fc", "2ed4eab9666d9b59")),
+])
+def test_division_trim_counts_and_factors_pinned(spec, seed, qr, svd, digests):
+    A = random_matrix(spec, 4, 3, np.random.default_rng(seed))
+    q = aqr(A, beta="division", trim=1e-6)
+    s = asvd(A, beta="division", trim=1e-6)
+    assert (q.rotations, q.sweeps, q.trimmed) == qr
+    assert (s.rotations, s.qrd_calls, s.trimmed) == svd
+    assert s.sweeps == s.qrd_calls  # one exact sweep per QR call
+    assert tuple(map(_digest, (q.q, q.r, s.u, s.d, s.v))) == digests
+
+
+# the 2-norm sums a window's coefficients: a window change could regroup them
+@pytest.mark.parametrize("seed,counts,digests", [
+    (0, (366, 2, 30886), ("cf05a59d42f784a3", "62b928ef31ed8593")),
+    (1, (392, 2, 29950), ("5737e5e87fe88f81", "cbd8d7316b745d2a")),
+])
+def test_laurent_two_norm_qr_pinned(seed, counts, digests):
+    A = random_matrix(laurent(1), 3, 2, np.random.default_rng(seed), degree=1)
+    rep = aqr(A, beta="basis", norm="two", eps=1e-6, trim=1e-9)
+    assert (rep.rotations, rep.sweeps, rep.trimmed) == counts
+    assert (_digest(rep.q), _digest(rep.r)) == digests
+
+
+def test_laurent2_svd_counts_pinned():
+    A = random_matrix(laurent(2), 2, 2, np.random.default_rng(1), degree=1)
+    rep = asvd(A, beta="basis", norm="inf", eps=3e-2, trim=1e-3)
+    assert (rep.rotations, rep.qrd_calls, rep.sweeps, rep.trimmed) == \
+        (389, 12, 12, 163382)
+    assert tuple(map(_digest, (rep.u, rep.d, rep.v))) == (
+        "4bc3d0e3fd4edc66", "8a10f5d831a7e291", "2741c17cbf0e3887")
+
+
 def _recorded_aqr_calls(monkeypatch):
     """Patch ``jacobi.aqr`` (what ``asvd`` calls) to record each call's
     input and eps."""
@@ -476,25 +540,36 @@ def test_svd_inner_eps_stays_eps_for_an_exact_beta(spec, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_fused_trim_equals_per_row_trims(seed):
-    # one pass over rows (k, i) of R and Q^H zeroes what four per-row
-    # _trim_array calls zero, with the same count; a shift's trim (i == k)
-    # touches R's row k alone
+def test_step_trim_equals_per_row_trims(seed):
+    # the trim inside aqr's step zeroes what per-row _trim_array calls on
+    # the written-back rows zero, with the same count: after a shift R's row
+    # k alone, after a rotation rows k and i of R and Q^H, whose entry (i, k)
+    # an exact beta zeroes first
     rng = np.random.default_rng(seed)
     A = random_matrix(laurent(1), 4, 3, rng, degree=2)
-    W = jacobi._ArrayWork(A, beta_basis, "inf")
-    W.RQ = rng.standard_normal(W.RQ.shape) * 10.0 ** rng.integers(
-        -12, 1, W.RQ.shape)
-    W.RQ[rng.random(W.RQ.shape) < 0.2] = 0.0
-    n, tau = W.n, 1e-6
-    for i, k in ((1, 1), (2, 0), (3, 1)):
-        want = W.RQ.copy()
-        rows = (i, k) if i != k else (k,)
-        count = sum(jacobi._trim_array(want[:n, r], tau) for r in rows)
-        if i != k:
-            count += sum(jacobi._trim_array(want[n:, r], tau) for r in rows)
-        assert W.trim(i, k, tau) == count > 0
-        assert np.array_equal(W.RQ, want)
+    z = laurent(1).basis_element((1,))
+    for exact in (False, True):
+        W = jacobi._ArrayWork(A, beta_basis, "inf", exact, 1e-6)
+        W.RQ = rng.standard_normal(W.RQ.shape) * 10.0 ** rng.integers(
+            -12, 1, W.RQ.shape)
+        W.RQ[rng.random(W.RQ.shape) < 0.2] = 0.0
+        n, theta, counts = W.n, 0.7, []
+        for i, k in ((1, 1), (2, 0), (3, 1)):
+            c, s = (0.0, -1.0) if i == k else (math.cos(-theta), math.sin(-theta))
+            _, want, _ = jacobi._rotate_rows(W.lay, W.RQ.copy(), W.reach, k,
+                                             i, c, s, z)
+            if i == k:
+                count = jacobi._trim_array(want[:n, k], 1e-6)
+            else:
+                if exact:
+                    want[k, i] = 0.0
+                count = sum(jacobi._trim_array(want[:, r], 1e-6) for r in (k, i))
+            before = W.trimmed
+            W.shift(k, z) if i == k else W.rotate(i, k, theta, z)
+            assert W.trimmed - before == count
+            assert np.array_equal(W.RQ, want)
+            counts.append(count)
+        assert sum(counts) > 0
 
 
 def test_block_engine_counts_pinned():

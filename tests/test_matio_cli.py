@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -306,6 +308,60 @@ def test_exit_code_convergence(tmp_path, capsys):
                 "--max-iters", "1",
                 "--output-prefix", str(tmp_path / "x")])
     assert code == EXIT_CONVERGENCE
+
+
+def _scaled_copy(path, out, power):
+    """The matrix file ``path`` with every coefficient times 2^power."""
+    doc = json.loads(path.read_text())
+    for entry in doc["entries"]:
+        for pair in entry[2]:
+            pair[1] = math.ldexp(pair[1], power)
+    out.write_text(json.dumps(doc))
+
+
+def _relative_error(capsys) -> str:
+    line, = [t for t in capsys.readouterr().out.splitlines()
+             if t.startswith("reconstruction_error=")]
+    return line.split("relative ")[1].rstrip(")")
+
+
+def test_relative_error_of_a_huge_input(tmp_path, capsys):
+    # frob once squared unscaled coefficients, so ||A||_F overflowed past
+    # about 1e154 and the relative error read 0; eps is absolute, so it is
+    # scaled with A, and the scaled run does the same work
+    run(["decompose", "--algebra", "cl(4,1)", "--random", "3", "2", "--seed",
+         "3", "--output-prefix", str(tmp_path / "a")])
+    _scaled_copy(tmp_path / "a.A.json", tmp_path / "big.json", 530)
+    runs = []
+    for path, eps in ((tmp_path / "a.A.json", 1e-10),
+                      (tmp_path / "big.json", math.ldexp(1e-10, 530))):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["decompose", "--algebra", "cl(4,1)", "--method",
+                        "jacobi", "--input", str(path), "--eps", repr(eps),
+                        "--output-prefix", str(tmp_path / "x")])
+        assert code == EXIT_OK
+        runs.append(_relative_error(capsys))
+    assert runs[0] == runs[1] and float(runs[0]) > 0.0
+
+
+@pytest.mark.parametrize("method,op", [("jacobi", "qr"), ("jacobi", "svd"),
+                                       ("wedderburn", "qr")])
+def test_huge_quaternion_input_fails_without_a_warning(tmp_path, capsys,
+                                                       method, op):
+    # the 2-norms of aqr square unscaled coefficients: numpy warned
+    # "overflow encountered in multiply" before the non-finite pivot raised
+    run(["decompose", "--algebra", "quat", "--random", "3", "2", "--seed", "3",
+         "--output-prefix", str(tmp_path / "a")])
+    _scaled_copy(tmp_path / "a.A.json", tmp_path / "big.json", 530)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["decompose", "--algebra", "quat", "--method", method,
+                    "--op", op, "--input", str(tmp_path / "big.json"),
+                    "--output-prefix", str(tmp_path / "x")])
+    assert code == EXIT_CONVERGENCE
+    assert "non-finite pivot" in capsys.readouterr().err
 
 
 def test_smallest_eps_decomposes(tmp_path, capsys):
