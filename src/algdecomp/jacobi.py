@@ -316,8 +316,8 @@ class _ArrayWork:
     rotation rows k and i of R and Q^H, whose entry (i, k) an exact beta
     zeroes first.  ``trimmed`` counts the coefficients dropped."""
 
-    def __init__(self, A: AlgMatrix, betafn, norm_name: str,
-                 exact: bool = False, tau: float = 0.0):
+    def __init__(self, A: AlgMatrix, betafn, norm_name: str, exact: bool,
+                 tau: float):
         self.spec = A.spec
         self.lay = lay = A.spec.layout(A)
         self.reach = lay.h
@@ -442,6 +442,7 @@ def _rotation_budget(max_sweeps: int, rows: int, colnorm: float, width: int,
     return slots
 
 
+@np.errstate(over="ignore")  # a norm past the float range is caught as non-finite
 def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
         max_sweeps: int = 200, trim: float = 0.0) -> DecompReport:
     """QR decomposition by columns: A = Q R with Q unitary.
@@ -490,59 +491,58 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
     if not np.isfinite(W.RQ).all():
         raise ConvergenceError("non-finite entry", partial_report())
     g1 = math.inf  # one sweep at least, however large eps is
-    with np.errstate(over="ignore"):  # an overflowed norm is caught
-        while not g1 <= eps:
-            if sweeps >= max_sweeps:
-                raise ConvergenceError(
-                    f"QR did not reach eps={eps:g} within {max_sweeps} sweeps",
-                    partial_report())
-            sweeps += 1
-            for k in range(min(m, n)):
-                if not math.isfinite(W.norm(k, k)):
-                    raise ConvergenceError(f"non-finite pivot ({k}, {k})",
-                                           partial_report())
-                b = W.beta(k, k)
-                if b.coeffs != one.coeffs:
-                    old_re = abs(W.re(k, k))
-                    W.shift(k, b)
-                    if abs(W.re(k, k)) + 1e-12 * max(old_re, 1.0) < old_re:
-                        warnings += 1
-                if k == m - 1:
+    while not g1 <= eps:
+        if sweeps >= max_sweeps:
+            raise ConvergenceError(
+                f"QR did not reach eps={eps:g} within {max_sweeps} sweeps",
+                partial_report())
+        sweeps += 1
+        for k in range(min(m, n)):
+            if not math.isfinite(W.norm(k, k)):
+                raise ConvergenceError(f"non-finite pivot ({k}, {k})",
+                                       partial_report())
+            b = W.beta(k, k)
+            if b.coeffs != one.coeffs:
+                old_re = abs(W.re(k, k))
+                W.shift(k, b)
+                if abs(W.re(k, k)) + 1e-12 * max(old_re, 1.0) < old_re:
+                    warnings += 1
+            if k == m - 1:
+                break
+            spent, budget = 0, None
+            while True:
+                i, g2, mag = W.pick(k)
+                if g2 <= eps:
                     break
-                spent, budget = 0, None
-                while True:
-                    i, g2, mag = W.pick(k)
-                    if g2 <= eps:
-                        break
-                    if not math.isfinite(g2):
-                        raise ConvergenceError(f"non-finite target entry ({i}, {k})",
-                                               partial_report())
-                    if spent >= m - k - 1:
-                        # past one rotation per row, which exact termination
-                        # never needs: only now is the budget worked out
-                        if budget is None:
-                            budget = _rotation_budget(max_sweeps, m - k - 1,
-                                                      *W.column(k), eps)
-                        if spent >= budget:
-                            raise ConvergenceError(
-                                f"QR column {k} did not reach eps={eps:g} within "
-                                f"its rotation budget", partial_report())
-                    spent += 1
-                    b = W.beta(i, k, mag)
-                    t_re = W.aligned(i, k, b)
-                    old_re = abs(W.re(i, k))
-                    if abs(t_re) + 1e-12 * max(old_re, 1.0) < old_re:
-                        warnings += 1
-                    if t_re == 0.0:
-                        # theta would be 0 or pi and the pivot cannot grow, so
-                        # further rotations on this column make no progress
-                        # (only possible for an indecent beta)
-                        stalled += 1
-                        break
-                    theta = math.atan2(t_re, W.re(k, k))
-                    W.rotate(i, k, theta, b)
-                    rotations += 1
-            g1 = W.residual()
+                if not math.isfinite(g2):
+                    raise ConvergenceError(f"non-finite target entry ({i}, {k})",
+                                           partial_report())
+                if spent >= m - k - 1:
+                    # past one rotation per row, which exact termination
+                    # never needs: only now is the budget worked out
+                    if budget is None:
+                        budget = _rotation_budget(max_sweeps, m - k - 1,
+                                                  *W.column(k), eps)
+                    if spent >= budget:
+                        raise ConvergenceError(
+                            f"QR column {k} did not reach eps={eps:g} within "
+                            f"its rotation budget", partial_report())
+                spent += 1
+                b = W.beta(i, k, mag)
+                t_re = W.aligned(i, k, b)
+                old_re = abs(W.re(i, k))
+                if abs(t_re) + 1e-12 * max(old_re, 1.0) < old_re:
+                    warnings += 1
+                if t_re == 0.0:
+                    # theta would be 0 or pi and the pivot cannot grow, so
+                    # further rotations on this column make no progress
+                    # (only possible for an indecent beta)
+                    stalled += 1
+                    break
+                theta = math.atan2(t_re, W.re(k, k))
+                W.rotate(i, k, theta, b)
+                rotations += 1
+        g1 = W.residual()
 
     for k in range(min(m, n)):
         if W.re(k, k) < 0:
@@ -556,6 +556,7 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
 _INNER_EPS = 0.1  # later QR passes of asvd stop at max(eps, _INNER_EPS * g)
 
 
+@np.errstate(over="ignore")  # as for aqr
 def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
          max_iters: int = 500, max_sweeps: int = 200,
          trim: float = 0.0) -> DecompReport:
@@ -599,41 +600,40 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
             beta=beta_name, u=U, d=D, v=V, trimmed=trimmed,
             stalled_pivots=stalled, decency_warnings=warnings)
 
-    with np.errstate(over="ignore"):  # an overflowed norm is caught
+    g = residual()
+    while not g <= eps:
+        if qrd_calls >= max_iters:
+            raise ConvergenceError(
+                f"SVD did not reach eps={eps:g} within {max_iters} QR calls",
+                partial_report())
+        first = qrd_calls == 0  # U and V are still the identity
+        loose = not first and not exact and math.isfinite(g)
+        inner = max(eps, _INNER_EPS * g) if loose else eps
+        for hermitian_side in (False, True):
+            work = D.herm() if hermitian_side else D
+            try:
+                sub = aqr(work, beta=beta, norm=norm, eps=inner,
+                          max_sweeps=max_sweeps, trim=trim)
+            except ConvergenceError as exc:
+                raise ConvergenceError(f"QR call {qrd_calls + 1}: {exc}",
+                                       partial_report()) from exc
+            qrd_calls += 1
+            rotations += sub.rotations
+            sweeps += sub.sweeps
+            trimmed += sub.trimmed
+            stalled += sub.stalled_pivots
+            warnings += sub.decency_warnings
+            X = sub.q if first else (V if hermitian_side else U) @ sub.q
+            if trim > 0.0:
+                lay = spec.layout(X)
+                x = X._array(lay).copy()
+                trimmed += _trim_array(x, trim)
+                X = AlgMatrix._of_array(*lay.cropped(x))
+            if hermitian_side:
+                D, V = sub.r.herm(), X
+            else:
+                D, U = sub.r, X
         g = residual()
-        while not g <= eps:
-            if qrd_calls >= max_iters:
-                raise ConvergenceError(
-                    f"SVD did not reach eps={eps:g} within {max_iters} QR calls",
-                    partial_report())
-            first = qrd_calls == 0  # U and V are still the identity
-            loose = not first and not exact and math.isfinite(g)
-            inner = max(eps, _INNER_EPS * g) if loose else eps
-            for hermitian_side in (False, True):
-                work = D.herm() if hermitian_side else D
-                try:
-                    sub = aqr(work, beta=beta, norm=norm, eps=inner,
-                              max_sweeps=max_sweeps, trim=trim)
-                except ConvergenceError as exc:
-                    raise ConvergenceError(f"QR call {qrd_calls + 1}: {exc}",
-                                           partial_report()) from exc
-                qrd_calls += 1
-                rotations += sub.rotations
-                sweeps += sub.sweeps
-                trimmed += sub.trimmed
-                stalled += sub.stalled_pivots
-                warnings += sub.decency_warnings
-                X = sub.q if first else (V if hermitian_side else U) @ sub.q
-                if trim > 0.0:
-                    lay = spec.layout(X)
-                    x = X._array(lay).copy()
-                    trimmed += _trim_array(x, trim)
-                    X = AlgMatrix._of_array(*lay.cropped(x))
-                if hermitian_side:
-                    D, V = sub.r.herm(), X
-                else:
-                    D, U = sub.r, X
-            g = residual()
 
     return partial_report()
 
