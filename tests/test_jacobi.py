@@ -555,17 +555,20 @@ def test_step_trim_equals_per_row_trims(seed):
         W.RQ[rng.random(W.RQ.shape) < 0.2] = 0.0
         n, theta, counts = W.n, 0.7, []
         for i, k in ((1, 1), (2, 0), (3, 1)):
-            c, s = (0.0, -1.0) if i == k else (math.cos(-theta), math.sin(-theta))
-            _, want, _ = jacobi._rotate_rows(W.lay, W.RQ.copy(), W.reach, k,
-                                             i, c, s, z)
+            before = W.trimmed
             if i == k:
+                _, want, _ = jacobi._rotate_rows(W.lay, W.RQ.copy(), W.reach,
+                                                 k, k, 0.0, -1.0, z)
                 count = jacobi._trim_array(want[:n, k], 1e-6)
+                W.shift(k, z)
             else:
+                _, want, _ = jacobi._rotate_rows(
+                    W.lay, W.RQ.copy(), W.reach, k, i, math.cos(-theta),
+                    math.sin(-theta), z)
                 if exact:
                     want[k, i] = 0.0
                 count = sum(jacobi._trim_array(want[:, r], 1e-6) for r in (k, i))
-            before = W.trimmed
-            W.shift(k, z) if i == k else W.rotate(i, k, theta, z)
+                W.rotate(i, k, theta, z)
             assert W.trimmed - before == count
             assert np.array_equal(W.RQ, want)
             counts.append(count)
