@@ -429,7 +429,7 @@ class AlgMatrix:
         if other.shape != self.shape:
             raise AlgebraError(f"shape mismatch {self.shape} vs {other.shape}")
         lay = self.spec.layout(self, other)
-        return AlgMatrix._of_array(lay, self._array(lay) + other._array(lay))
+        return AlgMatrix._of_array(*lay.cropped(self._array(lay) + other._array(lay)))
 
     def __sub__(self, other: "AlgMatrix") -> "AlgMatrix":
         return self + (-other)
@@ -604,7 +604,7 @@ class _Window(_Layout):
 
     A window is a value: :func:`_window` hands out one per half-widths and
     nothing changes it after its constructor.  The window of a matrix bounds
-    what its array holds; products, rotated matrices, ``aqr``'s
+    what its array holds; sums, products, rotated matrices, ``aqr``'s
     factors and ``laurent_unembed`` crop theirs to it (:meth:`cropped`).
     """
 

@@ -120,7 +120,10 @@ def beta_division(a: Element) -> Element:
     """a / ||a||_2, the optimal choice on a division algebra (rho = 1).
 
     conj(beta(a)) * a then has 2-norm equal to its real part, so each
-    rotation removes the targeted entry entirely.
+    rotation removes the targeted entry entirely.  When the sum of squares
+    leaves the normal float range (the norm below 2^-511 or infinite), a
+    is first scaled by the power of two of its largest coefficient, which
+    is exact.
     """
     if not a.spec.is_division:
         raise AlgebraError(
@@ -128,7 +131,12 @@ def beta_division(a: Element) -> Element:
             f"got {a.spec.descriptor}")
     if not a.coeffs:
         return a.spec.one()
-    return a / a.norm2()
+    norm = a.norm2()
+    if not 2.0 ** -511 <= norm < math.inf:
+        e = math.frexp(a.norm_inf())[1]
+        a = Element(a.spec, {lab: math.ldexp(c, -e) for lab, c in a.coeffs.items()})
+        norm = a.norm2()
+    return a / norm
 
 
 def beta_prime(inner: Callable[[Element], Element]) -> Callable[[Element], Element]:

@@ -21,16 +21,15 @@ Shipped representations:
 * ``rep_trivial``: the identity representation of R, C or H.
 
 All block fields share one layout.  A block of size n over a field of
-dimension f (1, 2 or 4) is n*n*f real parameters, entry by entry, held
-internally as its real embedding: the (n f) x (n f) real matrix with every
-entry replaced by its ``core.rmr`` over the field.  Block products are then
-real products and the conjugate transpose is the transpose.  Only the
-public formats differ by field: images are real (n, n), complex (n, n) or
-(n, n, 4) quaternion arrays (components 1, i, j, k), and ``lift`` yields
-matrices over R, C or H.
+dimension f (1, 2 or 4) is n*n*f real parameters, entry by entry, held as
+a matrix in the field's coefficient layout (``layout()`` of R, C or H),
+the layout ``lift`` and ``unlift`` use and the rotation engine computes
+in.  Only the public formats differ by field: images are real (n, n),
+complex (n, n) or (n, n, 4) quaternion arrays (components 1, i, j, k),
+and ``lift`` yields matrices over R, C or H.
 
 Every representation is verified at construction: multiplicativity and
-involution-compatibility on all basis pairs, one batched product per
+involution-compatibility on all basis pairs, one layout product per
 block, and invertibility of the coefficient map.
 """
 
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AlgebraError, AlgebraSpec, AlgMatrix, Element,
-                   SpecMismatchError, UnsupportedOperationError, _window, rmr)
+                   SpecMismatchError, UnsupportedOperationError, _window)
 from .catalog import (CyclicGroupAlgebra, LaurentAlgebra, biquat, clifford,
                       complex_algebra, cyclic, laurent, quadquat,
                       quaternion_algebra, real_algebra)
@@ -58,23 +57,6 @@ _VERIFY_TOL = 1e-12  # worst entry error of a verified product or involution
 def _field_spec(tag: str) -> AlgebraSpec:
     return {"R": real_algebra, "C": complex_algebra,
             "H": quaternion_algebra}[tag]()
-
-
-@functools.lru_cache(maxsize=None)
-def _field_structure(tag: str) -> np.ndarray:
-    """T[a] = rmr(e_a) over the block field, an (f, f, f) array."""
-    field = _field_spec(tag)
-    return np.stack([rmr(field.basis_element(lab)) for lab in field.labels])
-
-
-def _embed(tag: str, params: np.ndarray, n: int) -> np.ndarray:
-    """Real embeddings, (..., n*f, n*f), of blocks given by their
-    parameters, (..., n*n*f): entry x becomes sum_a x_a rmr(e_a)."""
-    f = _FIELD_DIM[tag]
-    lead = params.shape[:-1]
-    x = params.reshape(lead + (n, n, f))
-    out = np.einsum("...ija,ars->...irjs", x, _field_structure(tag))
-    return out.reshape(lead + (n * f, n * f))
 
 
 def _flatten_block(tag: str, X: np.ndarray) -> np.ndarray:
@@ -141,8 +123,6 @@ class Representation:
             self.inv = np.linalg.inv(F)
         except np.linalg.LinAlgError:
             raise AlgebraError(f"{self.name}: basis images are not independent")
-        self._basis_images = {lab: [np.asarray(M) for M in mats]
-                              for lab, mats in basis_images.items()}
         self.verification = self._verify()
 
     def _slices(self):
@@ -154,18 +134,23 @@ class Representation:
         labels = src.labels
         d = src.dim
         tables = src.tables
-        sign = tables.sign.reshape(d, d, 1, 1)
-        prod = tables.index
-        inv_sign = tables.inv_sign.reshape(d, 1, 1)
-        inv_idx = tables.inv_index
+        sign = tables.sign.reshape(d, d, 1, 1, 1)
+        inv_sign = tables.inv_sign.reshape(d, 1, 1, 1)
         mult = np.zeros((d, d))
         star = np.zeros(d)
         for (tag, n), lo, hi in self._slices():
-            E = _embed(tag, self.fwd[lo:hi].T, n)     # E[t] = image of e_t
-            err = np.abs(E[:, None] @ E[None, :] - sign * E[prod])
-            mult = np.maximum(mult, err.max(axis=(2, 3)))
-            err = np.abs(E.transpose(0, 2, 1) - inv_sign * E[inv_idx])
-            star = np.maximum(star, err.max(axis=(1, 2)))
+            lay = _field_spec(tag).layout()
+            E = self.fwd[lo:hi].T.reshape(d, n, n, -1)  # E[t] = image of e_t
+            # the images stacked vertically times the images side by side:
+            # block (s, t) of the product is E[s] E[t]
+            _, P = lay.matmul(E.reshape(d * n, n, -1),
+                              E.transpose(1, 0, 2, 3).reshape(n, d * n, -1))
+            P = P.reshape(d, n, d, n, -1).transpose(0, 2, 1, 3, 4)
+            err = np.abs(P - sign * E[tables.index])
+            mult = np.maximum(mult, err.max(axis=(2, 3, 4)))
+            err = np.abs(lay.conj(E).transpose(0, 2, 1, 3)
+                         - inv_sign * E[tables.inv_index])
+            star = np.maximum(star, err.max(axis=(1, 2, 3)))
         bad = np.flatnonzero(~(mult <= _VERIFY_TOL))
         if bad.size:
             i, j = divmod(int(bad[0]), d)

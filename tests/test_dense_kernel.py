@@ -469,6 +469,21 @@ def test_products_and_factors_hold_what_their_windows_cover(spec):
     assert one._coeffs[0].h == (0,) * spec.kappa and one[0, 0] == spec.one()
 
 
+def test_sums_hold_what_their_windows_cover():
+    # a sum whose outer coefficients cancel once kept the wider window, and
+    # its frob() then rounded differently from the same coefficients on a
+    # tight window: 6.258712821697119 against 6.25871282169712 here
+    spec = laurent(1)
+    A = random_matrix(spec, 3, 3, np.random.default_rng(1), degree=3)
+    lay, x = A._coeffs
+    outer = np.zeros_like(x)
+    outer[..., [0, -1]] = x[..., [0, -1]]
+    S = A - AlgMatrix._of_array(lay, outer)
+    tight = AlgMatrix(spec, S.entries)
+    assert _tight(S) and S._coeffs[0].h == tight._coeffs[0].h == (2,)
+    assert S.frob() == tight.frob()
+
+
 def test_layout_of_arrays_reads_their_windows(monkeypatch):
     rng = np.random.default_rng(3)
     for spec in LAURENT:

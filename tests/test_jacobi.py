@@ -70,6 +70,26 @@ def test_beta_division_zero_and_domain():
         beta_division(clifford(2, 0).one())
 
 
+@pytest.mark.parametrize("spec", [complex_algebra(), quaternion_algebra()],
+                         ids=lambda spec: spec.descriptor)
+@pytest.mark.parametrize("x", [1e200, 1e-170, 2.0 ** -1060],
+                         ids=["huge", "tiny", "subnormal"])
+def test_beta_division_out_of_the_float_range(spec, x):
+    # a / ||a||_2 once gave b = 0 when the squares overflowed (aqr then
+    # returned a Q with unitarity error 1 and no error) and raised
+    # ZeroDivisionError when they underflowed
+    g1 = spec.labels[1]
+    b = beta_division(Element(spec, {g1: x, spec.unit: x / 4}))
+    want = Element(spec, {g1: 4.0, spec.unit: 1.0}) / math.sqrt(17.0)
+    assert (b - want).norm_inf() <= 2e-16
+    A = AlgMatrix(spec, [[spec.basis_element(g1, x)], [spec.one()]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        qr = aqr(A, norm="inf", eps=0.0)
+    assert qr.q.unitarity_error() <= 1e-15
+    assert (qr.q @ qr.r - A).frob() <= 1e-15 * A.frob()
+
+
 def test_beta_prime_passthrough_when_decent():
     H = clifford(0, 2)
     rng = np.random.default_rng(1)

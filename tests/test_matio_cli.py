@@ -364,6 +364,31 @@ def test_huge_quaternion_input_fails_without_a_warning(tmp_path, capsys,
     assert "non-finite pivot" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algebra", ["quat", "complex"])
+@pytest.mark.parametrize("entries", [[[0, 0, [["1", 1.0]]],
+                                      [1, 0, [["g1", 1e-170]]]],
+                                     [[0, 0, [["g1", 1e200]]],
+                                      [1, 0, [["1", 1.0]]]]])
+def test_division_beta_outside_the_float_range(tmp_path, capsys, algebra,
+                                               entries):
+    # beta_division once squared unscaled coefficients: the tiny entry gave
+    # a ZeroDivisionError traceback (exit 1), the huge one b = 0 and a Q
+    # with unitarity error 1
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"format": "algdecomp-mat/1",
+                                "algebra": algebra, "m": 2, "n": 1,
+                                "entries": entries}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["decompose", "--algebra", algebra, "--norm", "inf",
+                    "--eps", "0", "--input", str(path),
+                    "--output-prefix", str(tmp_path / "x")])
+    assert code == EXIT_OK
+    line, = [t for t in capsys.readouterr().out.splitlines()
+             if t.startswith("unitarity_error=")]
+    assert float(line.split("=")[1]) <= 1e-15
+
+
 def test_smallest_eps_decomposes(tmp_path, capsys):
     # the rotation budget once overflowed here: a traceback and exit 1
     code = run(["decompose", "--algebra", "cl(4,1)", "--random", "3", "2",

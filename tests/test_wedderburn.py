@@ -69,12 +69,41 @@ def test_trivial_representations():
 
 def test_corrupted_images_rejected():
     good = rep_quadquat()
-    images = {lab: [M.copy() for M in mats]
-              for lab, mats in good._basis_images.items()}
-    bad_label = good.source.labels[3]
+    spec = good.source
+    images = {lab: good.image(spec.basis_element(lab)) for lab in spec.labels}
+    bad_label = spec.labels[3]
     images[bad_label] = [-images[bad_label][0]]
     with pytest.raises(AlgebraError, match="multiplicative"):
-        Representation(good.source, good.blocks, images, name="corrupted")
+        Representation(spec, good.blocks, images, name="corrupted")
+
+
+def _cl20_images(S):
+    # cl(2,0) as real 2x2 matrices, conjugated by S
+    Si = np.linalg.inv(S)
+    g1 = S @ np.diag([1.0, -1.0]) @ Si
+    g2 = S @ np.array([[0.0, 1.0], [1.0, 0.0]]) @ Si
+    return {0b00: [np.eye(2)], 0b01: [g1], 0b10: [g2], 0b11: [g1 @ g2]}
+
+
+def test_multiplicative_map_that_is_not_a_star_map_rejected():
+    # conjugation keeps products, but it keeps the involution (the
+    # transpose) only for an orthogonal S
+    spec = clifford(2, 0)
+    rep = Representation(spec, (("R", 2),), _cl20_images(np.eye(2)))
+    assert rep.verification.star_worst == 0.0
+    images = _cl20_images(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(AlgebraError, match="does not intertwine the "
+                       "involution at basis element g1:"):
+        Representation(spec, (("R", 2),), images, name="similar")
+
+
+def test_dependent_images_rejected():
+    good = rep_quadquat()
+    spec = good.source
+    images = {lab: good.image(spec.basis_element(lab)) for lab in spec.labels}
+    images[spec.labels[2]] = images[spec.labels[1]]
+    with pytest.raises(AlgebraError, match="basis images are not independent"):
+        Representation(spec, good.blocks, images, name="dependent")
 
 
 def test_dft_block_structure():
