@@ -14,6 +14,7 @@ positive tolerance.  The SVD alternates QR passes on D and on D^H until all
 off-diagonal entries are small; after a first pair run to eps, a pass
 stops at max(eps, 0.1 g), g being D's largest off-diagonal norm before
 it (eps if g is not finite), as the pass on D^H puts mass back anyway.
+U and V accumulate each pass's rotations in its work array.
 
 Over the real, complex and quaternion algebras, ``beta="division"``
 annihilates each targeted entry exactly, so QR terminates after one sweep
@@ -314,10 +315,12 @@ def _trim_array(x: np.ndarray, tau: float) -> int:
 
 class _ArrayWork:
     """R and Q^H of one QR run in one coefficient array in the spec's layout,
-    indexed (column, row, position): columns 0..n-1 hold R, the rest Q^H.
-    R <- G R and Q <- Q G^H make Q^H <- G Q^H, so every shift and rotation
-    acts on two rows through :func:`_rotate`, rounding as entry-wise Element
-    arithmetic does; only 2-norms are summed in another order.
+    indexed (column, row, position): columns 0..n-1 hold R, the rest Q^H,
+    which starts as U^H (the identity when U is None) and so ends as
+    (U Q)^H.  R <- G R and Q <- Q G^H make Q^H <- G Q^H, so every shift
+    and rotation acts on two rows through :func:`_rotate`, rounding as
+    entry-wise Element arithmetic does; only 2-norms are summed in another
+    order.  Nothing that steers the run reads the Q^H columns.
 
     The step trims the rotated rows before it writes them back
     (:func:`_rotate_rows`' ``cut``): after a shift R's row k, after a
@@ -325,15 +328,18 @@ class _ArrayWork:
     zeroes first.  ``trimmed`` counts the coefficients dropped."""
 
     def __init__(self, A: AlgMatrix, betafn, norm_name: str, exact: bool,
-                 tau: float):
+                 tau: float, U: Optional[AlgMatrix] = None):
         self.spec = A.spec
-        self.lay = lay = A.spec.layout(A)
+        self.lay = lay = A.spec.layout(A) if U is None else A.spec.layout(A, U)
         self.reach = lay.h
         self.n = A.n
         self.RQ = np.zeros((A.n + A.m, A.m, lay.width))
         self.RQ[:A.n] = A._array(lay).transpose(1, 0, 2)
-        for r in range(A.m):
-            self.RQ[A.n + r, r, lay.unit] = 1.0
+        if U is None:  # the identity
+            for r in range(A.m):
+                self.RQ[A.n + r, r, lay.unit] = 1.0
+        else:
+            self.RQ[A.n:] = lay.conj(U._array(lay))
         self.betafn = betafn
         self.norm_name = norm_name
         self.norms = _NORMS[norm_name]
@@ -452,7 +458,8 @@ def _rotation_budget(max_sweeps: int, rows: int, colnorm: float, width: int,
 
 @np.errstate(over="ignore")  # a norm past the float range is caught as non-finite
 def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
-        max_sweeps: int = 200, trim: float = 0.0) -> DecompReport:
+        max_sweeps: int = 200, trim: float = 0.0, *,
+        q0: Optional[AlgMatrix] = None) -> DecompReport:
     """QR decomposition by columns: A = Q R with Q unitary.
 
     Every below-diagonal entry of R ends with norm at most ``eps`` and the
@@ -461,6 +468,11 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
     termination is exact.  ``trim`` > 0 drops, after each rotation,
     coefficients at or below ``trim`` times the entry's largest one (useful
     for Laurent matrices whose supports would otherwise grow).
+
+    ``q0`` (m x m, the identity when None) is rotated along with A, so the
+    returned q is q0 Q.  Nothing that steers the run reads it: R and the
+    counts are those without it, and ``trimmed`` counts q0 Q's
+    coefficients too.
 
     The factors are held as one coefficient array in the spec's layout
     (structure tables for finite specs, an exponent window for Laurent
@@ -483,7 +495,7 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
 
     t0 = time.perf_counter()
     m, n = A.m, A.n
-    W = _ArrayWork(A, betafn, norm_name, exact, trim)
+    W = _ArrayWork(A, betafn, norm_name, exact, trim, q0)
     one = spec.one()
     rotations = sweeps = stalled = warnings = 0
 
@@ -570,10 +582,12 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
          trim: float = 0.0) -> DecompReport:
     """SVD by alternating QR passes: A = U D V^H with U, V unitary.
 
-    Runs QR on D, then on D^H, accumulating U and V, until every
-    off-diagonal entry of D has norm at most ``eps``.  ``max_iters`` bounds
-    the number of QR calls.  Diagonal entries are not sorted: there is no
-    canonical scalar order over a general algebra.
+    Runs QR on D, then on D^H, until every off-diagonal entry of D has
+    norm at most ``eps``.  Each call rotates U (on D) or V (on D^H) in its
+    work array (:func:`aqr`'s ``q0``), so the factors accumulate without a
+    matrix product, and with ``trim`` only the rotations trim them.
+    ``max_iters`` bounds the number of QR calls.  Diagonal entries are not
+    sorted: there is no canonical scalar order over a general algebra.
 
     The first pair of QR calls runs to eps, as loose first calls steer D,
     on some inputs, to a diagonal whose later passes are several times
@@ -581,8 +595,7 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
     off-diagonal norm before the pair; only the outer test is held to eps.
     An exact beta (``beta="division"``) removes each entry whatever the
     tolerance, so its calls keep eps, as they do when g is not finite (then
-    :func:`aqr` rejects the entry instead of returning at once).  The first
-    pair takes its Q's as U and V: the product with the identity is exact.
+    :func:`aqr` rejects the entry instead of returning at once).
     """
     spec = A.spec
     _check_tolerances(eps, trim, svd=True)
@@ -614,14 +627,15 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
             raise ConvergenceError(
                 f"SVD did not reach eps={eps:g} within {max_iters} QR calls",
                 partial_report())
-        first = qrd_calls == 0  # U and V are still the identity
-        loose = not first and not exact and math.isfinite(g)
+        # the first pair runs to eps
+        loose = qrd_calls > 0 and not exact and math.isfinite(g)
         inner = max(eps, _INNER_EPS * g) if loose else eps
         for hermitian_side in (False, True):
             work = D.herm() if hermitian_side else D
             try:
                 sub = aqr(work, beta=beta, norm=norm, eps=inner,
-                          max_sweeps=max_sweeps, trim=trim)
+                          max_sweeps=max_sweeps, trim=trim,
+                          q0=V if hermitian_side else U)
             except ConvergenceError as exc:
                 raise ConvergenceError(f"QR call {qrd_calls + 1}: {exc}",
                                        partial_report()) from exc
@@ -631,16 +645,10 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
             trimmed += sub.trimmed
             stalled += sub.stalled_pivots
             warnings += sub.decency_warnings
-            X = sub.q if first else (V if hermitian_side else U) @ sub.q
-            if trim > 0.0:
-                lay = spec.layout(X)
-                x = X._array(lay).copy()
-                trimmed += _trim_array(x, trim)
-                X = AlgMatrix._of_array(*lay.cropped(x))
             if hermitian_side:
-                D, V = sub.r.herm(), X
+                D, V = sub.r.herm(), sub.q
             else:
-                D, U = sub.r, X
+                D, U = sub.r, sub.q
         g = residual()
 
     return partial_report()

@@ -59,10 +59,11 @@ def _field_spec(tag: str) -> AlgebraSpec:
             "H": quaternion_algebra}[tag]()
 
 
-def _flatten_block(tag: str, X: np.ndarray) -> np.ndarray:
+def _flatten_blocks(tag: str, X: np.ndarray, size: int) -> np.ndarray:
+    """The real parameters of a stack of block images, one row each."""
     if tag == "C":
-        return np.stack([X.real, X.imag], axis=-1).ravel()
-    return np.asarray(X, dtype=float).ravel()
+        X = np.stack([X.real, X.imag], axis=-1)
+    return np.asarray(X, dtype=float).reshape(len(X), size)
 
 
 def _unflatten_block(tag: str, vec: np.ndarray, n: int) -> np.ndarray:
@@ -113,11 +114,12 @@ class Representation:
                 f"{self.name}: block sizes do not add up to dimension {d}")
         self._offsets = np.cumsum([0] + sizes)
 
+        images = list(basis_images.values())
+        cols = [source.label_index(lab) for lab in basis_images]
         F = np.zeros((d, d))
-        for lab, mats in basis_images.items():
-            F[:, source.label_index(lab)] = np.concatenate(
-                [_flatten_block(tag, M)
-                 for (tag, _), M in zip(self.blocks, mats)])
+        for t, ((tag, _), lo, hi) in enumerate(self._slices()):
+            X = np.array([mats[t] for mats in images])
+            F[lo:hi, cols] = _flatten_blocks(tag, X, hi - lo).T
         self.fwd = F
         try:
             self.inv = np.linalg.inv(F)
@@ -311,14 +313,11 @@ def rep_cyclic_dft(kappa: int, delta: int) -> Representation:
             continue
         blocks.append(("R", 1) if nf == f else ("C", 1))
         freqs.append(f)
-    images = {}
-    for rho in src.labels:
-        mats = []
-        for (tag, _), f in zip(blocks, freqs):
-            phase = roots[sum(ft * rt for ft, rt in zip(f, rho)) % delta]
-            mats.append(np.array([[phase.real]]) if tag == "R"
-                        else np.array([[phase]]))
-        images[rho] = mats
+    # the image of z^rho in the block of frequency f is roots[f . rho]
+    phase = roots[np.array(src.labels) @ np.array(freqs).T % delta]
+    real = [tag == "R" for tag, _ in blocks]
+    images = {rho: [p.real if r else p for r, p in zip(real, row)]
+              for rho, row in zip(src.labels, phase[:, :, None, None])}
     rep = Representation(src, tuple(blocks), images,
                          name=f"cyclic({kappa},{delta})->DFT")
     rep.frequencies = tuple(freqs)

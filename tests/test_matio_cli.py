@@ -325,6 +325,19 @@ def _relative_error(capsys) -> str:
     return line.split("relative ")[1].rstrip(")")
 
 
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_rotation_svd_with_trim_meets_the_contract(tmp_path, capsys, seed):
+    # asvd once trimmed the whole product U @ Q again after every QR call,
+    # which left a relative reconstruction error of 2.3e-5 to 3.0e-5 on
+    # these inputs (exit 6); seed 2 runs out of QR calls (exit 5)
+    code = run(["decompose", "--algebra", "quadquat", "--op", "svd",
+                "--method", "jacobi", "--random", "4", "3", "--seed", str(seed),
+                "--eps", "1e-6", "--trim", "1e-6",
+                "--output-prefix", str(tmp_path / "x")])
+    assert code == EXIT_OK
+    assert float(_relative_error(capsys)) <= 1e-6
+
+
 def test_relative_error_of_a_huge_input(tmp_path, capsys):
     # frob once squared unscaled coefficients, so ||A||_F overflowed past
     # about 1e154 and the relative error read 0; eps is absolute, so it is
