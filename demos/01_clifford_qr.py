@@ -9,8 +9,9 @@ coefficients on every blade and factor it A = Q R:
     blade shifts), which drives every below-diagonal entry under a
     tolerance;
  2. through the verified isomorphism cl(4,1) ~ C^(4x4): the matrix lifts
-    to a single 12x8 complex block whose QR terminates *exactly* after one
-    rotation per below-diagonal entry.
+    to a single 12x8 complex block, which numpy's LAPACK factors by
+    Householder QR with no rotation at all: its R is *exactly* upper
+    triangular, with a real non-negative diagonal.
 """
 
 import numpy as np
@@ -35,7 +36,7 @@ print(f"  ||A - QR||_F = {recon:.2e},  ||Q^H Q - I||_F = {unit:.2e}\n")
 wed = wqr(A, rep_cl41(), eps=0.0)
 recon = (wed.q @ wed.r - A).frob()
 print("representation engine (C^(4x4) block):")
-print(f"  {wed.rotations} rotations, exact triangularisation")
+print(f"  {wed.rotations} rotations (LAPACK), exact triangularisation")
 print(f"  ||A - QR||_F = {recon:.2e}")
 
 # The diagonal of R from route 2 lies in a small subalgebra: its lifted

@@ -5,7 +5,8 @@ For large enough even delta, computations in R[z, z^-1] embed losslessly
 into the group algebra of Z/delta, which the discrete Fourier transform
 splits into scalar blocks: a real block at each self-conjugate frequency
 (0 and delta/2) and one complex block per conjugate pair.  An SVD is then
-one tiny complex SVD per frequency.
+one tiny real or complex SVD per frequency, which numpy's LAPACK computes
+(so the report counts no rotation).
 
 The block diagonal must match evaluating the original matrix at the
 corresponding unit-circle point and taking an ordinary complex SVD.

@@ -110,7 +110,8 @@ def _normalized_cost(report, rep) -> float:
 
     A rotation over a block field costs dim(field)/dim(source) of a source
     rotation, so the representation route's count is scaled down by that
-    ratio per block.
+    ratio per block.  It counts rotation-engine work only: R and C blocks
+    run LAPACK and add 0.
     """
     if rep is None:
         return float(report.rotations)

@@ -20,10 +20,10 @@ Over the real, complex and quaternion algebras, ``beta="division"``
 annihilates each targeted entry exactly, so QR terminates after one sweep
 with one rotation per nonzero below-diagonal entry even at eps = 0 (and
 the SVD's passes keep eps: a looser one would save no rotation).  There
-the representation engine's block SVD (:func:`_block_svd`) is one-sided
-Jacobi instead: the same kernel rotates column pairs until they are
-orthogonal, with no shift and quadratic convergence, and one exact QR
-finishes it.
+the representation engine's SVD of an H block (:func:`_block_svd`; R and
+C blocks run LAPACK) is one-sided Jacobi instead: the same kernel rotates
+column pairs until they are orthogonal, with no shift and quadratic
+convergence, and one exact QR finishes it.
 """
 
 from __future__ import annotations
@@ -358,31 +358,34 @@ class _ArrayWork:
     def norm(self, i: int, k: int) -> float:
         return float(self.norms(self.RQ[k, i]))
 
-    def pick(self, k: int) -> tuple[int, float, Optional[np.ndarray]]:
+    def pick(self, k: int) -> tuple[int, float, Optional[int]]:
         """Row and norm of the largest below-pivot entry; ties toward the
         lowest row, and a NaN norm wins.  Under the sup norm also the
-        entry's coefficient magnitudes, for :meth:`beta` (else None)."""
+        position of the entry's first largest coefficient, for :meth:`beta`
+        (else None): one argmax over the row-major magnitudes finds the
+        first row holding the largest (or a NaN), and its first position."""
         rows = self.RQ[k, k + 1:]
         if self.norm_name == "inf":
             mag = np.abs(rows)
-            norms = np.maximum.reduce(mag, axis=-1)
-        else:
-            mag, norms = None, self.norms(rows)
+            j, p = divmod(int(mag.argmax()), mag.shape[-1])
+            return k + 1 + j, float(mag[j, p]), p
+        norms = self.norms(rows)
         j = int(norms.argmax())  # first maximum, or first NaN
-        return k + 1 + j, float(norms[j]), (None if mag is None else mag[j])
+        return k + 1 + j, float(norms[j]), None
 
     def re(self, i: int, k: int) -> float:
         return float(self.RQ[k, i, self.lay.unit])
 
-    def beta(self, i: int, k: int, mag: Optional[np.ndarray] = None) -> Element:
-        """beta of entry (i, k); ``mag``, if given, holds its coefficient
-        magnitudes (:meth:`pick`)."""
+    def beta(self, i: int, k: int, p: Optional[int] = None) -> Element:
+        """beta of entry (i, k); ``p``, if given, is the position of its
+        first largest coefficient (:meth:`pick`)."""
         x = self.RQ[k, i]
         spec = self.spec
         if self.betafn is beta_basis:
             # the first largest coefficient (beta_basis's tie-break: position
             # order is canonical order); beta_basis(0) = 1
-            p = int((np.abs(x) if mag is None else mag).argmax())
+            if p is None:
+                p = int(np.abs(x).argmax())
             return (spec.basis_element(self.lay.labels[p]) if x[p] != 0.0
                     else spec.one())
         return self.betafn(self.lay.rows(x[None, None])[0][0])
@@ -531,7 +534,7 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
                 break
             spent, budget = 0, None
             while True:
-                i, g2, mag = W.pick(k)
+                i, g2, p = W.pick(k)
                 if g2 <= eps:
                     break
                 if not math.isfinite(g2):
@@ -548,7 +551,7 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
                             f"QR column {k} did not reach eps={eps:g} within "
                             f"its rotation budget", partial_report())
                 spent += 1
-                b = W.beta(i, k, mag)
+                b = W.beta(i, k, p)
                 t_re = W.aligned(i, k, b)
                 old_re = abs(W.re(i, k))
                 if abs(t_re) + 1e-12 * max(old_re, 1.0) < old_re:

@@ -4,11 +4,13 @@ A finite-dimensional semi-simple algebra is isomorphic to a direct sum of
 full matrix algebras over R, C and H.  Given such an isomorphism as an
 invertible linear map on coefficients (a :class:`Representation`), a matrix
 over the source algebra lifts to one block matrix per summand, each block
-is decomposed independently with the rotation engine over its division
-algebra, and the factors map back.  There QR terminates exactly (``aqr``
-with ``beta="division"``), and the SVD is one-sided Jacobi followed by one
-exact QR (``jacobi._block_svd``), which needs no shift and converges
-quadratically.
+is decomposed independently over its division algebra, and the factors map
+back.  R and C blocks run numpy's LAPACK: Householder QR, its R's diagonal
+made real and non-negative, and the Golub-Kahan SVD.  numpy has no
+quaternion factorisation, so H blocks run the rotation engine, where QR
+terminates exactly (``aqr`` with ``beta="division"``) and the SVD is
+one-sided Jacobi followed by one exact QR (``jacobi._block_svd``), which
+needs no shift and converges quadratically.
 
 Shipped representations:
 
@@ -24,9 +26,10 @@ All block fields share one layout.  A block of size n over a field of
 dimension f (1, 2 or 4) is n*n*f real parameters, entry by entry, held as
 a matrix in the field's coefficient layout (``layout()`` of R, C or H),
 the layout ``lift`` and ``unlift`` use and the rotation engine computes
-in.  Only the public formats differ by field: images are real (n, n),
-complex (n, n) or (n, n, 4) quaternion arrays (components 1, i, j, k),
-and ``lift`` yields matrices over R, C or H.
+in; LAPACK reads and writes R and C blocks as real and complex arrays.
+Only the public formats differ by field: images are real (n, n), complex
+(n, n) or (n, n, 4) quaternion arrays (components 1, i, j, k), and
+``lift`` yields matrices over R, C or H.
 
 Every representation is verified at construction: multiplicativity and
 involution-compatibility on all basis pairs, one layout product per
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -59,20 +63,22 @@ def _field_spec(tag: str) -> AlgebraSpec:
             "H": quaternion_algebra}[tag]()
 
 
-def _flatten_blocks(tag: str, X: np.ndarray, size: int) -> np.ndarray:
-    """The real parameters of a stack of block images, one row each."""
-    if tag == "C":
-        X = np.stack([X.real, X.imag], axis=-1)
-    return np.asarray(X, dtype=float).reshape(len(X), size)
-
-
-def _unflatten_block(tag: str, vec: np.ndarray, n: int) -> np.ndarray:
+def _field_array(tag: str, x: np.ndarray) -> np.ndarray:
+    """Coefficients (..., f) in a field's layout as a real, complex or
+    (..., 4) quaternion array."""
     if tag == "R":
-        return vec.reshape(n, n)
+        return x[..., 0]
     if tag == "C":
-        v = vec.reshape(n, n, 2)
-        return v[..., 0] + 1j * v[..., 1]
-    return vec.reshape(n, n, 4)
+        return x[..., 0] + 1j * x[..., 1]
+    return x
+
+
+def _field_coeffs(tag: str, X: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`_field_array`."""
+    if tag == "C":
+        return np.stack([X.real, X.imag], axis=-1)
+    X = np.asarray(X, dtype=float)
+    return X[..., None] if tag == "R" else X
 
 
 @dataclass
@@ -119,7 +125,8 @@ class Representation:
         F = np.zeros((d, d))
         for t, ((tag, _), lo, hi) in enumerate(self._slices()):
             X = np.array([mats[t] for mats in images])
-            F[lo:hi, cols] = _flatten_blocks(tag, X, hi - lo).T
+            # the real parameters of each label's image, one column each
+            F[lo:hi, cols] = _field_coeffs(tag, X).reshape(len(X), hi - lo).T
         self.fwd = F
         try:
             self.inv = np.linalg.inv(F)
@@ -180,7 +187,7 @@ class Representation:
         if a.spec != self.source:
             raise SpecMismatchError("element does not belong to the source algebra")
         params = self.fwd @ AlgMatrix(a.spec, [[a]])._coeffs[1][0, 0]
-        return [_unflatten_block(tag, params[lo:hi], n)
+        return [_field_array(tag, params[lo:hi].reshape(n, n, -1))
                 for (tag, n), lo, hi in self._slices()]
 
     def idempotents(self) -> "IdempotentSet":
@@ -329,7 +336,7 @@ def rep_trivial(spec: AlgebraSpec) -> Representation:
     if not spec.is_division:
         raise AlgebraError("rep_trivial needs the real/complex/quaternion algebra")
     tag = {1: "R", 2: "C", 4: "H"}[spec.dim]
-    images = {lab: [_unflatten_block(tag, e, 1)]
+    images = {lab: [_field_array(tag, e.reshape(1, 1, -1))]
               for lab, e in zip(spec.labels, np.eye(spec.dim))}
     return Representation(spec, ((tag, 1),), images,
                           name=f"{spec.descriptor}->trivial")
@@ -396,26 +403,85 @@ def _block_eps(eps: float, d: int) -> float:
 
 
 def _per_block(A: AlgMatrix, rep: Representation, run) -> list:
-    """``run(B)`` on each block B of the lifted A; a block's
-    ConvergenceError is raised again naming the block."""
+    """``run(tag, B)`` on each block B of the lifted A over field ``tag``; a
+    block's ConvergenceError is raised again naming the block."""
     out = []
-    for l, B in enumerate(lift(A, rep)):
+    for l, (block, B) in enumerate(zip(rep.blocks, lift(A, rep))):
         try:
-            out.append(run(B))
+            out.append(run(block[0], B))
         except ConvergenceError as exc:
             raise ConvergenceError(
-                f"block {l} {rep.blocks[l]}: {exc}", exc.report) from exc
+                f"block {l} {block}: {exc}", exc.report) from exc
+    return out
+
+
+def _qr_factors(Z: np.ndarray) -> dict:
+    """Householder QR with R's diagonal real and non-negative: column k of
+    Q times the phase of R's d_k, row k of R times its conjugate, |d_k| on
+    the diagonal."""
+    Q, R = np.linalg.qr(Z, mode="complete")
+    d = R.diagonal()
+    mag = np.abs(d)
+    phase = np.divide(d, mag, out=np.ones_like(d), where=mag > 0.0)
+    Q[:, :len(d)] *= phase
+    R[:len(d)] *= phase.conj()[:, None]
+    np.fill_diagonal(R, mag)
+    return {"q": Q, "r": R}
+
+
+def _svd_factors(Z: np.ndarray) -> dict:
+    """Golub-Kahan SVD: D = diag(s), s descending, and V = Vh^H."""
+    U, s, Vh = np.linalg.svd(Z, full_matrices=True)
+    D = np.zeros(Z.shape)
+    D[range(len(s)), range(len(s))] = s
+    return {"u": U, "d": D, "v": Vh.conj().T}
+
+
+def _lapack_block(tag: str, B: AlgMatrix, kind: str) -> DecompReport:
+    """QR (``kind="qr"``) or SVD of a block over R or C by numpy's LAPACK,
+    the factors in the field's layout.  The rotation engine does no work,
+    so every count is 0.
+
+    Raises :class:`ConvergenceError` when an entry of B is not finite
+    (before LAPACK runs) or when LAPACK fails.
+    """
+    lay = _field_spec(tag).layout()
+    x = B._array(lay)
+    out = DecompReport(kind=kind, method="wedderburn", rotations=0, sweeps=0,
+                       qrd_calls=0, residual=math.nan, wall_time=0.0, eps=0.0,
+                       norm="two", beta="division")
+    if not np.isfinite(x).all():
+        raise ConvergenceError("non-finite block entry", out)
+    try:
+        factors = (_qr_factors if kind == "qr" else _svd_factors)(
+            _field_array(tag, x))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK: {exc}", out) from exc
+    for name, F in factors.items():
+        setattr(out, name, AlgMatrix._of_array(lay, _field_coeffs(tag, F)))
+    out.residual = 0.0
     return out
 
 
 def wqr(A: AlgMatrix, rep: Representation, eps: float = 0.0,
         max_sweeps: int = 200) -> DecompReport:
-    """QR through the representation: exact per-block triangularisation."""
+    """QR through the representation: exact per-block triangularisation.
+
+    R and C blocks run numpy's LAPACK QR (Householder), its R's diagonal
+    made real and non-negative.  H blocks run the rotation engine's exact
+    QR (``aqr`` with ``beta="division"``) at a tolerance derived from
+    ``eps``, of at most ``max_sweeps`` sweeps; ``eps`` and ``max_sweeps``
+    bind only them.  ``rotations``, ``sweeps`` and ``block_rotations``
+    count rotation-engine work, so an R or C block adds 0 to each.
+    """
     _check_tolerances(eps)
+    if max_sweeps < 1:
+        raise AlgebraError("max_sweeps must be at least 1")
     t0 = time.perf_counter()
     beps = _block_eps(eps, rep.source.dim)
-    subs = _per_block(A, rep, lambda B: aqr(B, beta="division", norm="two",
-                                            eps=beps, max_sweeps=max_sweeps))
+    subs = _per_block(A, rep, lambda tag, B: (
+        aqr(B, beta="division", norm="two", eps=beps, max_sweeps=max_sweeps)
+        if tag == "H" else _lapack_block(tag, B, "qr")))
     Q = unlift([sub.q for sub in subs], rep, A.m, A.m)
     R = unlift([sub.r for sub in subs], rep, A.m, A.n)
     rot = tuple(sub.rotations for sub in subs)
@@ -431,19 +497,24 @@ def wsvd(A: AlgMatrix, rep: Representation, eps: float = 1e-10,
          max_iters: int = 500, max_sweeps: int = 200) -> DecompReport:
     """SVD through the representation; block singular values sorted descending.
 
-    Each block runs the one-sided Jacobi SVD of the rotation engine
-    (``jacobi._block_svd``): at most ``max_iters`` Jacobi sweeps, to
-    round-off whatever ``eps``, then one exact QR of at most ``max_sweeps``
-    sweeps.  Its D is diagonal, so ``residual`` is 0 and ``eps`` (> 0) only
-    states the contract.  ``rotations`` counts the rotations of both
-    (``block_rotations`` per block), ``sweeps`` the Jacobi and QR sweeps,
-    and ``qrd_calls`` the QR calls: one per block.
+    R and C blocks run numpy's LAPACK SVD (Golub-Kahan).  H blocks run the
+    one-sided Jacobi SVD of the rotation engine (``jacobi._block_svd``): at
+    most ``max_iters`` Jacobi sweeps, to round-off whatever ``eps``, then
+    one exact QR of at most ``max_sweeps`` sweeps.  Every D is diagonal, so
+    ``residual`` is 0 and ``eps`` (> 0) only states the contract.
+    ``rotations`` counts the rotations of the H blocks (``block_rotations``
+    per block), ``sweeps`` their Jacobi and QR sweeps, and ``qrd_calls``
+    their QR calls, one per H block; an R or C block adds 0 to each.
     """
     _check_tolerances(eps, svd=True)
     if max_iters < 1:
         raise AlgebraError("max_iters must be at least 1")
+    if max_sweeps < 1:
+        raise AlgebraError("max_sweeps must be at least 1")
     t0 = time.perf_counter()
-    subs = _per_block(A, rep, lambda B: _block_svd(B, max_iters, max_sweeps))
+    subs = _per_block(A, rep, lambda tag, B: (
+        _block_svd(B, max_iters, max_sweeps) if tag == "H"
+        else _lapack_block(tag, B, "svd")))
     U = unlift([sub.u for sub in subs], rep, A.m, A.m)
     D = unlift([sub.d for sub in subs], rep, A.m, A.n)
     V = unlift([sub.v for sub in subs], rep, A.n, A.n)

@@ -398,6 +398,10 @@ def test_engines_never_rebuild_elements(monkeypatch):
                 trim=1e-6).trimmed > 0
     wqr(C, dft)
     wsvd(C, dft, eps=1e-10)
+    # an H block runs aqr, whose beta_division sees one entry at a time
+    quat = quaternion_algebra()
+    wqr(random_matrix(quat, 3, 2, np.random.default_rng(7)),
+        representation_for(quat))
     assert shapes and set(shapes) == {(1, 1)}
 
 

@@ -641,21 +641,26 @@ def test_step_trim_equals_per_row_trims(seed):
 
 
 def test_block_engine_counts_pinned():
-    # per-block rotation and QR-call counts of the representation engine,
-    # whose blocks run aqr (wqr) or one-sided Jacobi and one exact aqr
-    # (wsvd) over R and C
+    # per-block rotation and QR-call counts of the representation engine:
+    # R and C blocks run LAPACK and count nothing, H blocks run aqr (wqr) or
+    # one-sided Jacobi and one exact aqr (wsvd)
     dft = rep_cyclic_dft(1, 32)
     A = laurent_embed(random_matrix(laurent(1), 3, 3,
                                     np.random.default_rng(11), degree=2), 32)
-    assert wqr(A, dft).block_rotations == (3,) * 17
+    assert wqr(A, dft).block_rotations == (0,) * 17
     rep = wsvd(A, dft, eps=1e-10)
-    assert rep.block_rotations == (13, 13, 14, 14, 13, 13, 14, 13, 12, 13, 13,
-                                   13, 13, 13, 13, 13, 13)
-    assert (rep.qrd_calls, rep.sweeps) == (17, 101)
+    assert rep.block_rotations == (0,) * 17
+    assert (rep.qrd_calls, rep.sweeps) == (0, 0)
     A = random_matrix(clifford(4, 1), 3, 2, np.random.default_rng(7))
-    assert wqr(A, rep_cl41()).block_rotations == (60,)
+    assert wqr(A, rep_cl41()).block_rotations == (0,)
     rep = wsvd(A, rep_cl41(), eps=1e-10)
-    assert (rep.block_rotations, rep.qrd_calls, rep.sweeps) == ((196,), 1, 8)
+    assert (rep.block_rotations, rep.qrd_calls, rep.sweeps) == ((0,), 0, 0)
+    quat = quaternion_algebra()
+    A = random_matrix(quat, 4, 3, np.random.default_rng(1))
+    rep = wqr(A, representation_for(quat))
+    assert (rep.block_rotations, rep.sweeps) == ((6,), 1)
+    rep = wsvd(A, representation_for(quat), eps=1e-10)
+    assert (rep.block_rotations, rep.qrd_calls, rep.sweeps) == ((15,), 1, 5)
 
 
 def test_basis_rotation_chain_pinned():

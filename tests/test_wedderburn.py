@@ -262,8 +262,13 @@ def test_wqr_cl41_exact_triangularisation():
     rep = rep_cl41()
     A = random_matrix(rep.source, 3, 2, RNG(7))
     out = wqr(A, rep, eps=0.0)
-    # the lifted block is 12x8: one rotation per below-diagonal entry
-    assert 60 <= out.rotations <= 100
+    # the lifted 12x8 complex block runs LAPACK: no rotation, and an R
+    # exactly upper triangular with a real, non-negative diagonal
+    assert out.rotations == 0
+    R = complex_ndarray(lift(out.r, rep)[0])
+    assert np.all(np.tril(R, -1) == 0.0)
+    assert np.all(np.diagonal(R).imag == 0.0)
+    assert np.all(np.diagonal(R).real >= 0.0)
     assert out.residual == 0.0
     scale = A.frob()
     assert (out.q @ out.r - A).frob() <= 1e-10 * scale
@@ -350,7 +355,7 @@ def test_wsvd_converges_on_laurent_frequency_blocks():
     # block 0 (R, 3x2) once missed its QR-call budget
     A = random_matrix(laurent(1), 3, 2, RNG(27), degree=1)
     out = _checked_wsvd(laurent_embed(A, 32), rep_cyclic_dft(1, 32), 1e-10)
-    assert out.qrd_calls == 17  # one completing QR per block
+    assert out.qrd_calls == 0  # R and C blocks run LAPACK
 
 
 def test_wsvd_is_scale_free():
@@ -398,6 +403,65 @@ def test_block_svd_matches_numpy(tag, seed, m, n, rank):
     np.testing.assert_allclose(np.repeat(d[:, 0], field.dim),
                                np.linalg.svd(rmr_lift(B), compute_uv=False),
                                atol=tol)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from("RC"), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 5), st.integers(1, 5), st.integers(0, 5))
+def test_lapack_blocks_exact_structure(tag, seed, m, n, rank):
+    # R and C blocks run LAPACK; tall, wide, rank-deficient and zero blocks
+    # through the identity representation, which lifts and unlifts exactly
+    field, rng = _FIELDS[tag], RNG(seed)
+    rank = min(rank, m, n)
+    B = (random_matrix(field, m, rank, rng) @ random_matrix(field, rank, n, rng)
+         if rank else AlgMatrix.zeros(field, m, n))
+    rep, lay, k = rep_trivial(field), field.layout(), min(m, n)
+    scale = B.frob()
+    below = np.tri(m, n, -1, dtype=bool)
+
+    qr = wqr(B, rep)
+    r = qr.r._array(lay)
+    assert np.all(r[below] == 0.0)               # exactly upper triangular,
+    assert np.all(r[range(k), range(k), 1:] == 0.0)   # a real diagonal,
+    assert np.all(r[range(k), range(k), 0] >= 0.0)    # non-negative
+    assert qr.q.unitarity_error() <= 1e-14 * m
+    assert (qr.q @ qr.r - B).frob() <= 1e-14 * scale
+    assert (qr.rotations, qr.sweeps) == (0, 0)
+
+    svd = wsvd(B, rep)
+    d = svd.d._array(lay)
+    assert np.all(d[~np.eye(m, n, dtype=bool)] == 0.0)   # diagonal,
+    assert np.all(d[range(k), range(k), 1:] == 0.0)      # real,
+    assert np.all(d[range(k), range(k), 0] >= 0.0)       # non-negative,
+    assert np.all(np.diff(d[range(k), range(k), 0]) <= 0.0)  # descending
+    assert svd.u.unitarity_error() <= 1e-14 * m
+    assert svd.v.unitarity_error() <= 1e-14 * n
+    assert (svd.u @ svd.d @ svd.v.herm() - B).frob() <= 1e-14 * scale
+    np.testing.assert_allclose(np.repeat(d[range(k), range(k), 0], field.dim),
+                               np.linalg.svd(rmr_lift(B), compute_uv=False),
+                               atol=1e-13 * scale)
+    assert (svd.rotations, svd.sweeps, svd.qrd_calls) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("spec,shape", [
+    (cyclic(1, 4), (3, 1)), (quadquat(), (2, 3)), (quaternion_algebra(), (2, 2)),
+], ids=lambda v: getattr(v, "descriptor", None))
+def test_non_finite_block_raises_naming_it(spec, shape, bad):
+    # every block path checks its entries before it runs, LAPACK (R and C;
+    # cyclic(1, 4) has one-column DFT blocks) and the rotation engine (H),
+    # and no numpy warning comes first (cl(4,1): see the test below)
+    A = random_matrix(spec, *shape, RNG(7))
+    coeffs = dict(A[shape[0] - 1, 0].coeffs)
+    coeffs[spec.unit] = bad
+    A[shape[0] - 1, 0] = Element._make(spec, coeffs)  # skips the finite check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (wqr, wsvd):
+            with pytest.raises(ConvergenceError,
+                               match=r"^block \d \(.*non-finite") as exc:
+                run(A, representation_for(spec))
+            assert not exc.value.report.residual <= 1e-10
 
 
 @pytest.mark.parametrize("spec,shape", [
@@ -467,8 +531,9 @@ def test_block_svd_leaves_round_off_columns_alone():
     lay = spec.layout()
     x = random_matrix(spec, 3, 1, RNG(1))._array(lay)
     A = AlgMatrix._of_array(lay, np.concatenate([x, x, 2.0 * x], axis=1))
+    block = _block_svd(lift(A, rep_cl41())[0], 500, 200)
+    assert (block.rotations, block.sweeps) == (331, 7)
     out = _checked_wsvd(A, rep_cl41(), 1e-10)
-    assert (out.rotations, out.sweeps) == (331, 7)
     np.testing.assert_allclose(spectrum_oracle(out.d), spectrum_oracle(A),
                                atol=1e-14 * A.frob())
 
