@@ -5,8 +5,10 @@ Subcommands:
 * ``decompose`` -- run one QR or SVD on a matrix loaded from a file or
   generated with seeded Gaussian coefficients; writes the factors as JSON
   matrix files and prints a summary.
-* ``sweep-eps`` -- rotation counts versus tolerance for one or both
-  engines, emitted as CSV.
+* ``sweep-eps`` -- rotation counts and wall times versus tolerance for
+  one or both engines, emitted as CSV.  Only the wall time compares the
+  engines: R and C blocks of the representation route run LAPACK and
+  count no rotation.
 * ``verify`` -- run the invariant suites for an algebra (and its cataloged
   representation, when one exists).
 
@@ -77,7 +79,7 @@ def _load_or_generate(args):
 
 
 def _run_engine(args, A: AlgMatrix):
-    """Returns (report, representation_or_None, matrix_in_engine_domain).
+    """Returns (report, matrix_in_engine_domain).
 
     Laurent matrices take the representation route through the cyclic
     embedding; the factors stay in the cyclic algebra, where the
@@ -87,10 +89,10 @@ def _run_engine(args, A: AlgMatrix):
     if args.method == "jacobi":
         if args.op == "qr":
             return aqr(A, beta=args.beta, norm=args.norm, eps=args.eps,
-                       max_sweeps=args.max_sweeps, trim=args.trim), None, A
+                       max_sweeps=args.max_sweeps, trim=args.trim), A
         return asvd(A, beta=args.beta, norm=args.norm, eps=args.eps,
                     max_iters=args.max_iters, max_sweeps=args.max_sweeps,
-                    trim=args.trim), None, A
+                    trim=args.trim), A
 
     if isinstance(A.spec, LaurentAlgebra):
         if not args.delta:
@@ -100,24 +102,8 @@ def _run_engine(args, A: AlgMatrix):
     if args.op == "qr":
         report = wqr(A, rep, eps=args.eps, max_sweeps=args.max_sweeps)
     else:
-        report = wsvd(A, rep, eps=args.eps, max_iters=args.max_iters,
-                      max_sweeps=args.max_sweeps)
-    return report, rep, A
-
-
-def _normalized_cost(report, rep) -> float:
-    """Rotation count in source-algebra rotation units.
-
-    A rotation over a block field costs dim(field)/dim(source) of a source
-    rotation, so the representation route's count is scaled down by that
-    ratio per block.  It counts rotation-engine work only: R and C blocks
-    run LAPACK and add 0.
-    """
-    if rep is None:
-        return float(report.rotations)
-    d = rep.source.dim
-    return sum(r * fd / d for r, fd in zip(report.block_rotations,
-                                           rep.field_dims()))
+        report = wsvd(A, rep, eps=args.eps, max_sweeps=args.max_sweeps)
+    return report, A
 
 
 @dataclass
@@ -150,7 +136,7 @@ def check_contract(report, A: AlgMatrix) -> Contract:
 def cmd_decompose(args) -> int:
     A0 = _load_or_generate(args)
     _check_folder(args.output_prefix)
-    report, rep, A = _run_engine(args, A0)
+    report, A = _run_engine(args, A0)
     if A.spec != A0.spec:
         print(f"note: {A0.spec.descriptor} input embedded into "
               f"{A.spec.descriptor} for the representation route")
@@ -189,7 +175,7 @@ def cmd_sweep_eps(args) -> int:
         for method in args.methods:
             run = argparse.Namespace(**{**vars(args), "eps": eps,
                                         "method": method})
-            report, rep, B = _run_engine(run, A)
+            report, B = _run_engine(run, A)
             contract = check_contract(report, B)
             rows.append({
                 "epsilon": eps,
@@ -197,7 +183,7 @@ def cmd_sweep_eps(args) -> int:
                 "rotations": report.rotations,
                 "sweeps": report.sweeps,
                 "qrd_calls": report.qrd_calls,
-                "normalized_cost": _normalized_cost(report, rep),
+                "wall_time_s": report.wall_time,
                 "reconstruction_error": contract.reconstruction_error,
                 "unitarity_error": contract.unitarity_error,
             })
@@ -257,7 +243,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--beta", choices=("basis", "division", "auto"),
                    default="auto")
     p.add_argument("--max-sweeps", type=int, default=200)
-    p.add_argument("--max-iters", type=int, default=500)
+    p.add_argument("--max-iters", type=int, default=500,
+                   help="QR-call limit of the jacobi SVD")
     p.add_argument("--trim", type=float, default=0.0,
                    help="drop coefficients at or below TRIM * (entry max) "
                         "after each rotation; 0 <= TRIM < 1")
@@ -283,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-prefix", default="decomp")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("sweep-eps", help="rotation counts vs tolerance (CSV)")
+    p = sub.add_parser(
+        "sweep-eps", help="rotation counts and wall time (wall_time_s, the "
+        "column that compares the engines) vs tolerance (CSV)")
     _add_common(p)
     p.add_argument("--eps-list", required=True, type=_checked(
         lambda t: [float(x) for x in t.split(",")], bool, "numbers"),

@@ -19,11 +19,9 @@ U and V accumulate each pass's rotations in its work array.
 Over the real, complex and quaternion algebras, ``beta="division"``
 annihilates each targeted entry exactly, so QR terminates after one sweep
 with one rotation per nonzero below-diagonal entry even at eps = 0 (and
-the SVD's passes keep eps: a looser one would save no rotation).  There
-the representation engine's SVD of an H block (:func:`_block_svd`; R and
-C blocks run LAPACK) is one-sided Jacobi instead: the same kernel rotates
-column pairs until they are orthogonal, with no shift and quadratic
-convergence, and one exact QR finishes it.
+the SVD's passes keep eps: a looser one would save no rotation).  The
+representation engine runs this exact QR on its H blocks, for ``wqr`` and
+to finish ``wsvd``, whose V comes from LAPACK's SVD of the complex adjoint.
 """
 
 from __future__ import annotations
@@ -655,98 +653,6 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
         g = residual()
 
     return partial_report()
-
-
-# -- one-sided Jacobi SVD of a block ---------------------------------------------------------
-
-def _block_svd(B: AlgMatrix, max_iters: int, max_sweeps: int) -> DecompReport:
-    """SVD of a matrix over R, C or H by one-sided Jacobi (Hestenes): B =
-    U D V^H with D diagonal, its diagonal real, non-negative and descending.
-
-    Columns b_j, b_i of B V are rotated, V with them, until every pair is
-    orthogonal to round-off: with alpha = |b_j|^2, beta = |b_i|^2 and
-    gamma = b_j^H b_i, the rotation of :func:`_rotate` with b =
-    conj(gamma)/|gamma| and tan 2 theta = 2 |gamma| / (beta - alpha)
-    (|theta| <= pi/4) zeroes their inner product over R, C and H.  A
-    sweep visits every pair once and rotates those with |gamma| > m
-    epsilon_machine sqrt(alpha beta) (m the rows of B) and min(alpha, beta)
-    > (m epsilon_machine ||B||_F)^2, which leaves round-off columns alone;
-    the sweeps stop when none rotates, at most ``max_iters`` of them.  An
-    exact QR of W = B V (:func:`aqr`, ``max_sweeps``), its columns sorted by
-    descending norm, then gives U and R.  R's off-diagonal entries are the
-    round-off of orthogonal columns, each below m epsilon_machine times its
-    column's norm; D is R without them, as :func:`aqr` drops each entry its
-    rotation annihilates.  A wide B goes through B^H.
-
-    Raises :class:`ConvergenceError` when an entry of B or of a pair's
-    Gram matrix is not finite, or when the sweeps run out.
-    """
-    if B.m < B.n:
-        rep = _block_svd(B.herm(), max_iters, max_sweeps)
-        rep.u, rep.d, rep.v = rep.v, rep.d.herm(), rep.u
-        return rep
-    t0 = time.perf_counter()
-    lay = B.spec.layout()
-    m, n = B.m, B.n
-    # [B^H | V^H], rows on axis -2: x[c, r] holds entry (r, c)
-    x = np.zeros((m + n, n, lay.width))
-    x[:m] = lay.conj(B._array(lay))
-    x[m + np.arange(n), np.arange(n), lay.unit] = 1.0
-    tol = m * np.finfo(float).eps
-    rotations = sweeps = 0
-
-    def report(u=None, d=None, residual=math.nan, qrd_calls=0):
-        return DecompReport(
-            kind="svd", method="jacobi", rotations=rotations, sweeps=sweeps,
-            qrd_calls=qrd_calls, residual=residual,
-            wall_time=time.perf_counter() - t0, eps=0.0, norm="two",
-            beta="division", u=u, d=d,
-            v=AlgMatrix._of_array(lay, lay.conj(x[m:])))
-
-    if not np.isfinite(x).all():
-        raise ConvergenceError("non-finite block entry", report())
-    top = float(np.abs(x[:m]).max())
-    floor = tol * top * float(np.linalg.norm(x[:m] / top)) if top else 0.0
-    floor *= floor  # no square of an entry overflows on the way
-    turned = True
-    with np.errstate(over="ignore", invalid="ignore"):  # the Gram is checked
-        while turned:
-            if sweeps >= max_iters:
-                raise ConvergenceError(
-                    f"Jacobi SVD did not converge within {max_iters} sweeps",
-                    report())
-            sweeps += 1
-            turned = False
-            for j in range(n - 1):
-                for i in range(j + 1, n):
-                    P = x[:m, (j, i)]
-                    G = lay.matmul(P.transpose(1, 0, 2), lay.conj(P))[1]
-                    alpha, beta = G[0, 0, lay.unit], G[1, 1, lay.unit]
-                    g = math.sqrt(G[0, 1] @ G[0, 1])
-                    if not math.isfinite(alpha + beta + g):
-                        raise ConvergenceError(
-                            f"non-finite Gram entries of columns ({j}, {i})",
-                            report())
-                    if (min(alpha, beta) <= floor
-                            or g <= tol * math.sqrt(alpha * beta)):
-                        continue
-                    zeta = (beta - alpha) / (2.0 * g)
-                    t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                    c = 1.0 / math.sqrt(1.0 + t * t)
-                    b = lay.rows(lay.conj(G[0, 1] / g)[None, None])[0][0]
-                    lay, x, _ = _rotate_rows(lay, x, lay.h, j, i, c, c * t, b)
-                    rotations += 1
-                    turned = True
-
-    W = lay.conj(x[:m])
-    order = np.argsort(-np.add.reduce(W * W, axis=(0, 2)), kind="stable")
-    x[m:] = x[m:, order]
-    qr = aqr(AlgMatrix._of_array(lay, W[:, order]), beta="division",
-             eps=0.0, max_sweeps=max_sweeps)
-    rotations += qr.rotations
-    sweeps += qr.sweeps
-    d = qr.r._array(lay) * np.eye(m, n)[:, :, None]
-    return report(qr.q, AlgMatrix._of_array(lay, d), 0.0, qrd_calls=1)
 
 
 # -- decency verification -----------------------------------------------------------------

@@ -7,10 +7,10 @@ over the source algebra lifts to one block matrix per summand, each block
 is decomposed independently over its division algebra, and the factors map
 back.  R and C blocks run numpy's LAPACK: Householder QR, its R's diagonal
 made real and non-negative, and the Golub-Kahan SVD.  numpy has no
-quaternion factorisation, so H blocks run the rotation engine, where QR
-terminates exactly (``aqr`` with ``beta="division"``) and the SVD is
-one-sided Jacobi followed by one exact QR (``jacobi._block_svd``), which
-needs no shift and converges quadratically.
+quaternion factorisation, so an H block's QR runs the rotation engine,
+where it terminates exactly (``aqr`` with ``beta="division"``), and its SVD
+takes V from numpy's SVD of the block's complex adjoint and U from that
+exact QR of B V (:func:`_quaternion_svd`).
 
 Shipped representations:
 
@@ -51,8 +51,8 @@ from .core import (AlgebraError, AlgebraSpec, AlgMatrix, Element,
 from .catalog import (CyclicGroupAlgebra, LaurentAlgebra, biquat, clifford,
                       complex_algebra, cyclic, laurent, quadquat,
                       quaternion_algebra, real_algebra)
-from .jacobi import (ConvergenceError, DecompReport, _block_svd,
-                     _check_tolerances, _residual, aqr)
+from .jacobi import (ConvergenceError, DecompReport, _check_tolerances,
+                     _residual, aqr)
 
 _FIELD_DIM = {"R": 1, "C": 2, "H": 4}
 _VERIFY_TOL = 1e-12  # worst entry error of a verified product or involution
@@ -200,9 +200,6 @@ class Representation:
         coeffs = (units @ self.inv.T)[None]
         return IdempotentSet(self.source,
                              tuple(self.source.layout().rows(coeffs)[0]))
-
-    def field_dims(self) -> tuple[int, ...]:
-        return tuple(_FIELD_DIM[tag] for tag, _ in self.blocks)
 
     def __repr__(self):
         parts = " + ".join(f"{tag}^{n}x{n}" for tag, n in self.blocks)
@@ -463,6 +460,68 @@ def _lapack_block(tag: str, B: AlgMatrix, kind: str) -> DecompReport:
     return out
 
 
+def _quaternion_svd(B: AlgMatrix, max_sweeps: int) -> DecompReport:
+    """SVD of a block B = B1 + B2 j over H through its complex adjoint
+    chi(B) = [[B1, B2], [-conj B2, conj B1]], a *-homomorphism: B = U D V^H
+    with D exactly diagonal, real, non-negative and descending.
+
+    The right singular vectors of chi(B) pair up: with v = [x; y], so is
+    p(v) = [-conj y; conj x], for the same singular value, and (v, p(v))
+    are the columns of chi of the quaternion column x - conj(y) j.  V's n
+    columns come from numpy's SVD of chi(B) one at a time: each is the one
+    with the largest residual after projecting out those taken and their
+    partners, normalised, so V is unitary whatever the clusters and null
+    spaces of B.  Ordered by singular value, B V has orthogonal columns; one
+    exact QR of it (:func:`aqr`, at most ``max_sweeps`` sweeps) gives U and
+    R, and D is the real part of R's diagonal, R's other entries being
+    round-off.  D is then sorted, U's and V's columns with it.  A wide B
+    goes through B^H.
+
+    Raises :class:`ConvergenceError` when an entry of B is not finite
+    (before LAPACK runs), when LAPACK fails or when the QR does.
+    """
+    if B.m < B.n:
+        out = _quaternion_svd(B.herm(), max_sweeps)
+        out.u, out.d, out.v = out.v, out.d.herm(), out.u
+        return out
+    lay, m, n = B.spec.layout(), B.m, B.n
+    x = B._array(lay)
+    out = DecompReport(kind="svd", method="wedderburn", rotations=0, sweeps=0,
+                       qrd_calls=0, residual=math.nan, wall_time=0.0, eps=0.0,
+                       norm="two", beta="division")
+    if not np.isfinite(x).all():
+        raise ConvergenceError("non-finite block entry", out)
+    B1, B2 = x[..., 0] + 1j * x[..., 1], x[..., 2] + 1j * x[..., 3]
+    try:
+        vh = np.linalg.svd(np.block([[B1, B2], [-B2.conj(), B1.conj()]]))[2]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK: {exc}", out) from exc
+    cand = vh.conj().T  # columns in descending order of singular value
+    chi = np.zeros((2 * n, 2 * n), dtype=complex)  # chi(V), columns v, p(v)
+    taken = []
+    for t in range(n):
+        res = cand - chi @ (chi.conj().T @ cand)
+        norms = np.linalg.norm(res, axis=0)
+        k = int(norms.argmax())
+        chi[:, 2 * t] = v = res[:, k] / norms[k]
+        chi[:, 2 * t + 1] = np.concatenate([-v[n:].conj(), v[:n].conj()])
+        taken.append(k)
+    V1, V2 = chi[:n, 0::2], chi[:n, 1::2]
+    v = np.stack([V1.real, V1.imag, V2.real, V2.imag], -1)[:, np.argsort(taken)]
+    qr = aqr(B @ AlgMatrix._of_array(lay, v), beta="division", eps=0.0,
+             max_sweeps=max_sweeps)
+    d = qr.r._array(lay)[range(n), range(n), 0]
+    order = np.argsort(-d, kind="stable")
+    D = np.zeros((m, n, 4))
+    D[range(n), range(n), 0] = d[order]
+    out.u = AlgMatrix._of_array(lay, qr.q._array(lay)[:, np.r_[order, n:m]])
+    out.d = AlgMatrix._of_array(lay, D)
+    out.v = AlgMatrix._of_array(lay, v[:, order])
+    out.rotations, out.sweeps, out.qrd_calls = qr.rotations, qr.sweeps, 1
+    out.residual = 0.0
+    return out
+
+
 def wqr(A: AlgMatrix, rep: Representation, eps: float = 0.0,
         max_sweeps: int = 200) -> DecompReport:
     """QR through the representation: exact per-block triangularisation.
@@ -494,26 +553,23 @@ def wqr(A: AlgMatrix, rep: Representation, eps: float = 0.0,
 
 
 def wsvd(A: AlgMatrix, rep: Representation, eps: float = 1e-10,
-         max_iters: int = 500, max_sweeps: int = 200) -> DecompReport:
+         max_sweeps: int = 200) -> DecompReport:
     """SVD through the representation; block singular values sorted descending.
 
-    R and C blocks run numpy's LAPACK SVD (Golub-Kahan).  H blocks run the
-    one-sided Jacobi SVD of the rotation engine (``jacobi._block_svd``): at
-    most ``max_iters`` Jacobi sweeps, to round-off whatever ``eps``, then
-    one exact QR of at most ``max_sweeps`` sweeps.  Every D is diagonal, so
-    ``residual`` is 0 and ``eps`` (> 0) only states the contract.
-    ``rotations`` counts the rotations of the H blocks (``block_rotations``
-    per block), ``sweeps`` their Jacobi and QR sweeps, and ``qrd_calls``
-    their QR calls, one per H block; an R or C block adds 0 to each.
+    R and C blocks run numpy's LAPACK SVD (Golub-Kahan).  H blocks take V
+    from numpy's SVD of their complex adjoint and U from one exact QR of
+    B V (:func:`_quaternion_svd`) of at most ``max_sweeps`` sweeps.  Every
+    D is diagonal, so ``residual`` is 0 and ``eps`` (> 0) only states the
+    contract.  ``rotations`` counts the rotations of the H blocks' QRs
+    (``block_rotations`` per block), ``sweeps`` their sweeps, and
+    ``qrd_calls`` the QRs, one per H block; an R or C block adds 0 to each.
     """
     _check_tolerances(eps, svd=True)
-    if max_iters < 1:
-        raise AlgebraError("max_iters must be at least 1")
     if max_sweeps < 1:
         raise AlgebraError("max_sweeps must be at least 1")
     t0 = time.perf_counter()
     subs = _per_block(A, rep, lambda tag, B: (
-        _block_svd(B, max_iters, max_sweeps) if tag == "H"
+        _quaternion_svd(B, max_sweeps) if tag == "H"
         else _lapack_block(tag, B, "svd")))
     U = unlift([sub.u for sub in subs], rep, A.m, A.m)
     D = unlift([sub.d for sub in subs], rep, A.m, A.n)

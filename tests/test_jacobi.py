@@ -643,7 +643,7 @@ def test_step_trim_equals_per_row_trims(seed):
 def test_block_engine_counts_pinned():
     # per-block rotation and QR-call counts of the representation engine:
     # R and C blocks run LAPACK and count nothing, H blocks run aqr (wqr) or
-    # one-sided Jacobi and one exact aqr (wsvd)
+    # LAPACK on the complex adjoint and one exact aqr (wsvd)
     dft = rep_cyclic_dft(1, 32)
     A = laurent_embed(random_matrix(laurent(1), 3, 3,
                                     np.random.default_rng(11), degree=2), 32)
@@ -660,7 +660,7 @@ def test_block_engine_counts_pinned():
     rep = wqr(A, representation_for(quat))
     assert (rep.block_rotations, rep.sweeps) == ((6,), 1)
     rep = wsvd(A, representation_for(quat), eps=1e-10)
-    assert (rep.block_rotations, rep.qrd_calls, rep.sweeps) == ((15,), 1, 5)
+    assert (rep.block_rotations, rep.qrd_calls, rep.sweeps) == ((6,), 1, 1)
 
 
 def test_basis_rotation_chain_pinned():

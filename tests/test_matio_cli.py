@@ -420,7 +420,7 @@ def test_sweep_csv_columns_and_trends(tmp_path):
         rows = list(csv.DictReader(fh))
     assert list(rows[0].keys()) == [
         "epsilon", "method", "rotations", "sweeps", "qrd_calls",
-        "normalized_cost", "reconstruction_error", "unitarity_error"]
+        "wall_time_s", "reconstruction_error", "unitarity_error"]
     jac = [r for r in rows if r["method"] == "jacobi"]
     wed = [r for r in rows if r["method"] == "wedderburn"]
     # tighter tolerance never costs fewer rotations
@@ -428,10 +428,10 @@ def test_sweep_csv_columns_and_trends(tmp_path):
     assert counts == sorted(counts)
     # exact block termination is tolerance-independent
     assert len({r["rotations"] for r in wed}) == 1
-    # the representation route wins after cost normalisation
+    # the representation route is faster (about 0.6 ms against 32 ms)
     j10 = next(r for r in jac if float(r["epsilon"]) == 1e-10)
     w10 = next(r for r in wed if float(r["epsilon"]) == 1e-10)
-    assert float(w10["normalized_cost"]) < float(j10["normalized_cost"])
+    assert float(w10["wall_time_s"]) < float(j10["wall_time_s"])
 
 
 def test_sweep_builds_each_representation_once(tmp_path, monkeypatch):

@@ -14,8 +14,7 @@ from algdecomp import (AlgebraError, AlgMatrix, ConvergenceError, Element,
                        rep_biquat, rep_cl41, rep_cyclic_dft, rep_quadquat,
                        rep_trivial, representation_for, rmr_lift, unlift, wqr,
                        wsvd)
-from algdecomp.jacobi import _block_svd
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (complex_ndarray, eval_laurent, quat_matmul,
                      spectrum_oracle)
@@ -406,11 +405,12 @@ def test_block_svd_matches_numpy(tag, seed, m, n, rank):
 
 
 @settings(max_examples=60)
-@given(st.sampled_from("RC"), st.integers(0, 2 ** 32 - 1),
+@given(st.sampled_from("RCH"), st.integers(0, 2 ** 32 - 1),
        st.integers(1, 5), st.integers(1, 5), st.integers(0, 5))
 def test_lapack_blocks_exact_structure(tag, seed, m, n, rank):
-    # R and C blocks run LAPACK; tall, wide, rank-deficient and zero blocks
-    # through the identity representation, which lifts and unlifts exactly
+    # R and C blocks run LAPACK, and so does an H block's SVD (on the
+    # complex adjoint); tall, wide, rank-deficient and zero blocks through
+    # the identity representation, which lifts and unlifts exactly
     field, rng = _FIELDS[tag], RNG(seed)
     rank = min(rank, m, n)
     B = (random_matrix(field, m, rank, rng) @ random_matrix(field, rank, n, rng)
@@ -422,11 +422,12 @@ def test_lapack_blocks_exact_structure(tag, seed, m, n, rank):
     qr = wqr(B, rep)
     r = qr.r._array(lay)
     assert np.all(r[below] == 0.0)               # exactly upper triangular,
-    assert np.all(r[range(k), range(k), 1:] == 0.0)   # a real diagonal,
-    assert np.all(r[range(k), range(k), 0] >= 0.0)    # non-negative
+    assert np.all(r[range(k), range(k), 0] >= 0.0)    # a non-negative
+    if tag != "H":  # the rotation engine leaves H's imaginary round-off
+        assert np.all(r[range(k), range(k), 1:] == 0.0)   # real diagonal
+        assert (qr.rotations, qr.sweeps) == (0, 0)
     assert qr.q.unitarity_error() <= 1e-14 * m
     assert (qr.q @ qr.r - B).frob() <= 1e-14 * scale
-    assert (qr.rotations, qr.sweeps) == (0, 0)
 
     svd = wsvd(B, rep)
     d = svd.d._array(lay)
@@ -440,7 +441,41 @@ def test_lapack_blocks_exact_structure(tag, seed, m, n, rank):
     np.testing.assert_allclose(np.repeat(d[range(k), range(k), 0], field.dim),
                                np.linalg.svd(rmr_lift(B), compute_uv=False),
                                atol=1e-13 * scale)
-    assert (svd.rotations, svd.sweeps, svd.qrd_calls) == (0, 0, 0)
+    if tag != "H":
+        assert (svd.rotations, svd.sweeps, svd.qrd_calls) == (0, 0, 0)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["equal", "pairs", "near", "deficient"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(1, 8),
+       st.integers(0, 7))
+@example("deficient", 0, 3, 2, 0)
+def test_quaternion_svd_clusters(kind, seed, m, n, rank):
+    # B = U diag(sigma) V^H over H with clustered singular values: all
+    # equal, equal in pairs, 1 + 1e-9 noise, or all but the first rank
+    # zero; V's columns must stay independent wherever the adjoint's
+    # singular vectors mix (B = 0: numpy's V is the identity, whose column
+    # n pairs with column 0)
+    quat, rng, k = _FIELDS["H"], RNG(seed), min(m, n)
+    rep, lay = rep_trivial(quat), quat.layout()
+    sigma = {"equal": lambda: np.ones(k),
+             "pairs": lambda: np.repeat(rng.uniform(0.5, 2.0, k), 2)[:k],
+             "near": lambda: 1.0 + 1e-9 * rng.standard_normal(k),
+             "deficient": lambda: rng.uniform(0.5, 2.0, k)
+             * (np.arange(k) < min(rank, k - 1))}[kind]()
+    S = np.zeros((m, n, 4))
+    S[range(k), range(k), 0] = sigma
+    U, V = (wqr(random_matrix(quat, p, p, rng), rep).q for p in (m, n))
+    B = U @ AlgMatrix._of_array(lay, S) @ V.herm()
+    out = wsvd(B, rep)
+    scale, d = B.frob(), out.d._array(lay)[range(k), range(k), 0]
+    assert (out.u @ out.d @ out.v.herm() - B).frob() <= 1e-13 * scale
+    assert out.u.unitarity_error() <= 1e-13 * m
+    assert out.v.unitarity_error() <= 1e-13 * n
+    assert np.all(np.diff(d) <= 0.0)  # descending, ties to round-off too
+    np.testing.assert_allclose(np.repeat(d, 4),
+                               np.linalg.svd(rmr_lift(B), compute_uv=False),
+                               atol=1e-13 * scale)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -479,27 +514,22 @@ def test_wsvd_non_finite_entry_raises(spec, shape):
     assert not exc.value.report.residual <= 1e-10
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
-def test_block_svd_non_finite_entry_raises(bad):
-    # an infinite source entry turns into NaN in lift (inf * 0); a block
-    # entry itself may be infinite
-    B = random_matrix(quaternion_algebra(), 3, 2, RNG(3))
-    B.entries[2][1] = Element._make(B.spec, {0: bad})
-    with pytest.raises(ConvergenceError, match="non-finite") as exc:
-        _block_svd(B, 500, 200)
-    assert not exc.value.report.residual <= 1e-10
-
-
 def test_block_svd_overflowing_gram_raises():
-    # finite entries whose squares overflow: the Gram entries are inf or
-    # NaN, which must not read as converged
+    # an H block whose entries' squares overflow (1e160) raises, naming the
+    # block, and no numpy warning comes first; at 1e150, where wqr succeeds,
+    # wsvd succeeds too (one-sided Jacobi once raised on its Gram entries)
     B = random_matrix(quaternion_algebra(), 3, 2, RNG(3))
-    lay = B.spec.layout()
-    huge = AlgMatrix._of_array(lay, B._array(lay) * 1e160)
+    lay, rep = B.spec.layout(), rep_trivial(B.spec)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy's overflow warning once came first
-        with pytest.raises(ConvergenceError, match="non-finite Gram"):
-            _block_svd(huge, 500, 200)
+        warnings.simplefilter("error")
+        big = AlgMatrix._of_array(lay, B._array(lay) * 1e150)
+        wqr(big, rep)
+        out = wsvd(big, rep)
+        assert (out.u @ out.d @ out.v.herm() - big).frob() <= 1e-14 * big.frob()
+        huge = AlgMatrix._of_array(lay, B._array(lay) * 1e160)
+        with pytest.raises(ConvergenceError,
+                           match=r"^block 0 \('H', 1\): non-finite"):
+            wsvd(huge, rep)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -524,18 +554,17 @@ def test_non_finite_entry_raises_before_any_warning(spec, bad):
 
 
 def test_block_svd_leaves_round_off_columns_alone():
-    # columns (x, x, 2x): after the first rotations two columns are
-    # round-off, which Jacobi kept rotating against each other (554
-    # rotations in 13 sweeps)
-    spec = clifford(4, 1)
-    lay = spec.layout()
-    x = random_matrix(spec, 3, 1, RNG(1))._array(lay)
-    A = AlgMatrix._of_array(lay, np.concatenate([x, x, 2.0 * x], axis=1))
-    block = _block_svd(lift(A, rep_cl41())[0], 500, 200)
-    assert (block.rotations, block.sweeps) == (331, 7)
-    out = _checked_wsvd(A, rep_cl41(), 1e-10)
-    np.testing.assert_allclose(spectrum_oracle(out.d), spectrum_oracle(A),
-                               atol=1e-14 * A.frob())
+    # columns (x, x, 2x), of rank 1: two of B V's columns are round-off,
+    # over a C block (cl(4,1)) and an H block (quat), whose V must still
+    # span the adjoint's null space (one-sided Jacobi once kept rotating
+    # such columns against each other)
+    for spec in (clifford(4, 1), quaternion_algebra()):
+        lay = spec.layout()
+        x = random_matrix(spec, 3, 1, RNG(1))._array(lay)
+        A = AlgMatrix._of_array(lay, np.concatenate([x, x, 2.0 * x], axis=1))
+        out = _checked_wsvd(A, representation_for(spec), 1e-10)
+        np.testing.assert_allclose(spectrum_oracle(out.d), spectrum_oracle(A),
+                                   atol=1e-14 * A.frob())
 
 
 def test_blocks_decompose_independently():
