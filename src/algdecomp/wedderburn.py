@@ -5,12 +5,13 @@ full matrix algebras over R, C and H.  Given such an isomorphism as an
 invertible linear map on coefficients (a :class:`Representation`), a matrix
 over the source algebra lifts to one block matrix per summand, each block
 is decomposed independently over its division algebra, and the factors map
-back.  R and C blocks run numpy's LAPACK: Householder QR, its R's diagonal
-made real and non-negative, and the Golub-Kahan SVD.  numpy has no
-quaternion factorisation, so an H block's QR runs the rotation engine,
-where it terminates exactly (``aqr`` with ``beta="division"``), and its SVD
-takes V from numpy's SVD of the block's complex adjoint and U from that
-exact QR of B V (:func:`_quaternion_svd`).
+back.  Blocks of one field and size are the same problem repeated: each
+such group of R or C blocks runs one stacked LAPACK call, Householder QR
+(its R's diagonal made real and non-negative) or the Golub-Kahan SVD.
+numpy has no quaternion factorisation, so H blocks run one by one: the QR
+by the rotation engine, where it terminates exactly (:func:`_quaternion_qr`),
+and the SVD takes V from numpy's SVD of the block's complex adjoint and U
+from that exact QR of B V (:func:`_quaternion_svd`).
 
 Shipped representations:
 
@@ -102,7 +103,8 @@ class Representation:
     concatenated real parameters of all blocks; ``inv`` is its inverse.
     Basis images are given, and ``image`` returns blocks, as real (n, n)
     arrays, complex (n, n) arrays or (n, n, 4) quaternion arrays with
-    components in (1, i, j, k) order.
+    components in (1, i, j, k) order.  ``groups`` maps each block field
+    and size ``(tag, n)`` to the indices of its blocks, in order.
     """
 
     def __init__(self, source: AlgebraSpec, blocks, basis_images: dict,
@@ -112,6 +114,9 @@ class Representation:
                 "representations need a finite-dimensional source")
         self.source = source
         self.blocks = tuple((tag, int(n)) for tag, n in blocks)
+        self.groups: dict = {}  # (tag, n) -> indices of its blocks
+        for l, block in enumerate(self.blocks):
+            self.groups.setdefault(block, []).append(l)
         self.name = name or f"rep({source.descriptor})"
         d = source.dim
         sizes = [n * n * _FIELD_DIM[tag] for tag, n in self.blocks]
@@ -393,77 +398,56 @@ def unlift(blocks_mats, rep: Representation, m: int, n: int) -> AlgMatrix:
 
 # -- the two decompositions ------------------------------------------------------
 
-def _block_eps(eps: float, d: int) -> float:
-    # Mapping block entries back to coefficients can dilute residuals by up
-    # to d/2, so blocks run at a proportionally tighter tolerance.
-    return 0.0 if eps == 0.0 else eps * 2.0 / d
-
-
-def _per_block(A: AlgMatrix, rep: Representation, run) -> list:
-    """``run(tag, B)`` on each block B of the lifted A over field ``tag``; a
-    block's ConvergenceError is raised again naming the block."""
-    out = []
-    for l, (block, B) in enumerate(zip(rep.blocks, lift(A, rep))):
-        try:
-            out.append(run(block[0], B))
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"block {l} {block}: {exc}", exc.report) from exc
-    return out
-
-
-def _qr_factors(Z: np.ndarray) -> dict:
-    """Householder QR with R's diagonal real and non-negative: column k of
-    Q times the phase of R's d_k, row k of R times its conjugate, |d_k| on
-    the diagonal."""
+def _qr_factors(Z: np.ndarray) -> list:
+    """Householder QR of a stack of matrices, each R's diagonal real and
+    non-negative: column k of Q times the phase of R's d_k, row k of R times
+    its conjugate, |d_k| on the diagonal."""
     Q, R = np.linalg.qr(Z, mode="complete")
-    d = R.diagonal()
+    d = R.diagonal(0, -2, -1)
+    k = np.arange(d.shape[-1])
     mag = np.abs(d)
     phase = np.divide(d, mag, out=np.ones_like(d), where=mag > 0.0)
-    Q[:, :len(d)] *= phase
-    R[:len(d)] *= phase.conj()[:, None]
-    np.fill_diagonal(R, mag)
-    return {"q": Q, "r": R}
+    Q[..., :len(k)] *= phase[..., None, :]
+    R[..., :len(k), :] *= phase.conj()[..., None]
+    R[..., k, k] = mag
+    return [Q, R]
 
 
-def _svd_factors(Z: np.ndarray) -> dict:
-    """Golub-Kahan SVD: D = diag(s), s descending, and V = Vh^H."""
+def _svd_factors(Z: np.ndarray) -> list:
+    """Golub-Kahan SVD of a stack of matrices: D = diag(s), s descending,
+    and V = Vh^H."""
     U, s, Vh = np.linalg.svd(Z, full_matrices=True)
     D = np.zeros(Z.shape)
-    D[range(len(s)), range(len(s))] = s
-    return {"u": U, "d": D, "v": Vh.conj().T}
+    k = np.arange(s.shape[-1])
+    D[..., k, k] = s
+    return [U, D, Vh.conj().swapaxes(-1, -2)]
 
 
-def _lapack_block(tag: str, B: AlgMatrix, kind: str) -> DecompReport:
-    """QR (``kind="qr"``) or SVD of a block over R or C by numpy's LAPACK,
-    the factors in the field's layout.  The rotation engine does no work,
-    so every count is 0.
-
-    Raises :class:`ConvergenceError` when an entry of B is not finite
-    (before LAPACK runs) or when LAPACK fails.
+def _quaternion_qr(x: np.ndarray, eps: float, max_sweeps: int):
+    """Exact QR of an H block with coefficients x (m, n, 4): ``aqr`` with
+    ``beta="division"``, tolerance ``eps``, at most ``max_sweeps`` sweeps,
+    run on x and ``eps`` scaled by 2^-e, 2^e the power of two just above
+    the largest coefficient, so that no pivot norm overflows (exact in the
+    normal range; a ConvergenceError's partial factors stay scaled).  R is
+    scaled back and keeps only the real part of each diagonal quaternion,
+    the rest being round-off.  Returns [Q, R] and the counts (rotations,
+    sweeps, QR calls = 0).
     """
-    lay = _field_spec(tag).layout()
-    x = B._array(lay)
-    out = DecompReport(kind=kind, method="wedderburn", rotations=0, sweeps=0,
-                       qrd_calls=0, residual=math.nan, wall_time=0.0, eps=0.0,
-                       norm="two", beta="division")
-    if not np.isfinite(x).all():
-        raise ConvergenceError("non-finite block entry", out)
-    try:
-        factors = (_qr_factors if kind == "qr" else _svd_factors)(
-            _field_array(tag, x))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"LAPACK: {exc}", out) from exc
-    for name, F in factors.items():
-        setattr(out, name, AlgMatrix._of_array(lay, _field_coeffs(tag, F)))
-    out.residual = 0.0
-    return out
+    lay = quaternion_algebra().layout()
+    e = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
+    out = aqr(AlgMatrix._of_array(lay, np.ldexp(x, -e)), beta="division",
+              norm="two", eps=math.ldexp(eps, -e), max_sweeps=max_sweeps)
+    r = np.ldexp(out.r._array(lay), e)
+    k = min(r.shape[:2])
+    r[range(k), range(k), 1:] = 0.0
+    return [out.q._array(lay), r], (out.rotations, out.sweeps, 0)
 
 
-def _quaternion_svd(B: AlgMatrix, max_sweeps: int) -> DecompReport:
-    """SVD of a block B = B1 + B2 j over H through its complex adjoint
-    chi(B) = [[B1, B2], [-conj B2, conj B1]], a *-homomorphism: B = U D V^H
-    with D exactly diagonal, real, non-negative and descending.
+def _quaternion_svd(x: np.ndarray, max_sweeps: int):
+    """SVD of an H block B = B1 + B2 j, coefficients x (m, n, 4), through
+    its complex adjoint chi(B) = [[B1, B2], [-conj B2, conj B1]], a
+    *-homomorphism: B = U D V^H with D exactly diagonal, real, non-negative
+    and descending.
 
     The right singular vectors of chi(B) pair up: with v = [x; y], so is
     p(v) = [-conj y; conj x], for the same singular value, and (v, p(v))
@@ -472,30 +456,19 @@ def _quaternion_svd(B: AlgMatrix, max_sweeps: int) -> DecompReport:
     with the largest residual after projecting out those taken and their
     partners, normalised, so V is unitary whatever the clusters and null
     spaces of B.  Ordered by singular value, B V has orthogonal columns; one
-    exact QR of it (:func:`aqr`, at most ``max_sweeps`` sweeps) gives U and
-    R, and D is the real part of R's diagonal, R's other entries being
-    round-off.  D is then sorted, U's and V's columns with it.  A wide B
-    goes through B^H.
-
-    Raises :class:`ConvergenceError` when an entry of B is not finite
-    (before LAPACK runs), when LAPACK fails or when the QR does.
+    exact QR of it (:func:`_quaternion_qr`, at most ``max_sweeps`` sweeps)
+    gives U and, as R's diagonal, D, sorted with U's and V's columns.  A
+    wide B goes through B^H.  Returns [U, D, V] and the counts (rotations,
+    sweeps, QR calls = 1).
     """
-    if B.m < B.n:
-        out = _quaternion_svd(B.herm(), max_sweeps)
-        out.u, out.d, out.v = out.v, out.d.herm(), out.u
-        return out
-    lay, m, n = B.spec.layout(), B.m, B.n
-    x = B._array(lay)
-    out = DecompReport(kind="svd", method="wedderburn", rotations=0, sweeps=0,
-                       qrd_calls=0, residual=math.nan, wall_time=0.0, eps=0.0,
-                       norm="two", beta="division")
-    if not np.isfinite(x).all():
-        raise ConvergenceError("non-finite block entry", out)
+    lay = quaternion_algebra().layout()
+    m, n = x.shape[:2]
+    if m < n:
+        (u, d, v), counts = _quaternion_svd(
+            lay.conj(x).transpose(1, 0, 2), max_sweeps)
+        return [v, lay.conj(d).transpose(1, 0, 2), u], counts
     B1, B2 = x[..., 0] + 1j * x[..., 1], x[..., 2] + 1j * x[..., 3]
-    try:
-        vh = np.linalg.svd(np.block([[B1, B2], [-B2.conj(), B1.conj()]]))[2]
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"LAPACK: {exc}", out) from exc
+    vh = np.linalg.svd(np.block([[B1, B2], [-B2.conj(), B1.conj()]]))[2]
     cand = vh.conj().T  # columns in descending order of singular value
     chi = np.zeros((2 * n, 2 * n), dtype=complex)  # chi(V), columns v, p(v)
     taken = []
@@ -508,80 +481,106 @@ def _quaternion_svd(B: AlgMatrix, max_sweeps: int) -> DecompReport:
         taken.append(k)
     V1, V2 = chi[:n, 0::2], chi[:n, 1::2]
     v = np.stack([V1.real, V1.imag, V2.real, V2.imag], -1)[:, np.argsort(taken)]
-    qr = aqr(B @ AlgMatrix._of_array(lay, v), beta="division", eps=0.0,
-             max_sweeps=max_sweeps)
-    d = qr.r._array(lay)[range(n), range(n), 0]
+    (q, r), (rotations, sweeps, _) = _quaternion_qr(lay.matmul(x, v)[1], 0.0,
+                                                    max_sweeps)
+    d = r[range(n), range(n), 0]
     order = np.argsort(-d, kind="stable")
     D = np.zeros((m, n, 4))
     D[range(n), range(n), 0] = d[order]
-    out.u = AlgMatrix._of_array(lay, qr.q._array(lay)[:, np.r_[order, n:m]])
-    out.d = AlgMatrix._of_array(lay, D)
-    out.v = AlgMatrix._of_array(lay, v[:, order])
-    out.rotations, out.sweeps, out.qrd_calls = qr.rotations, qr.sweeps, 1
-    out.residual = 0.0
-    return out
+    return ([q[:, np.r_[order, n:m]], D, v[:, order]],
+            (rotations, sweeps, 1))
+
+
+def _decompose(kind: str, A: AlgMatrix, rep: Representation, eps: float,
+               max_sweeps: int) -> DecompReport:
+    """:func:`wqr` (``kind="qr"``) or :func:`wsvd` of A: lift, check every
+    block's entries, factor each group of blocks of one field and size
+    (``rep.groups``), an R or C group in one stacked LAPACK call and H
+    blocks one by one, and unlift each factor."""
+    if max_sweeps < 1:
+        raise AlgebraError("max_sweeps must be at least 1")
+    t0 = time.perf_counter()
+    common = dict(kind=kind, method="wedderburn", eps=eps, norm="inf",
+                  beta="division")
+    failed = DecompReport(rotations=0, sweeps=0, qrd_calls=0,
+                          residual=math.nan, wall_time=0.0, **common)
+    blocks = lift(A, rep)
+    x = [B._array(B.spec.layout()) for B in blocks]
+    for l, (key, xl) in enumerate(zip(rep.blocks, x)):
+        if not np.isfinite(xl).all():
+            raise ConvergenceError(f"block {l} {key}: non-finite block entry",
+                                   failed)
+    # Mapping block entries back to coefficients can dilute residuals by up
+    # to d/2, so H blocks' QRs run at a proportionally tighter tolerance.
+    beps = eps * 2.0 / rep.source.dim
+    factors = [None] * len(x)
+    counts = [(0, 0, 0)] * len(x)  # rotations, sweeps, QR calls
+    for key, group in rep.groups.items():
+        tag = key[0]
+        try:
+            if tag == "H":
+                for l in group:
+                    factors[l], counts[l] = (
+                        _quaternion_qr(x[l], beps, max_sweeps) if kind == "qr"
+                        else _quaternion_svd(x[l], max_sweeps))
+            else:
+                F = (_qr_factors if kind == "qr" else _svd_factors)(
+                    _field_array(tag, np.array([x[l] for l in group])))
+                F = [_field_coeffs(tag, f) for f in F]
+                for t, l in enumerate(group):
+                    factors[l] = [f[t] for f in F]
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"blocks {group} {key}: LAPACK: {exc}",
+                                   failed) from exc
+        except ConvergenceError as exc:  # the QR of H block l
+            raise ConvergenceError(f"block {l} {key}: {exc}",
+                                   exc.report) from exc
+    shapes = [(A.m, A.m), (A.m, A.n), (A.n, A.n)][:len(factors[0])]
+    mats = [unlift([AlgMatrix._of_array(B.spec.layout(), f[j])
+                    for B, f in zip(blocks, factors)], rep, *shape)
+            for j, shape in enumerate(shapes)]
+    rot, sweeps, calls = zip(*counts)
+    return DecompReport(
+        rotations=sum(rot), sweeps=(max if kind == "qr" else sum)(sweeps),
+        qrd_calls=sum(calls), block_rotations=rot,
+        # R (QR) or D (SVD): below-diagonal or off-diagonal entries
+        residual=_residual(mats[1]._array(rep.source.layout()), "inf",
+                           off=kind == "svd"),
+        wall_time=time.perf_counter() - t0, **common,
+        **dict(zip("qr" if kind == "qr" else "udv", mats)))
 
 
 def wqr(A: AlgMatrix, rep: Representation, eps: float = 0.0,
         max_sweeps: int = 200) -> DecompReport:
     """QR through the representation: exact per-block triangularisation.
 
-    R and C blocks run numpy's LAPACK QR (Householder), its R's diagonal
-    made real and non-negative.  H blocks run the rotation engine's exact
-    QR (``aqr`` with ``beta="division"``) at a tolerance derived from
-    ``eps``, of at most ``max_sweeps`` sweeps; ``eps`` and ``max_sweeps``
-    bind only them.  ``rotations``, ``sweeps`` and ``block_rotations``
-    count rotation-engine work, so an R or C block adds 0 to each.
+    Each R or C group of blocks (``rep.groups``) runs one stacked LAPACK QR
+    (Householder); H blocks run the rotation engine's exact QR
+    (:func:`_quaternion_qr`) at a tolerance derived from ``eps``, of at
+    most ``max_sweeps`` sweeps, which bind only them.  Every block's R is
+    exactly upper triangular with a real, non-negative diagonal.
+    ``rotations``, ``sweeps`` (the most of any block) and
+    ``block_rotations`` count rotation-engine work, so an R or C block adds
+    0 to each.
     """
     _check_tolerances(eps)
-    if max_sweeps < 1:
-        raise AlgebraError("max_sweeps must be at least 1")
-    t0 = time.perf_counter()
-    beps = _block_eps(eps, rep.source.dim)
-    subs = _per_block(A, rep, lambda tag, B: (
-        aqr(B, beta="division", norm="two", eps=beps, max_sweeps=max_sweeps)
-        if tag == "H" else _lapack_block(tag, B, "qr")))
-    Q = unlift([sub.q for sub in subs], rep, A.m, A.m)
-    R = unlift([sub.r for sub in subs], rep, A.m, A.n)
-    rot = tuple(sub.rotations for sub in subs)
-    return DecompReport(
-        kind="qr", method="wedderburn", rotations=sum(rot),
-        sweeps=max(sub.sweeps for sub in subs), qrd_calls=0,
-        residual=_residual(R._array(rep.source.layout()), "inf"),
-        wall_time=time.perf_counter() - t0, eps=eps, norm="inf",
-        beta="division", q=Q, r=R, block_rotations=rot)
+    return _decompose("qr", A, rep, eps, max_sweeps)
 
 
 def wsvd(A: AlgMatrix, rep: Representation, eps: float = 1e-10,
          max_sweeps: int = 200) -> DecompReport:
     """SVD through the representation; block singular values sorted descending.
 
-    R and C blocks run numpy's LAPACK SVD (Golub-Kahan).  H blocks take V
-    from numpy's SVD of their complex adjoint and U from one exact QR of
-    B V (:func:`_quaternion_svd`) of at most ``max_sweeps`` sweeps.  Every
-    D is diagonal, so ``residual`` is 0 and ``eps`` (> 0) only states the
-    contract.  ``rotations`` counts the rotations of the H blocks' QRs
+    Each R or C group of blocks (``rep.groups``) runs one stacked LAPACK
+    SVD (Golub-Kahan); H blocks go through their complex adjoint and one
+    exact QR of at most ``max_sweeps`` sweeps (:func:`_quaternion_svd`).
+    Every D is diagonal, so ``residual`` is 0 and ``eps`` (> 0) only states
+    the contract.  ``rotations`` counts the rotations of the H blocks' QRs
     (``block_rotations`` per block), ``sweeps`` their sweeps, and
     ``qrd_calls`` the QRs, one per H block; an R or C block adds 0 to each.
     """
     _check_tolerances(eps, svd=True)
-    if max_sweeps < 1:
-        raise AlgebraError("max_sweeps must be at least 1")
-    t0 = time.perf_counter()
-    subs = _per_block(A, rep, lambda tag, B: (
-        _quaternion_svd(B, max_sweeps) if tag == "H"
-        else _lapack_block(tag, B, "svd")))
-    U = unlift([sub.u for sub in subs], rep, A.m, A.m)
-    D = unlift([sub.d for sub in subs], rep, A.m, A.n)
-    V = unlift([sub.v for sub in subs], rep, A.n, A.n)
-    rot = tuple(sub.rotations for sub in subs)
-    return DecompReport(
-        kind="svd", method="wedderburn", rotations=sum(rot),
-        sweeps=sum(sub.sweeps for sub in subs),
-        qrd_calls=sum(sub.qrd_calls for sub in subs),
-        residual=_residual(D._array(rep.source.layout()), "inf", off=True),
-        wall_time=time.perf_counter() - t0, eps=eps, norm="inf",
-        beta="division", u=U, d=D, v=V, block_rotations=rot)
+    return _decompose("svd", A, rep, eps, max_sweeps)
 
 
 def diagonal_support_labels(M: AlgMatrix, rel_tol: float = 1e-8) -> list:

@@ -359,22 +359,35 @@ def test_relative_error_of_a_huge_input(tmp_path, capsys):
     assert runs[0] == runs[1] and float(runs[0]) > 0.0
 
 
-@pytest.mark.parametrize("method,op", [("jacobi", "qr"), ("jacobi", "svd"),
-                                       ("wedderburn", "qr")])
+def _huge_quaternion_run(tmp_path, capsys, method, op) -> int:
+    # quat 3x2 seed 3 scaled by 2^530 (about 3.5e159), run under -W error
+    run(["decompose", "--algebra", "quat", "--random", "3", "2", "--seed", "3",
+         "--output-prefix", str(tmp_path / "a")])
+    capsys.readouterr()
+    _scaled_copy(tmp_path / "a.A.json", tmp_path / "big.json", 530)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(["decompose", "--algebra", "quat", "--method", method,
+                    "--op", op, "--input", str(tmp_path / "big.json"),
+                    "--output-prefix", str(tmp_path / "x")])
+
+
+@pytest.mark.parametrize("method,op", [("jacobi", "qr"), ("jacobi", "svd")])
 def test_huge_quaternion_input_fails_without_a_warning(tmp_path, capsys,
                                                        method, op):
     # the 2-norms of aqr square unscaled coefficients: numpy warned
     # "overflow encountered in multiply" before the non-finite pivot raised
-    run(["decompose", "--algebra", "quat", "--random", "3", "2", "--seed", "3",
-         "--output-prefix", str(tmp_path / "a")])
-    _scaled_copy(tmp_path / "a.A.json", tmp_path / "big.json", 530)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = run(["decompose", "--algebra", "quat", "--method", method,
-                    "--op", op, "--input", str(tmp_path / "big.json"),
-                    "--output-prefix", str(tmp_path / "x")])
-    assert code == EXIT_CONVERGENCE
+    assert _huge_quaternion_run(tmp_path, capsys, method, op) == EXIT_CONVERGENCE
     assert "non-finite pivot" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op", ["qr", "svd"])
+def test_huge_quaternion_input_decomposes_through_the_representation(
+        tmp_path, capsys, op):
+    # the representation engine runs an H block's QR on the block scaled by
+    # a power of two, so the input the rotation engine rejects decomposes
+    assert _huge_quaternion_run(tmp_path, capsys, "wedderburn", op) == EXIT_OK
+    assert float(_relative_error(capsys)) <= 1e-14
 
 
 @pytest.mark.parametrize("algebra", ["quat", "complex"])

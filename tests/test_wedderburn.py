@@ -423,8 +423,8 @@ def test_lapack_blocks_exact_structure(tag, seed, m, n, rank):
     r = qr.r._array(lay)
     assert np.all(r[below] == 0.0)               # exactly upper triangular,
     assert np.all(r[range(k), range(k), 0] >= 0.0)    # a non-negative
-    if tag != "H":  # the rotation engine leaves H's imaginary round-off
-        assert np.all(r[range(k), range(k), 1:] == 0.0)   # real diagonal
+    assert np.all(r[range(k), range(k), 1:] == 0.0)   # real diagonal
+    if tag != "H":  # an H block's QR runs the rotation engine
         assert (qr.rotations, qr.sweeps) == (0, 0)
     assert qr.q.unitarity_error() <= 1e-14 * m
     assert (qr.q @ qr.r - B).frob() <= 1e-14 * scale
@@ -478,25 +478,89 @@ def test_quaternion_svd_clusters(kind, seed, m, n, rank):
                                atol=1e-13 * scale)
 
 
+def _first_non_finite_block(A, rep) -> int:
+    return next(l for l, B in enumerate(lift(A, rep))
+                if not np.isfinite(B._array(B.spec.layout())).all())
+
+
+def _raises_naming_block(A, rep, block):
+    # wqr and wsvd raise before any numpy warning, naming the block
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (wqr, wsvd):
+            with pytest.raises(ConvergenceError, match="non-finite") as exc:
+                run(A, rep)
+            assert exc.value.args[0].startswith(
+                f"block {block} {rep.blocks[block]}: ")
+            assert not exc.value.report.residual <= 1e-10
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 @pytest.mark.parametrize("spec,shape", [
     (cyclic(1, 4), (3, 1)), (quadquat(), (2, 3)), (quaternion_algebra(), (2, 2)),
 ], ids=lambda v: getattr(v, "descriptor", None))
 def test_non_finite_block_raises_naming_it(spec, shape, bad):
-    # every block path checks its entries before it runs, LAPACK (R and C;
-    # cyclic(1, 4) has one-column DFT blocks) and the rotation engine (H),
-    # and no numpy warning comes first (cl(4,1): see the test below)
+    # every block's entries are checked before any block runs, LAPACK (R
+    # and C; cyclic(1, 4) has one-column DFT blocks) or the rotation engine
+    # (H), and the first block whose lifted entries are non-finite is named
+    # (cl(4,1): see test_non_finite_entry_raises_before_any_warning)
     A = random_matrix(spec, *shape, RNG(7))
     coeffs = dict(A[shape[0] - 1, 0].coeffs)
     coeffs[spec.unit] = bad
     A[shape[0] - 1, 0] = Element._make(spec, coeffs)  # skips the finite check
+    rep = representation_for(spec)
+    _raises_naming_block(A, rep, _first_non_finite_block(A, rep))
+
+
+def test_overflowing_lift_names_its_first_non_finite_block():
+    # finite coefficients 1e308 at z^0 and -1e308 at z1 give a block of
+    # frequency f the entry 1e308 (1 - w^f1), w = exp(-2 pi i / 8): 0 in
+    # block 0 (f = (0, 0)), and past the float range only at f1 = 4, where
+    # w^f1 = -1; the block named is the first of those, not block 0
+    spec = cyclic(2, 8)
+    A = random_matrix(spec, 3, 2, RNG(7))
+    coeffs = dict(A[1, 1].coeffs)
+    coeffs[spec.unit], coeffs[(1, 0)] = 1e308, -1e308
+    A[1, 1] = Element(spec, coeffs)
+    rep = representation_for(spec)
+    first = _first_non_finite_block(A, rep)
+    assert first > 0 and rep.frequencies[first][0] == 4
+    _raises_naming_block(A, rep, first)
+
+
+def test_lapack_failure_names_the_group(monkeypatch):
+    # a LAPACK failure raises naming every block of the failing stacked
+    # call: cyclic(2,8)'s R group runs first and succeeds, its C group
+    # fails; an H block's SVD calls LAPACK on its complex adjoint.  Each R
+    # or C group makes one call, and no block is run again on its own.
+    real = {name: getattr(np.linalg, name) for name in ("qr", "svd")}
+    calls = []
+
+    def failing_on_complex(name):
+        def run(Z, *args, **kwargs):
+            calls.append(name)
+            if np.iscomplexobj(Z):
+                raise np.linalg.LinAlgError("forced failure")
+            return real[name](Z, *args, **kwargs)
+        return run
+
+    dft, quat = rep_cyclic_dft(2, 8), rep_trivial(quaternion_algebra())
+    A = random_matrix(dft.source, 3, 2, RNG(5))
+    H = random_matrix(quat.source, 3, 2, RNG(5))
+    c_blocks = [l for l, block in enumerate(dft.blocks) if block == ("C", 1)]
+    for name in real:
+        monkeypatch.setattr(np.linalg, name, failing_on_complex(name))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for run in (wqr, wsvd):
-            with pytest.raises(ConvergenceError,
-                               match=r"^block \d \(.*non-finite") as exc:
-                run(A, representation_for(spec))
-            assert not exc.value.report.residual <= 1e-10
+        for run, A, rep, named in (
+                (wqr, A, dft, f"blocks {c_blocks} ('C', 1)"),
+                (wsvd, A, dft, f"blocks {c_blocks} ('C', 1)"),
+                (wsvd, H, quat, "blocks [0] ('H', 1)")):
+            with pytest.raises(ConvergenceError) as exc:
+                run(A, rep)
+            assert exc.value.args[0] == f"{named}: LAPACK: forced failure"
+            assert math.isnan(exc.value.report.residual)
+    assert calls == ["qr", "qr", "svd", "svd", "svd"]
 
 
 @pytest.mark.parametrize("spec,shape", [
@@ -514,22 +578,21 @@ def test_wsvd_non_finite_entry_raises(spec, shape):
     assert not exc.value.report.residual <= 1e-10
 
 
-def test_block_svd_overflowing_gram_raises():
-    # an H block whose entries' squares overflow (1e160) raises, naming the
-    # block, and no numpy warning comes first; at 1e150, where wqr succeeds,
-    # wsvd succeeds too (one-sided Jacobi once raised on its Gram entries)
+def test_quaternion_blocks_decompose_at_any_finite_scale():
+    # an H block's QR runs on the block scaled by the power of two of its
+    # largest coefficient: wqr and wsvd succeed, with no numpy warning,
+    # where squares of the unscaled coefficients overflow (the pivot norm
+    # raised "non-finite pivot" from about 1.3e154)
     B = random_matrix(quaternion_algebra(), 3, 2, RNG(3))
     lay, rep = B.spec.layout(), rep_trivial(B.spec)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        big = AlgMatrix._of_array(lay, B._array(lay) * 1e150)
-        wqr(big, rep)
-        out = wsvd(big, rep)
-        assert (out.u @ out.d @ out.v.herm() - big).frob() <= 1e-14 * big.frob()
-        huge = AlgMatrix._of_array(lay, B._array(lay) * 1e160)
-        with pytest.raises(ConvergenceError,
-                           match=r"^block 0 \('H', 1\): non-finite"):
-            wsvd(huge, rep)
+        for scale in (1e155, 1e160, 1e300):
+            big = AlgMatrix._of_array(lay, B._array(lay) * scale)
+            qr, svd = wqr(big, rep), wsvd(big, rep)
+            assert (qr.q @ qr.r - big).frob() <= 1e-14 * big.frob()
+            assert ((svd.u @ svd.d @ svd.v.herm() - big).frob()
+                    <= 1e-14 * big.frob())
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -565,6 +628,72 @@ def test_block_svd_leaves_round_off_columns_alone():
         out = _checked_wsvd(A, representation_for(spec), 1e-10)
         np.testing.assert_allclose(spectrum_oracle(out.d), spectrum_oracle(A),
                                    atol=1e-14 * A.frob())
+
+
+def _numpy_block_factors(tag, x):
+    """numpy's factors of one lifted block with field coefficients x, as
+    field coefficients: the complete QR with R's diagonal made real and
+    non-negative, and the SVD (D = diag(s), V = Vh^H).  An H block goes
+    through its complex adjoint with rows and columns interleaved, where
+    chi(R) stays upper triangular, so only its unique factors come back:
+    R and D."""
+    if tag == "H":
+        B1, B2 = x[..., 0] + 1j * x[..., 1], x[..., 2] + 1j * x[..., 3]
+        Z = np.zeros((2 * x.shape[0], 2 * x.shape[1]), dtype=complex)
+        Z[0::2, 0::2], Z[0::2, 1::2] = B1, B2
+        Z[1::2, 0::2], Z[1::2, 1::2] = -B2.conj(), B1.conj()
+    else:
+        Z = x[..., 0] + 1j * x[..., 1] if tag == "C" else x[..., 0]
+    Q, R = np.linalg.qr(Z, mode="complete")
+    k = min(Z.shape)
+    phase = np.exp(1j * np.angle(np.diagonal(R)))
+    phase = phase.real if tag == "R" else phase
+    Q[:, :k] *= phase
+    R[:k] *= phase.conj()[:, None]
+    U, sv, Vh = np.linalg.svd(Z)
+    D = np.zeros(Z.shape)
+    D[range(len(sv)), range(len(sv))] = sv
+    if tag == "H":
+        R1, R2 = R[0::2, 0::2], R[0::2, 1::2]
+        d = np.zeros(R1.shape + (4,))
+        d[..., 0] = D[0::2, 0::2]
+        return {"r": np.stack([R1.real, R1.imag, R2.real, R2.imag], -1),
+                "d": d}
+    coeffs = ((lambda F: np.stack([F.real, F.imag], -1)) if tag == "C"
+              else (lambda F: F.real[..., None]))
+    return {name: coeffs(F) for name, F in
+            (("q", Q), ("r", R), ("u", U), ("d", D), ("v", Vh.conj().T))}
+
+
+def _cl04_rep():
+    spec, images = _rep_cl04()
+    return Representation(spec, (("H", 2),), images, name="cl04->H2x2")
+
+
+@pytest.mark.parametrize("make_rep", [
+    lambda: representation_for(cyclic(2, 8)),
+    lambda: representation_for(cyclic(1, 32)), rep_cl41, _cl04_rep,
+], ids=["cyclic(2,8)", "cyclic(1,32)", "cl(4,1)", "cl(0,4)"])
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+def test_factors_match_a_per_block_numpy_reference(make_rep, shape):
+    # wqr and wsvd factor each (field, size) group of blocks in one stacked
+    # call; the reference lifts, factors block by block with numpy and
+    # unlifts (cyclic(2,8) interleaves R and C blocks)
+    rep = make_rep()
+    A = random_matrix(rep.source, *shape, RNG(50))
+    blocks = lift(A, rep)
+    ref = [_numpy_block_factors(tag, B._array(B.spec.layout()))
+           for (tag, _), B in zip(rep.blocks, blocks)]
+    m, n = shape
+    qr, svd = wqr(A, rep), wsvd(A, rep)
+    for name, got, rows, cols in (("q", qr.q, m, m), ("r", qr.r, m, n),
+                                  ("u", svd.u, m, m), ("d", svd.d, m, n),
+                                  ("v", svd.v, n, n)):
+        if name not in ref[0]:
+            continue
+        want = unlift([AlgMatrix._of_array(B.spec.layout(), r[name])
+                       for B, r in zip(blocks, ref)], rep, rows, cols)
+        assert (got - want).frob() <= 1e-14 * want.frob(), name
 
 
 def test_blocks_decompose_independently():
