@@ -99,11 +99,7 @@ def _run_engine(args, A: AlgMatrix):
             raise AlgebraError("the wedderburn route over laurent(k) needs --delta")
         A = laurent_embed(A, args.delta)
     rep = representation_for(A.spec)
-    if args.op == "qr":
-        report = wqr(A, rep, eps=args.eps, max_sweeps=args.max_sweeps)
-    else:
-        report = wsvd(A, rep, eps=args.eps, max_sweeps=args.max_sweeps)
-    return report, A
+    return (wqr if args.op == "qr" else wsvd)(A, rep, eps=args.eps), A
 
 
 @dataclass
@@ -242,7 +238,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--norm", choices=("inf", "two", "auto"), default="auto")
     p.add_argument("--beta", choices=("basis", "division", "auto"),
                    default="auto")
-    p.add_argument("--max-sweeps", type=int, default=200)
+    p.add_argument("--max-sweeps", type=int, default=200,
+                   help="QR sweep limit of the jacobi engine")
     p.add_argument("--max-iters", type=int, default=500,
                    help="QR-call limit of the jacobi SVD")
     p.add_argument("--trim", type=float, default=0.0,

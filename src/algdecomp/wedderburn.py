@@ -9,9 +9,11 @@ back.  Blocks of one field and size are the same problem repeated: each
 such group of R or C blocks runs one stacked LAPACK call, Householder QR
 (its R's diagonal made real and non-negative) or the Golub-Kahan SVD.
 numpy has no quaternion factorisation, so H blocks run one by one: the QR
-by the rotation engine, where it terminates exactly (:func:`_quaternion_qr`),
-and the SVD takes V from numpy's SVD of the block's complex adjoint and U
-from that exact QR of B V (:func:`_quaternion_svd`).
+by the rotation engine at eps 0, where each rotation annihilates its entry
+exactly and one sweep ends (:func:`_quaternion_qr`), and the SVD takes V
+from numpy's SVD of the block's complex adjoint and U from that exact QR of
+B V (:func:`_quaternion_svd`).  No block reads ``eps``: every R comes out
+exactly triangular and every D exactly diagonal.
 
 Shipped representations:
 
@@ -423,27 +425,26 @@ def _svd_factors(Z: np.ndarray) -> list:
     return [U, D, Vh.conj().swapaxes(-1, -2)]
 
 
-def _quaternion_qr(x: np.ndarray, eps: float, max_sweeps: int):
+def _quaternion_qr(x: np.ndarray):
     """Exact QR of an H block with coefficients x (m, n, 4): ``aqr`` with
-    ``beta="division"``, tolerance ``eps``, at most ``max_sweeps`` sweeps,
-    run on x and ``eps`` scaled by 2^-e, 2^e the power of two just above
-    the largest coefficient, so that no pivot norm overflows (exact in the
-    normal range; a ConvergenceError's partial factors stay scaled).  R is
-    scaled back and keeps only the real part of each diagonal quaternion,
-    the rest being round-off.  Returns [Q, R] and the counts (rotations,
-    sweeps, QR calls = 0).
+    ``beta="division"`` at eps 0, where each rotation annihilates its entry
+    exactly and one sweep ends, run on x scaled by 2^-e, 2^e the power of
+    two just above the largest coefficient, so that no pivot norm overflows
+    (exact in the normal range).  R is scaled back and keeps only the real
+    part of each diagonal quaternion, the rest being round-off.  Returns
+    [Q, R] and the counts (rotations, sweeps, QR calls = 0).
     """
     lay = quaternion_algebra().layout()
     e = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
     out = aqr(AlgMatrix._of_array(lay, np.ldexp(x, -e)), beta="division",
-              norm="two", eps=math.ldexp(eps, -e), max_sweeps=max_sweeps)
+              norm="two", eps=0.0)
     r = np.ldexp(out.r._array(lay), e)
     k = min(r.shape[:2])
     r[range(k), range(k), 1:] = 0.0
     return [out.q._array(lay), r], (out.rotations, out.sweeps, 0)
 
 
-def _quaternion_svd(x: np.ndarray, max_sweeps: int):
+def _quaternion_svd(x: np.ndarray):
     """SVD of an H block B = B1 + B2 j, coefficients x (m, n, 4), through
     its complex adjoint chi(B) = [[B1, B2], [-conj B2, conj B1]], a
     *-homomorphism: B = U D V^H with D exactly diagonal, real, non-negative
@@ -456,16 +457,14 @@ def _quaternion_svd(x: np.ndarray, max_sweeps: int):
     with the largest residual after projecting out those taken and their
     partners, normalised, so V is unitary whatever the clusters and null
     spaces of B.  Ordered by singular value, B V has orthogonal columns; one
-    exact QR of it (:func:`_quaternion_qr`, at most ``max_sweeps`` sweeps)
-    gives U and, as R's diagonal, D, sorted with U's and V's columns.  A
-    wide B goes through B^H.  Returns [U, D, V] and the counts (rotations,
-    sweeps, QR calls = 1).
+    exact QR of it (:func:`_quaternion_qr`) gives U and, as R's diagonal,
+    D, sorted with U's and V's columns.  A wide B goes through B^H.
+    Returns [U, D, V] and the counts (rotations, sweeps, QR calls = 1).
     """
     lay = quaternion_algebra().layout()
     m, n = x.shape[:2]
     if m < n:
-        (u, d, v), counts = _quaternion_svd(
-            lay.conj(x).transpose(1, 0, 2), max_sweeps)
+        (u, d, v), counts = _quaternion_svd(lay.conj(x).transpose(1, 0, 2))
         return [v, lay.conj(d).transpose(1, 0, 2), u], counts
     B1, B2 = x[..., 0] + 1j * x[..., 1], x[..., 2] + 1j * x[..., 3]
     vh = np.linalg.svd(np.block([[B1, B2], [-B2.conj(), B1.conj()]]))[2]
@@ -481,8 +480,7 @@ def _quaternion_svd(x: np.ndarray, max_sweeps: int):
         taken.append(k)
     V1, V2 = chi[:n, 0::2], chi[:n, 1::2]
     v = np.stack([V1.real, V1.imag, V2.real, V2.imag], -1)[:, np.argsort(taken)]
-    (q, r), (rotations, sweeps, _) = _quaternion_qr(lay.matmul(x, v)[1], 0.0,
-                                                    max_sweeps)
+    (q, r), (rotations, sweeps, _) = _quaternion_qr(lay.matmul(x, v)[1])
     d = r[range(n), range(n), 0]
     order = np.argsort(-d, kind="stable")
     D = np.zeros((m, n, 4))
@@ -491,14 +489,12 @@ def _quaternion_svd(x: np.ndarray, max_sweeps: int):
             (rotations, sweeps, 1))
 
 
-def _decompose(kind: str, A: AlgMatrix, rep: Representation, eps: float,
-               max_sweeps: int) -> DecompReport:
+def _decompose(kind: str, A: AlgMatrix, rep: Representation,
+               eps: float) -> DecompReport:
     """:func:`wqr` (``kind="qr"``) or :func:`wsvd` of A: lift, check every
     block's entries, factor each group of blocks of one field and size
     (``rep.groups``), an R or C group in one stacked LAPACK call and H
     blocks one by one, and unlift each factor."""
-    if max_sweeps < 1:
-        raise AlgebraError("max_sweeps must be at least 1")
     t0 = time.perf_counter()
     common = dict(kind=kind, method="wedderburn", eps=eps, norm="inf",
                   beta="division")
@@ -510,19 +506,15 @@ def _decompose(kind: str, A: AlgMatrix, rep: Representation, eps: float,
         if not np.isfinite(xl).all():
             raise ConvergenceError(f"block {l} {key}: non-finite block entry",
                                    failed)
-    # Mapping block entries back to coefficients can dilute residuals by up
-    # to d/2, so H blocks' QRs run at a proportionally tighter tolerance.
-    beps = eps * 2.0 / rep.source.dim
     factors = [None] * len(x)
     counts = [(0, 0, 0)] * len(x)  # rotations, sweeps, QR calls
     for key, group in rep.groups.items():
         tag = key[0]
         try:
             if tag == "H":
+                run = _quaternion_qr if kind == "qr" else _quaternion_svd
                 for l in group:
-                    factors[l], counts[l] = (
-                        _quaternion_qr(x[l], beps, max_sweeps) if kind == "qr"
-                        else _quaternion_svd(x[l], max_sweeps))
+                    factors[l], counts[l] = run(x[l])
             else:
                 F = (_qr_factors if kind == "qr" else _svd_factors)(
                     _field_array(tag, np.array([x[l] for l in group])))
@@ -550,37 +542,35 @@ def _decompose(kind: str, A: AlgMatrix, rep: Representation, eps: float,
         **dict(zip("qr" if kind == "qr" else "udv", mats)))
 
 
-def wqr(A: AlgMatrix, rep: Representation, eps: float = 0.0,
-        max_sweeps: int = 200) -> DecompReport:
+def wqr(A: AlgMatrix, rep: Representation, eps: float = 0.0) -> DecompReport:
     """QR through the representation: exact per-block triangularisation.
 
     Each R or C group of blocks (``rep.groups``) runs one stacked LAPACK QR
-    (Householder); H blocks run the rotation engine's exact QR
-    (:func:`_quaternion_qr`) at a tolerance derived from ``eps``, of at
-    most ``max_sweeps`` sweeps, which bind only them.  Every block's R is
-    exactly upper triangular with a real, non-negative diagonal.
-    ``rotations``, ``sweeps`` (the most of any block) and
-    ``block_rotations`` count rotation-engine work, so an R or C block adds
-    0 to each.
+    (Householder); H blocks run the rotation engine's exact QR, one sweep at
+    eps 0 (:func:`_quaternion_qr`).  Every block's R is exactly upper
+    triangular with a real, non-negative diagonal, so ``residual`` is 0 and
+    ``eps`` (>= 0) only states the contract.  ``rotations``, ``sweeps`` (the
+    most of any block) and ``block_rotations`` count rotation-engine work,
+    so an R or C block adds 0 to each.
     """
     _check_tolerances(eps)
-    return _decompose("qr", A, rep, eps, max_sweeps)
+    return _decompose("qr", A, rep, eps)
 
 
-def wsvd(A: AlgMatrix, rep: Representation, eps: float = 1e-10,
-         max_sweeps: int = 200) -> DecompReport:
+def wsvd(A: AlgMatrix, rep: Representation,
+         eps: float = 1e-10) -> DecompReport:
     """SVD through the representation; block singular values sorted descending.
 
     Each R or C group of blocks (``rep.groups``) runs one stacked LAPACK
     SVD (Golub-Kahan); H blocks go through their complex adjoint and one
-    exact QR of at most ``max_sweeps`` sweeps (:func:`_quaternion_svd`).
-    Every D is diagonal, so ``residual`` is 0 and ``eps`` (> 0) only states
-    the contract.  ``rotations`` counts the rotations of the H blocks' QRs
+    exact QR (:func:`_quaternion_svd`).  Every D is diagonal, so
+    ``residual`` is 0 and ``eps`` (> 0) only states the contract.
+    ``rotations`` counts the rotations of the H blocks' QRs
     (``block_rotations`` per block), ``sweeps`` their sweeps, and
     ``qrd_calls`` the QRs, one per H block; an R or C block adds 0 to each.
     """
     _check_tolerances(eps, svd=True)
-    return _decompose("svd", A, rep, eps, max_sweeps)
+    return _decompose("svd", A, rep, eps)
 
 
 def diagonal_support_labels(M: AlgMatrix, rel_tol: float = 1e-8) -> list:

@@ -291,8 +291,8 @@ def test_engines_agree_on_spectra(spec, seed, shape):
     np.testing.assert_allclose(spectrum_oracle(aqr(A, eps=1e-10).r),
                                spectrum_oracle(wqr(A, rep).r),
                                atol=1e-9 * scale)
-    # the engines meet at asvd's eps 1e-6; wsvd's blocks run one-sided
-    # Jacobi to round-off whatever eps, and at 1e-10 meet the numpy oracle
+    # the engines meet at asvd's eps 1e-6; wsvd factors its blocks to
+    # round-off whatever eps, and so meets the numpy oracle
     np.testing.assert_allclose(spectrum_oracle(asvd(A, eps=1e-6).d),
                                spectrum_oracle(wsvd(A, rep, eps=1e-6).d),
                                atol=1e-5 * scale)

@@ -275,12 +275,22 @@ def test_wqr_cl41_exact_triangularisation():
             - AlgMatrix.identity(rep.source, 3)).frob() <= 1e-10
 
 
-def test_wqr_convergence_error_names_block():
-    rep = rep_cl41()
-    A = random_matrix(rep.source, 3, 2, RNG(8))
-    # max_sweeps=0 is rejected upstream; use an impossible budget instead
-    with pytest.raises(AlgebraError):
-        wqr(A, rep, eps=0.0, max_sweeps=0)
+def test_h_block_convergence_error_names_it(monkeypatch):
+    # a ConvergenceError from an H block's QR (wqr's, or the one that ends
+    # wsvd's) is raised again naming the block, with the inner report
+    report = object()
+
+    def failing(*args, **kwargs):
+        raise ConvergenceError("forced failure", report)
+
+    monkeypatch.setattr("algdecomp.wedderburn.aqr", failing)
+    named = r"^block \d \('H', \d\): forced failure$"
+    for rep in (rep_trivial(quaternion_algebra()), _cl04_rep()):
+        A = random_matrix(rep.source, 3, 2, RNG(8))
+        for run in (wqr, wsvd):
+            with pytest.raises(ConvergenceError, match=named) as exc:
+                run(A, rep)
+            assert exc.value.report is report
 
 
 def test_wsvd_reconstruction_and_order():
@@ -318,7 +328,7 @@ def test_engines_agree_on_spectrum():
     assert np.allclose(np.sort(sj), np.sort(sw), atol=1e-6)
 
 
-# -- wsvd: one-sided Jacobi on each block ------------------------------------------
+# -- wsvd: LAPACK on R and C blocks, the complex adjoint on H blocks ---------------
 
 def _block_spectra(X, rep):
     """numpy's singular values of the real forms of X's lifted blocks."""
@@ -358,17 +368,23 @@ def test_wsvd_converges_on_laurent_frequency_blocks():
 
 
 def test_wsvd_is_scale_free():
-    # Jacobi's stopping test is relative to each column pair, so a power-of-2
-    # scaling scales the singular values and changes no rotation; the
-    # per-block alternating QR ran out of QR calls at 2^20 (its off-diagonal
-    # test was absolute)
-    rep = rep_cl41()
-    A = random_matrix(rep.source, 3, 2, RNG(7))
-    lay = A.spec.layout()
-    counts = {_checked_wsvd(AlgMatrix._of_array(lay, A._array(lay) * scale),
-                            rep, 1e-10).block_rotations
-              for scale in (2.0 ** -20, 1.0, 2.0 ** 20)}
-    assert len(counts) == 1
+    # a power-of-2 scaling scales the singular values (to round-off: LAPACK
+    # promises no bit equality across builds) and, since an H block's QR
+    # runs on its block scaled to the power of two of its largest
+    # coefficient, changes no rotation (the per-block alternating QR once
+    # ran out of QR calls at 2^20: its off-diagonal test was absolute)
+    for rep in (rep_cl41(), rep_trivial(quaternion_algebra())):
+        A = random_matrix(rep.source, 3, 2, RNG(7))
+        lay = A.spec.layout()
+        outs = {scale: _checked_wsvd(
+                    AlgMatrix._of_array(lay, A._array(lay) * scale), rep, 1e-10)
+                for scale in (2.0 ** -20, 1.0, 2.0 ** 20)}
+        d = outs[1.0].d._array(lay)
+        for scale, out in outs.items():
+            np.testing.assert_allclose(out.d._array(lay) / scale, d,
+                                       rtol=1e-15, atol=1e-15 * np.abs(d).max())
+            assert out.block_rotations == outs[1.0].block_rotations
+    assert outs[1.0].block_rotations[0] > 0  # quat: its one H block rotates
 
 
 def test_wsvd_gaussian_cl41_seeds():
@@ -406,11 +422,16 @@ def test_block_svd_matches_numpy(tag, seed, m, n, rank):
 
 @settings(max_examples=60)
 @given(st.sampled_from("RCH"), st.integers(0, 2 ** 32 - 1),
-       st.integers(1, 5), st.integers(1, 5), st.integers(0, 5))
-def test_lapack_blocks_exact_structure(tag, seed, m, n, rank):
+       st.integers(1, 5), st.integers(1, 5), st.integers(0, 5),
+       st.sampled_from([0.0, 1e-10, 1.0]))
+@example("H", 0, 5, 3, 1, 1.0)
+def test_lapack_blocks_exact_structure(tag, seed, m, n, rank, eps):
     # R and C blocks run LAPACK, and so does an H block's SVD (on the
     # complex adjoint); tall, wide, rank-deficient and zero blocks through
-    # the identity representation, which lifts and unlifts exactly
+    # the identity representation, which lifts and unlifts exactly.  No
+    # block reads wqr's eps: an H block's QR runs at eps 0, one sweep of at
+    # most one rotation per below-diagonal entry (at eps 1 a tolerance
+    # derived from eps once left entries below the diagonal)
     field, rng = _FIELDS[tag], RNG(seed)
     rank = min(rank, m, n)
     B = (random_matrix(field, m, rank, rng) @ random_matrix(field, rank, n, rng)
@@ -419,12 +440,16 @@ def test_lapack_blocks_exact_structure(tag, seed, m, n, rank):
     scale = B.frob()
     below = np.tri(m, n, -1, dtype=bool)
 
-    qr = wqr(B, rep)
+    qr, exact = wqr(B, rep, eps=eps), wqr(B, rep, eps=0.0)
     r = qr.r._array(lay)
+    assert qr.q._array(lay).tobytes() == exact.q._array(lay).tobytes()
+    assert r.tobytes() == exact.r._array(lay).tobytes()
     assert np.all(r[below] == 0.0)               # exactly upper triangular,
     assert np.all(r[range(k), range(k), 0] >= 0.0)    # a non-negative
     assert np.all(r[range(k), range(k), 1:] == 0.0)   # real diagonal
-    if tag != "H":  # an H block's QR runs the rotation engine
+    if tag == "H":  # an H block's QR runs the rotation engine
+        assert qr.sweeps == 1 and qr.rotations <= below.sum()
+    else:
         assert (qr.rotations, qr.sweeps) == (0, 0)
     assert qr.q.unitarity_error() <= 1e-14 * m
     assert (qr.q @ qr.r - B).frob() <= 1e-14 * scale
