@@ -177,6 +177,10 @@ class CyclicGroupAlgebra(AlgebraSpec):
             raise AlgebraError("cyclic(kappa, delta) requires kappa >= 1")
         if delta < 2 or delta % 2:
             raise AlgebraError("cyclic(kappa, delta) requires even delta >= 2")
+        # 2^16 basis elements at most, as for clifford; kappa > 16 is past it
+        if kappa > 16 or delta ** kappa > 2 ** 16:
+            raise UnsupportedOperationError(
+                "cyclic(kappa, delta) supports delta^kappa <= 2^16")
         self.kappa = kappa
         self.delta = delta
         labels = list(itertools.product(range(delta), repeat=kappa))

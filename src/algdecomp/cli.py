@@ -227,6 +227,9 @@ def _checked(parse, ok, expected: str):
     return check
 
 
+_NON_NEGATIVE = _checked(int, lambda v: v >= 0, "a non-negative integer")
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--algebra", required=True,
                    help="cl(p,q) | laurent(k) | cyclic(k,delta) | quat | "
@@ -245,11 +248,10 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--trim", type=float, default=0.0,
                    help="drop coefficients at or below TRIM * (entry max) "
                         "after each rotation; 0 <= TRIM < 1")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default=0, type=_NON_NEGATIVE)
     p.add_argument("--delta", type=int, default=0,
                    help="cyclic modulus for the wedderburn route over laurent(k)")
-    p.add_argument("--degree", default=2, type=_checked(
-                       int, lambda d: d >= 0, "a non-negative integer"),
+    p.add_argument("--degree", default=2, type=_NON_NEGATIVE,
                    help="random Laurent exponent window")
     p.add_argument("--input", help="matrix JSON file")
     p.add_argument("--random", nargs=2, type=int, metavar=("M", "N"),
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("algebra")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default=0, type=_NON_NEGATIVE)
     p.add_argument("--trials", default=100, type=_checked(
         int, lambda t: t >= 1, "a positive integer"))
     p.set_defaults(func=cmd_verify)

@@ -488,13 +488,13 @@ class _Layout:
 
     Subclasses set ``spec``, ``width``, ``unit`` (the unit's position),
     ``labels`` (the label at each position) and ``index`` (its inverse, a
-    mapping), and define ``conj``, ``matmul`` and ``mul``.  ``matmul(a, b)``
-    returns the layout of the product and its array.  ``mul(b)`` maps a pair
-    of rows P = (x, y), stacked on axis -2, and s to one array per term
+    mapping), and define ``conj``, ``matmul`` and ``terms``.  ``matmul(a,
+    b)`` returns the layout of the product and its array.  ``terms(P, s,
+    b)`` maps rows P = (x, y), stacked on axis -2, to one array per term
     c_t e_t of b, (-s c_t conj(e_t) y, s c_t e_t x), each coefficient
-    rounded as entry-wise Element arithmetic rounds it.  Layouts with the
-    same ``h`` (a window's half-widths; None for a finite spec) place labels
-    alike.
+    rounded as entry-wise Element arithmetic rounds it, for :meth:`rotate`.
+    Layouts with the same ``h`` (a window's half-widths; None for a finite
+    spec) place labels alike.
     """
 
     h = None
@@ -506,12 +506,20 @@ class _Layout:
         return [[make(spec, {labels[t]: c for t, c in enumerate(v) if c != 0.0})
                  for v in row] for row in x.tolist()]
 
-    def room(self, x: np.ndarray, b: Element, reach):
-        """(layout, array, reach): ``x`` on this layout or a wider one, such
-        that multiplying any of its rows by b or conj(b) keeps every
-        coefficient.  ``reach`` bounds the exponents ``x`` holds (None for a
-        finite spec); the returned one bounds those of the products."""
-        return self, x, reach
+    def room(self, x: np.ndarray, b: Element):
+        """(layout, array): ``x`` on this layout or a wider one, such that
+        multiplying any of its rows by b or conj(b) keeps every coefficient."""
+        return self, x
+
+    def rotate(self, P: np.ndarray, c: float, s: float, b: Element):
+        """The rotation kernel, in place on a pair of rows P = (x, y) stacked
+        on axis -2 of an array that :meth:`room` has prepared for b: (x, y)
+        <- (c x - s conj(b) y, s b x + c y), scaling by c and then adding
+        b's :meth:`terms` in order.  c = 0, s = -1 gives x <- conj(b) x."""
+        terms = self.terms(P, s, b)
+        np.multiply(P, c, out=P)
+        for G in terms:
+            np.add(P, G, out=P)
 
     def cropped(self, x: np.ndarray):
         """(layout, array): ``x`` on the narrowest layout that holds it."""
@@ -539,19 +547,15 @@ class _TableLayout(_Layout):
         t = self.spec.tables
         return x[..., t.inv_index] * t.inv_sign
 
-    def mul(self, b: Element):
-        terms = [(self._pairs.get(lab) or self._pair(lab), c)
-                 for lab, c in b.coeffs.items()]
-
-        def pair(P, s):
-            flat = P.reshape(P.shape[:-2] + (2 * self.width,))
-            out = []
-            for (index, sign), c in terms:
-                G = flat.take(index, axis=-1)
-                np.multiply(G, np.multiply(sign, s * c), out=G)
-                out.append(G.reshape(P.shape))
-            return out
-        return pair
+    def terms(self, P: np.ndarray, s: float, b: Element) -> list:
+        flat = P.reshape(P.shape[:-2] + (2 * self.width,))
+        out = []
+        for lab, c in b.coeffs.items():
+            index, sign = self._pairs.get(lab) or self._pair(lab)
+            G = flat.take(index, axis=-1)
+            np.multiply(G, np.multiply(sign, s * c), out=G)
+            out.append(G.reshape(P.shape))
+        return out
 
     def _pair(self, lab):
         """The signed gather taking a pair of rows (x, y), flattened, to
@@ -620,23 +624,19 @@ class _Window(_Layout):
     def conj(self, x: np.ndarray) -> np.ndarray:
         return x[..., ::-1].copy()
 
-    def mul(self, b: Element):
+    def terms(self, P: np.ndarray, s: float, b: Element) -> list:
         """One shift per term of b (conj(z^a) = z^-a), exact on arrays that
         :meth:`room` has prepared for b."""
-        terms = [(sum(e * s for e, s in zip(lab, self.strides)), c)
-                 for lab, c in b.coeffs.items()]
         w = self.width
-
-        def pair(P, s):
-            out = []
-            for off, c in terms:
-                G = np.zeros(P.shape)
-                for half, shift, k in ((0, -off, -s * c), (1, off, s * c)):
-                    src = P[..., 1 - half, max(-shift, 0):w - max(shift, 0)]
-                    np.multiply(src, k, out=G[..., half, max(shift, 0):w + min(shift, 0)])
-                out.append(G)
-            return out
-        return pair
+        out = []
+        for lab, c in b.coeffs.items():
+            off = sum(e * t for e, t in zip(lab, self.strides))
+            G = np.zeros(P.shape)
+            for half, shift, k in ((0, -off, -s * c), (1, off, s * c)):
+                src = P[..., 1 - half, max(-shift, 0):w - max(shift, 0)]
+                np.multiply(src, k, out=G[..., half, max(shift, 0):w + min(shift, 0)])
+            out.append(G)
+        return out
 
     def held(self, x: np.ndarray) -> tuple:
         """Per variable, the largest |exponent| ``x`` holds (non-zero or NaN):
@@ -675,20 +675,18 @@ class _Window(_Layout):
         return _window(self.spec, tuple(map(max, self.h, self.h, *(
             map(abs, lab) for lab in labels))))
 
-    def room(self, x: np.ndarray, b: Element, reach):
-        step = [max((abs(lab[t]) for lab in b.coeffs), default=0)
-                for t in range(len(self.h))]
-        need = [r + s for r, s in zip(reach, step)]
-        lay = self
-        if any(n > h for n, h in zip(need, self.h)):
-            # the bound is loose after trims and cancellations: tighten it
-            # to the coefficients held, then widen to twice what is needed
-            need = [r + s for r, s in zip(self.held(x), step)]
-            if any(n > h for n, h in zip(need, self.h)):
-                lay = _window(self.spec, tuple(max(h, 2 * n)
-                                               for h, n in zip(self.h, need)))
-                x = lay.moved(x, self.h)
-        return lay, x, need
+    def room(self, x: np.ndarray, b: Element):
+        """Moves only an array holding a coefficient within step (b's largest
+        |exponent| per variable) of an edge: to max(h, 2 (held + step))."""
+        step = [max(map(abs, e)) for e in zip(*b.coeffs)]  # [] for b = 0
+        y = x.reshape(x.shape[:-1] + self.box)
+        if not any(y[(..., end) + (slice(None),) * (len(step) - 1 - t)].any()
+                   for t, s in enumerate(step) if s
+                   for end in (slice(s), slice(-s, None))):
+            return self, x
+        need = [r + s for r, s in zip(self.held(x), step)]
+        lay = _window(self.spec, tuple(max(h, 2 * n) for h, n in zip(self.h, need)))
+        return lay, lay.moved(x, self.h)
 
     def matmul(self, a: np.ndarray, b: np.ndarray):
         """Product of (m, n, W) and (n, p, W) arrays of this window, on the

@@ -203,33 +203,21 @@ def _require_unitary(b: Element, tol: float = 1e-12):
         raise AlgebraError("shift element is not unitary")
 
 
-def _rotate(P: np.ndarray, c: float, s: float, pair):
-    """The rotation kernel, in place on a pair of rows P = (x, y) stacked on
-    axis -2: (x, y) <- (c x - s conj(b) y, s b x + c y), adding b's terms
-    from ``pair`` (the layout's ``mul(b)``) in order.  c = 0, s = -1 gives
-    x <- conj(b) x."""
-    terms = pair(P, s)
-    np.multiply(P, c, out=P)
-    for G in terms:
-        np.add(P, G, out=P)
-
-
-def _rotate_rows(lay, x: np.ndarray, reach, j: int, i: int, c: float,
-                 s: float, b: Element, cut=None):
-    """Rows (j, i) on axis -2 of the coefficients ``x`` rotated in place by
-    :func:`_rotate`, after ``lay.room(x, b, reach)``, whose (layout, array,
-    reach) it returns.  ``cut``, if given, acts in place on the rotated pair
-    P = (x_j, x_i) before it is written back (``aqr`` zeroes and trims
-    there).  Row i is written first, so for i == j the shift x_j <- conj(b)
-    x_j stays, with what ``cut`` did to P's row 0."""
-    lay, x, reach = lay.room(x, b, reach)
+def _rotate_rows(lay, x: np.ndarray, j: int, i: int, c: float, s: float,
+                 b: Element, cut=None):
+    """Rows (j, i) on axis -2 of ``x`` rotated in place by ``lay.rotate``
+    after ``lay.room(x, b)``, whose (layout, array) it returns.  ``cut``, if
+    given, acts in place on the rotated pair P = (x_j, x_i) before it is
+    written back (``aqr`` zeroes and trims there).  Row i is written first:
+    for i == j the shift x_j <- conj(b) x_j stays, with ``cut`` on P's row 0."""
+    lay, x = lay.room(x, b)
     P = x.take((j, i), axis=-2)
-    _rotate(P, c, s, lay.mul(b))
+    lay.rotate(P, c, s, b)
     if cut is not None:
         cut(P)
     x[..., i, :] = P[..., 1, :]
     x[..., j, :] = P[..., 0, :]
-    return lay, x, reach
+    return lay, x
 
 
 def _rotated(X: AlgMatrix, j: int, i: int, c: float, s: float,
@@ -237,7 +225,7 @@ def _rotated(X: AlgMatrix, j: int, i: int, c: float, s: float,
     """X with :func:`_rotate_rows` applied to its rows j and i."""
     lay = X.spec.layout(X)
     x = X._array(lay).copy().transpose(1, 0, 2)  # rows on axis -2
-    lay, x, _ = _rotate_rows(lay, x, lay.h, j, i, c, s, b)
+    lay, x = _rotate_rows(lay, x, j, i, c, s, b)
     return AlgMatrix._of_array(*lay.cropped(x.transpose(1, 0, 2)))
 
 
@@ -316,7 +304,7 @@ class _ArrayWork:
     indexed (column, row, position): columns 0..n-1 hold R, the rest Q^H,
     which starts as U^H (the identity when U is None) and so ends as
     (U Q)^H.  R <- G R and Q <- Q G^H make Q^H <- G Q^H, so every shift
-    and rotation acts on two rows through :func:`_rotate`, rounding as
+    and rotation acts on two rows through the layout's kernel, rounding as
     entry-wise Element arithmetic does; only 2-norms are summed in another
     order.  Nothing that steers the run reads the Q^H columns.
 
@@ -329,7 +317,6 @@ class _ArrayWork:
                  tau: float, U: Optional[AlgMatrix] = None):
         self.spec = A.spec
         self.lay = lay = A.spec.layout(A) if U is None else A.spec.layout(A, U)
-        self.reach = lay.h
         self.n = A.n
         self.RQ = np.zeros((A.n + A.m, A.m, lay.width))
         self.RQ[:A.n] = A._array(lay).transpose(1, 0, 2)
@@ -398,8 +385,7 @@ class _ArrayWork:
         def cut(P):
             if self.tau:  # R's row k
                 self.trimmed += _trim_array(P[:self.n, 0], self.tau)
-        self.lay, self.RQ, self.reach = _rotate_rows(
-            self.lay, self.RQ, self.reach, k, k, 0.0, -1.0, b, cut)
+        self.lay, self.RQ = _rotate_rows(self.lay, self.RQ, k, k, 0.0, -1.0, b, cut)
 
     def rotate(self, i: int, k: int, theta: float, b: Element):
         def cut(P):
@@ -409,9 +395,8 @@ class _ArrayWork:
                 P[k, 1] = 0.0
             if self.tau:
                 self.trimmed += _trim_array(P, self.tau)
-        self.lay, self.RQ, self.reach = _rotate_rows(
-            self.lay, self.RQ, self.reach, k, i, math.cos(-theta),
-            math.sin(-theta), b, cut)
+        c, s = math.cos(-theta), math.sin(-theta)
+        self.lay, self.RQ = _rotate_rows(self.lay, self.RQ, k, i, c, s, b, cut)
 
     def negate(self, k: int):
         self.RQ[:, k] *= -1.0
@@ -428,11 +413,12 @@ class _ArrayWork:
 
 
 def _check_tolerances(eps: float, trim: float = 0.0, svd: bool = False):
-    """Reject a negative or NaN ``eps`` (for an SVD also 0) and a ``trim``
-    outside [0, 1): trim 1 or more would zero whole entries."""
-    if not (eps > 0.0 if svd else eps >= 0.0):
-        raise AlgebraError(f"{'SVD needs eps > 0' if svd else 'eps must be non-negative'}"
-                           f", got {eps!r}")
+    """Reject a negative, NaN or infinite ``eps`` (for an SVD also 0) and a
+    ``trim`` outside [0, 1): trim 1 or more would zero whole entries, and an
+    infinite eps would end a run before its first sweep."""
+    if not ((0.0 < eps if svd else 0.0 <= eps) and eps < math.inf):
+        raise AlgebraError(("SVD needs a finite eps > 0" if svd else
+                            "eps must be finite and non-negative") + f", got {eps!r}")
     if not 0.0 <= trim < 1.0:
         raise AlgebraError(f"trim must lie in [0, 1), got {trim!r}")
 
@@ -477,7 +463,7 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
 
     The factors are held as one coefficient array in the spec's layout
     (structure tables for finite specs, an exponent window for Laurent
-    specs) and rotated through one kernel, :func:`_rotate`.
+    specs) and rotated through one kernel, the layout's ``rotate``.
 
     Raises :class:`ConvergenceError` carrying the partial factors when an
     entry of A is not finite, when ``max_sweeps`` is exhausted, when one

@@ -10,6 +10,7 @@ from algdecomp import (AlgebraError, Element, UnsupportedOperationError,
                        direct_sum_pm, laurent, quadquat, quaternion_algebra,
                        random_element, random_matrix, real_algebra, tensor,
                        twisted_group)
+from algdecomp.catalog import CyclicGroupAlgebra
 from algdecomp.verify import (check_associativity, check_unitary_basis,
                               verify_algebra)
 from oracles import blade_mul_oracle, blade_to_mask, mask_to_blade
@@ -84,6 +85,15 @@ def test_laurent_support_stays_finite():
     a, b = random_element(L, rng), random_element(L, rng)
     prod = a * b * a
     assert prod.support <= a.support ** 2 * b.support
+
+
+def test_cyclic_cap():
+    # as for clifford: at most 2^16 basis elements, refused before any
+    # label is built (cyclic(1, 10**6) once took 1.9 s and 409 MB)
+    for kappa, delta in ((1, 2 ** 17), (2, 512), (17, 2)):
+        with pytest.raises(UnsupportedOperationError, match="2\\^16"):
+            cyclic(kappa, delta)
+    assert CyclicGroupAlgebra(2, 256).dim == 2 ** 16  # not kept by a cache
 
 
 def test_cyclic_wraps():

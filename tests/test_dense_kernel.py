@@ -7,11 +7,12 @@ engines must never turn a matrix they made back into elements.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
-from algdecomp import (AlgMatrix, GivensParams, SpecMismatchError,
+from algdecomp import (AlgMatrix, Element, GivensParams, SpecMismatchError,
                        apply_givens_left,
                        apply_shift_left, apply_shift_right, aqr, asvd,
                        beta_basis, biquat, boolean_group, clifford,
@@ -415,10 +416,10 @@ def test_step_matrices_keep_their_labels(monkeypatch):
         seen = []
 
         def recording(*args):
-            lay, x, reach = rotate_rows(*args)
+            lay, x = rotate_rows(*args)
             R = x[:A.n].transpose(1, 0, 2).copy()  # columns 0..n-1 hold R
             seen.append(keep(AlgMatrix._of_array(*lay.cropped(R))))
-            return lay, x, reach
+            return lay, x
         monkeypatch.setattr(jacobi, "_rotate_rows", recording)
         aqr(A, beta="basis", norm="inf", eps=1e-3, trim=1e-6)
         return seen
@@ -502,6 +503,36 @@ def test_layout_of_arrays_reads_their_windows(monkeypatch):
         assert spec.layout(grid, X).h == (1,) * spec.kappa
         assert scans == []
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("spec", LAURENT)
+def test_room_moves_only_past_the_edge(spec):
+    # room leaves an array alone for a unit b and for a shift inside the
+    # slack of its window, and past the edge widens to max(h, 2 (held +
+    # step)) per variable, every coefficient keeping its exponent
+    rng = np.random.default_rng(4)
+    held, wide = ((2,), (8,)) if spec.kappa == 1 else ((2, 1), (8, 4))
+    lay = _window(spec, (3,) * spec.kappa)
+    grid = [[spec.zero() for _ in range(3)] for _ in range(2)]
+    for lab in itertools.product(*(range(-t, t + 1) for t in held)):
+        grid[rng.integers(2)][rng.integers(3)] += spec.basis_element(
+            lab, rng.standard_normal())
+    X = AlgMatrix(spec, grid)
+    x = X._array(lay)
+    assert lay.held(x) == held
+    inside = spec.basis_element((1,) * spec.kappa)
+    for b in (spec.one(), inside, inside.conj()):
+        got, y = lay.room(x, b)
+        assert got is lay and y is x
+    # step (2,) or (2, 1): held + step passes h = 3 in the first variable
+    past = Element(spec, {(2,) + (0,) * (spec.kappa - 1): 0.6,
+                          (0,) * (spec.kappa - 1) + (-1,): 0.8})
+    got, y = lay.room(x, past)
+    assert got.h == wide and got is _window(spec, wide)
+    assert got.rows(y) == lay.rows(x) == X.entries
+    if spec.kappa == 2:  # the second variable alone: 1 + 3 passes h
+        got, y = lay.room(x, spec.basis_element((0, -3)))
+        assert got.h == (4, 8) and got.rows(y) == X.entries
 
 
 # -- one storage: the coefficient array ---------------------------------------------

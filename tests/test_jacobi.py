@@ -286,11 +286,12 @@ def test_qr_eps_validation():
 
 
 @pytest.mark.parametrize("eps,trim", [
-    (math.nan, 0.0), (-1e-3, 0.0), (1e-10, 1.0), (1e-10, 2.0),
-    (1e-10, math.nan), (1e-10, -1.0)])
+    (math.nan, 0.0), (-1e-3, 0.0), (math.inf, 0.0), (1e-10, 1.0),
+    (1e-10, 2.0), (1e-10, math.nan), (1e-10, -1.0)])
 def test_bad_eps_and_trim_are_rejected(eps, trim):
     # trim=2 once returned Q = R = 0 with residual 0, trim=nan or -1 turned
-    # trimming off, and eps=nan ran to the sweep or rotation budget
+    # trimming off, eps=nan ran to the sweep or rotation budget, and
+    # eps=inf ran no sweep: aqr reported residual inf and asvd returned D = A
     A = random_matrix(clifford(2, 1), 3, 2, np.random.default_rng(0))
     L = random_matrix(laurent(1), 3, 2, np.random.default_rng(0), degree=1)
     for X in (A, L):
@@ -335,10 +336,10 @@ def test_qr_invariants_via_steps(monkeypatch):
     rotate_rows = jacobi._rotate_rows
 
     def watch(*args):
-        lay, x, reach = rotate_rows(*args)
+        lay, x = rotate_rows(*args)
         norms.append(float(np.linalg.norm(x[:A.n])))
         tops.append(x[0, 0, lay.unit] ** 2)
-        return lay, x, reach
+        return lay, x
 
     monkeypatch.setattr(jacobi, "_rotate_rows", watch)
     aqr(A, eps=1e-9)
@@ -622,13 +623,13 @@ def test_step_trim_equals_per_row_trims(seed):
         for i, k in ((1, 1), (2, 0), (3, 1)):
             before = W.trimmed
             if i == k:
-                _, want, _ = jacobi._rotate_rows(W.lay, W.RQ.copy(), W.reach,
-                                                 k, k, 0.0, -1.0, z)
+                _, want = jacobi._rotate_rows(W.lay, W.RQ.copy(), k, k, 0.0,
+                                              -1.0, z)
                 count = jacobi._trim_array(want[:n, k], 1e-6)
                 W.shift(k, z)
             else:
-                _, want, _ = jacobi._rotate_rows(
-                    W.lay, W.RQ.copy(), W.reach, k, i, math.cos(-theta),
+                _, want = jacobi._rotate_rows(
+                    W.lay, W.RQ.copy(), k, i, math.cos(-theta),
                     math.sin(-theta), z)
                 if exact:
                     want[k, i] = 0.0

@@ -243,9 +243,24 @@ def test_exit_code_spec_error(tmp_path, capsys):
     assert code == EXIT_SPEC
 
 
+@pytest.mark.parametrize("args", [
+    ["--algebra", "cyclic(1,100000000)", "--random", "2", "2"],
+    ["--algebra", "cyclic(17,2)", "--random", "2", "2"],
+])
+def test_exit_code_oversized_cyclic_algebra(tmp_path, capsys, args):
+    # a cyclic algebra past 2^16 basis elements once built its labels until
+    # memory ran out; it is refused before any label is built
+    code = run(["decompose", *args, "--output-prefix", str(tmp_path / "x")])
+    assert code == EXIT_SPEC
+    assert "delta^kappa <= 2^16" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("delta,message", [
     ("7", "delta=7 is odd"), ("9", "delta=9 is odd"),
     ("4", "delta=4 too small for exponents up to 2; need even delta >= 6"),
+    # past 2^16 basis elements: refused before any label is built
+    ("100000000", "supports delta^kappa <= 2^16"),
 ])
 def test_exit_code_bad_delta(tmp_path, capsys, delta, message):
     # an odd delta was once reported as too small, 7 and 9 included
@@ -269,10 +284,15 @@ def test_exit_code_bad_delta(tmp_path, capsys, delta, message):
      "--trim", "1"],
     ["--algebra", "cl(2,1)", "--random", "3", "2", "--trim", "nan"],
     ["--algebra", "cl(2,1)", "--random", "3", "2", "--trim", "-1"],
+    ["--algebra", "cl(4,1)", "--random", "3", "2", "--eps", "inf"],
+    ["--algebra", "cl(4,1)", "--random", "3", "2", "--op", "svd", "--eps",
+     "inf"],
+    ["--algebra", "quat", "--random", "3", "2", "--method", "wedderburn",
+     "--op", "svd", "--eps", "inf"],
 ])
 def test_exit_code_bad_tolerance(tmp_path, capsys, args):
-    # eps=nan once ran to the iteration budget (exit 5), and trim >= 1 gave
-    # Q = R = 0 with exit 0
+    # eps=nan once ran to the iteration budget (exit 5), trim >= 1 gave
+    # Q = R = 0 with exit 0, and eps=inf ran no sweep with exit 0
     code = run(["decompose", *args, "--output-prefix", str(tmp_path / "x")])
     assert code == EXIT_SPEC
     assert not list(tmp_path.iterdir())
@@ -289,11 +309,17 @@ def test_exit_code_bad_tolerance(tmp_path, capsys, args):
       "--degree", "-1"], "--degree"),
     (["verify", "cl(1,0)", "--trials", "-3"], "--trials"),
     (["verify", "cl(1,0)", "--trials", "0"], "--trials"),
+    (["decompose", "--algebra", "quat", "--random", "3", "2", "--seed", "-1"],
+     "--seed"),
+    (["sweep-eps", "--algebra", "quat", "--random", "2", "2",
+      "--eps-list", "1e-3", "--seed", "-1"], "--seed"),
+    (["verify", "cl(1,0)", "--seed", "-1"], "--seed"),
 ])
 def test_exit_code_bad_argument(tmp_path, capsys, args, message):
     # these once ran the representation route under the name "bogus"
-    # (exit 0), ended in a ValueError traceback (exit 1), decomposed an
-    # all-zero matrix (exit 0), or ran no random check and passed (exit 0)
+    # (exit 0), ended in a ValueError traceback (exit 1; a negative --seed
+    # too), decomposed an all-zero matrix (exit 0), or ran no random check
+    # and passed (exit 0)
     with pytest.raises(SystemExit) as exc:
         run([*args, "--output-prefix" if args[0] == "decompose" else "--output",
              str(tmp_path / "x")])
