@@ -35,14 +35,15 @@ from .core import (AlgebraError, AlgebraSpec, AlgMatrix, Element,
 
 # -- Clifford algebras ---------------------------------------------------------
 
-def _swap_count(a: int, b: int) -> int:
-    # number of generator pairs (s in a, t in b) with s > t
-    total = 0
+def _blade_sign(a: int, b: int, neg_mask: int) -> int:
+    """Sign of e_a e_b: a flip per generator pair (s in a, t in b) with
+    s > t and per shared generator in ``neg_mask`` (squaring to -1)."""
+    flips = (a & b & neg_mask).bit_count()
     a >>= 1
     while a:
-        total += (a & b).bit_count()
+        flips += (a & b).bit_count()
         a >>= 1
-    return total
+    return -1 if flips & 1 else 1
 
 
 class CliffordAlgebra(AlgebraSpec):
@@ -72,8 +73,7 @@ class CliffordAlgebra(AlgebraSpec):
         return (len(bits), bits)
 
     def _mul_raw(self, a: int, b: int):
-        flips = _swap_count(a, b) + (a & b & self._neg_mask).bit_count()
-        return (-1.0 if flips & 1 else 1.0), a ^ b
+        return float(_blade_sign(a, b, self._neg_mask)), a ^ b
 
     def _inv_raw(self, a: int):
         s, _ = self._mul_raw(a, a)  # blade squares to +-1
@@ -299,12 +299,7 @@ def twisted_group(group: FiniteGroup, alpha: Callable,
 def clifford_twist(p: int, q: int) -> Callable:
     """The twisting on (Z/2)^(p+q) whose twisted group algebra is Cl(p,q)."""
     neg_mask = (((1 << (p + q)) - 1) >> p) << p
-
-    def alpha(a: int, b: int) -> int:
-        flips = _swap_count(a, b) + (a & b & neg_mask).bit_count()
-        return -1 if flips & 1 else 1
-
-    return alpha
+    return lambda a, b: _blade_sign(a, b, neg_mask)
 
 
 # -- product constructions -------------------------------------------------------
@@ -369,21 +364,12 @@ class DirectSumPMAlgebra(AlgebraSpec):
         ll, rl = left.labels, right.labels
         if lidx(left.unit) != ridx(right.unit):
             raise AlgebraError("direct_sum_pm: unit positions disagree")
-        self._mul_idx = []
-        self._sign_pair = []
-        for i in range(d):
-            mrow, srow = [], []
-            for j in range(d):
-                sa, ka = left.mul_basis(ll[i], ll[j])
-                sb, kb = right.mul_basis(rl[i], rl[j])
-                if lidx(ka) != ridx(kb):
-                    raise AlgebraError(
-                        "direct_sum_pm: factors have incompatible product "
-                        f"structure at basis pair ({i}, {j})")
-                mrow.append(lidx(ka))
-                srow.append((sa, sb))
-            self._mul_idx.append(mrow)
-            self._sign_pair.append(srow)
+        for i, j in itertools.product(range(d), repeat=2):
+            if (lidx(left.mul_basis(ll[i], ll[j])[1])
+                    != ridx(right.mul_basis(rl[i], rl[j])[1])):
+                raise AlgebraError(
+                    "direct_sum_pm: factors have incompatible product "
+                    f"structure at basis pair ({i}, {j})")
         labels = [(i, s) for i in range(d) for s in (1, -1)]
         super().__init__(
             descriptor or f"dsum({left.descriptor},{right.descriptor})",
@@ -391,8 +377,9 @@ class DirectSumPMAlgebra(AlgebraSpec):
 
     def _mul_raw(self, a, b):
         (i, s), (j, t) = a, b
-        sa, sb = self._sign_pair[i][j]
-        return sa, (self._mul_idx[i][j], int(s * t * sa * sb))
+        sa, ka = self.left.mul_basis(self.left.labels[i], self.left.labels[j])
+        sb, _ = self.right.mul_basis(self.right.labels[i], self.right.labels[j])
+        return sa, (self.left.label_index(ka), int(s * t * sa * sb))
 
     def _inv_raw(self, a):
         i, s = a

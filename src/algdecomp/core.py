@@ -100,18 +100,20 @@ class AlgebraSpec:
 
     @functools.cached_property
     def tables(self) -> StructureTables:
-        """The structure maps as dense arrays, built on first use (finite
-        specs only; O(dim^2) memory)."""
-        labels = self.labels
-        index = self._index
-        prods = [self.mul_basis(a, c) for a in labels for c in labels]
+        """The structure maps as dense arrays, built on first use row by row
+        from the raw maps (finite specs only; refused past dim 2^12)."""
+        labels, index, d = self.labels, self._index, self.dim
+        if d > 2 ** 12:
+            raise UnsupportedOperationError(
+                f"{self.descriptor}: no structure tables past dim 2^12, got {d}")
+        sign, idx = np.empty((d, d)), np.empty((d, d), dtype=np.intp)
+        for a, la in enumerate(labels):
+            row = [self._mul_raw(la, lc) for lc in labels]
+            sign[a] = [s for s, _ in row]
+            idx[a] = [index[k] for _, k in row]
         invs = [self.inv_basis(a) for a in labels]
-        d = self.dim
-        return StructureTables(
-            np.array([s for s, _ in prods]).reshape(d, d),
-            np.array([index[k] for _, k in prods]).reshape(d, d),
-            np.array([s for s, _ in invs]),
-            np.array([index[k] for _, k in invs]))
+        return StructureTables(sign, idx, np.array([s for s, _ in invs]),
+                               np.array([index[k] for _, k in invs]))
 
     @functools.cached_property
     def _table_layout(self) -> "_TableLayout":
@@ -319,6 +321,14 @@ class Element:
         return " + ".join(parts)
 
 
+def _exponent(x: np.ndarray) -> int:
+    """e with 2^e the power of two just above x's largest magnitude (0 if
+    that is 0 or not finite), kept in [-1022, 1023] so that 2.0 ** +-e are
+    normal floats: x 2^-e, exact in the normal range, has no coefficient
+    reaching 2, so no sum of squares overflows or loses its largest term."""
+    return min(max(math.frexp(float(np.abs(x).max(initial=0.0)))[1], -1022), 1023)
+
+
 def _check_shape(m: int, n: int):
     if m < 1 or n < 1:
         raise AlgebraError("matrix dimensions must be positive")
@@ -453,14 +463,13 @@ class AlgMatrix:
         return AlgMatrix._of_array(lay, lay.conj(self._array(lay)).transpose(1, 0, 2))
 
     def frob(self) -> float:
-        """Frobenius norm, taken on the coefficients scaled by 2^-e, 2^e the
-        power of two just above the largest, so that no square overflows
-        (exact in the normal range); inf only past the float range."""
+        """Frobenius norm, taken on the coefficients scaled by 2^-e
+        (:func:`_exponent`); inf only past the float range."""
         lay = self.spec.layout(self)
         x = self._array(lay)
-        e = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
+        e = _exponent(x)
         with np.errstate(over="ignore"):
-            return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
+            return float(np.linalg.norm(x * 2.0 ** -e) * 2.0 ** e)
 
     def unitarity_error(self) -> float:
         """||X^H X - I||_F; NaN when a coefficient is NaN."""
@@ -585,7 +594,11 @@ class _TableLayout(_Layout):
 
 @functools.lru_cache(maxsize=64)
 def _window(spec: AlgebraSpec, h: tuple) -> "_Window":
-    """The window of half-widths ``h``: one value per (spec, h)."""
+    """The window of half-widths ``h``: one value per (spec, h), refused
+    past 2^21 slots before any label is built."""
+    if math.prod(2 * t + 1 for t in h) > 2 ** 21:
+        raise UnsupportedOperationError(
+            f"{spec.descriptor}: exponent window {h} is past 2^21 slots")
     return _Window(spec, h)
 
 

@@ -14,14 +14,15 @@ positive tolerance.  The SVD alternates QR passes on D and on D^H until all
 off-diagonal entries are small; after a first pair run to eps, a pass
 stops at max(eps, 0.1 g), g being D's largest off-diagonal norm before
 it (eps if g is not finite), as the pass on D^H puts mass back anyway.
-U and V accumulate each pass's rotations in its work array.
+U and V accumulate each pass's rotations in its work array.  R and D are
+measured scaled by a power of two, so A and eps times 2^k take the same
+steps: nothing over- or underflows in a 2-norm.
 
 Over the real, complex and quaternion algebras, ``beta="division"``
 annihilates each targeted entry exactly, so QR terminates after one sweep
-with one rotation per nonzero below-diagonal entry even at eps = 0 (and
-the SVD's passes keep eps: a looser one would save no rotation).  The
-representation engine runs this exact QR on its H blocks, for ``wqr`` and
-to finish ``wsvd``, whose V comes from LAPACK's SVD of the complex adjoint.
+with one rotation per nonzero below-diagonal entry even at eps = 0 and
+R's diagonal is real (the SVD's passes keep eps: a looser one would save
+no rotation).  The representation engine's H blocks run this exact QR.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import AlgebraError, AlgebraSpec, AlgMatrix, Element
+from .core import AlgebraError, AlgebraSpec, AlgMatrix, Element, _exponent
 
 
 class ConvergenceError(AlgebraError):
@@ -280,10 +281,12 @@ def _mask(m: int, n: int, off: bool) -> np.ndarray:
 
 def _residual(x: np.ndarray, norm_name: str, off: bool = False) -> float:
     """The largest norm of a below-diagonal (``off``: off-diagonal) entry of
-    the (m, n, width) coefficients ``x``; 0.0 when there is none, NaN when
-    one is NaN."""
-    norms = _NORMS[norm_name](x)[_mask(*x.shape[:2], off)]
-    return float(norms.max(initial=0.0))
+    the (m, n, width) coefficients ``x``, a 2-norm taken on x scaled by
+    2^-e (:func:`core._exponent`) so that no square over- or underflows;
+    0.0 when there is none, NaN when one is NaN."""
+    e = _exponent(x) if norm_name == "two" else 0  # the sup norm squares nothing
+    norms = _NORMS[norm_name](x * 2.0 ** -e if e else x)[_mask(*x.shape[:2], off)]
+    return float(norms.max(initial=0.0)) * 2.0 ** e
 
 
 def _trim_array(x: np.ndarray, tau: float) -> int:
@@ -308,6 +311,9 @@ class _ArrayWork:
     entry-wise Element arithmetic does; only 2-norms are summed in another
     order.  Nothing that steers the run reads the Q^H columns.
 
+    R is held scaled by 2^-e (:func:`core._exponent` of A), every norm is
+    reported in those units, and :meth:`factors` scales R back.
+
     The step trims the rotated rows before it writes them back
     (:func:`_rotate_rows`' ``cut``): after a shift R's row k, after a
     rotation rows k and i of R and Q^H, whose entry (i, k) an exact beta
@@ -317,31 +323,25 @@ class _ArrayWork:
                  tau: float, U: Optional[AlgMatrix] = None):
         self.spec = A.spec
         self.lay = lay = A.spec.layout(A) if U is None else A.spec.layout(A, U)
-        self.n = A.n
+        self.n, x = A.n, A._array(lay)
+        self.e = _exponent(x)
         self.RQ = np.zeros((A.n + A.m, A.m, lay.width))
-        self.RQ[:A.n] = A._array(lay).transpose(1, 0, 2)
+        np.multiply(x.transpose(1, 0, 2), 2.0 ** -self.e, out=self.RQ[:A.n])
         if U is None:  # the identity
             for r in range(A.m):
                 self.RQ[A.n + r, r, lay.unit] = 1.0
         else:
             self.RQ[A.n:] = lay.conj(U._array(lay))
-        self.betafn = betafn
-        self.norm_name = norm_name
-        self.norms = _NORMS[norm_name]
+        self.betafn, self.norm_name = betafn, norm_name
         self.exact, self.tau = exact, tau
         self.trimmed = 0
 
     def column(self, k: int) -> tuple[float, int]:
-        """2-norm of column k from the pivot down, scaled by its largest
-        coefficient so that no square overflows, and its coefficient width
+        """2-norm of column k from the pivot down and its coefficient width
         (the dimension, or the largest support over an infinite spec)."""
         col = self.RQ[k, k:]
         width = self.spec.dim or max(int(np.count_nonzero(col, axis=-1).max()), 1)
-        top = float(np.abs(col).max())
-        return (top * float(_norms_two(col.ravel() / top)) if top else 0.0), width
-
-    def norm(self, i: int, k: int) -> float:
-        return float(self.norms(self.RQ[k, i]))
+        return float(_norms_two(col.ravel())), width
 
     def pick(self, k: int) -> tuple[int, float, Optional[int]]:
         """Row and norm of the largest below-pivot entry; ties toward the
@@ -354,7 +354,7 @@ class _ArrayWork:
             mag = np.abs(rows)
             j, p = divmod(int(mag.argmax()), mag.shape[-1])
             return k + 1 + j, float(mag[j, p]), p
-        norms = self.norms(rows)
+        norms = _norms_two(rows)
         j = int(norms.argmax())  # first maximum, or first NaN
         return k + 1 + j, float(norms[j]), None
 
@@ -389,27 +389,26 @@ class _ArrayWork:
 
     def rotate(self, i: int, k: int, theta: float, b: Element):
         def cut(P):
-            if self.exact:
-                # the rotation annihilates entry (i, k) up to round-off
-                # (division specs only)
+            if self.exact:  # entry (i, k) is annihilated up to round-off
                 P[k, 1] = 0.0
             if self.tau:
                 self.trimmed += _trim_array(P, self.tau)
         c, s = math.cos(-theta), math.sin(-theta)
         self.lay, self.RQ = _rotate_rows(self.lay, self.RQ, k, i, c, s, b, cut)
 
-    def negate(self, k: int):
-        self.RQ[:, k] *= -1.0
-
     def residual(self) -> float:
         return _residual(self.RQ[:self.n].transpose(1, 0, 2), self.norm_name)
 
-    def factors(self) -> tuple[AlgMatrix, AlgMatrix]:
-        """Q and R, each on the narrowest layout that holds it."""
+    def factors(self) -> tuple[AlgMatrix, Optional[AlgMatrix]]:
+        """Q and R, R scaled back (None when a coefficient would pass the
+        float range), each on the narrowest layout that holds it."""
         lay, n = self.lay, self.n
+        r = self.RQ[:n].transpose(1, 0, 2)
         return (AlgMatrix._of_array(*lay.cropped(lay.conj(self.RQ[n:]))),
-                AlgMatrix._of_array(*lay.cropped(
-                    self.RQ[:n].transpose(1, 0, 2).copy())))
+                # |R| is at most a column norm of A 2^-e, below 2^32
+                None if self.e > 992 and _exponent(r) + self.e > 1024 else
+                AlgMatrix._of_array(*lay.cropped(np.multiply(
+                    r, 2.0 ** self.e, order="C"))))
 
 
 def _check_tolerances(eps: float, trim: float = 0.0, svd: bool = False):
@@ -443,18 +442,18 @@ def _rotation_budget(max_sweeps: int, rows: int, colnorm: float, width: int,
     return slots
 
 
-@np.errstate(over="ignore")  # a norm past the float range is caught as non-finite
 def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
         max_sweeps: int = 200, trim: float = 0.0, *,
         q0: Optional[AlgMatrix] = None) -> DecompReport:
     """QR decomposition by columns: A = Q R with Q unitary.
 
     Every below-diagonal entry of R ends with norm at most ``eps`` and the
-    diagonal gets a non-negative real part.  ``eps = 0`` is allowed only
-    with ``beta="division"`` on the real/complex/quaternion algebras, where
-    termination is exact.  ``trim`` > 0 drops, after each rotation,
-    coefficients at or below ``trim`` times the entry's largest one (useful
-    for Laurent matrices whose supports would otherwise grow).
+    diagonal gets a non-negative real part (and, under an exact beta, no
+    other part).  ``eps = 0`` is allowed only with ``beta="division"`` on
+    the real/complex/quaternion algebras, where termination is exact.
+    ``trim`` > 0 drops, after each rotation, coefficients at or below
+    ``trim`` times the entry's largest one (useful for Laurent matrices
+    whose supports would otherwise grow).
 
     ``q0`` (m x m, the identity when None) is rotated along with A, so the
     returned q is q0 Q.  Nothing that steers the run reads it: R and the
@@ -463,13 +462,15 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
 
     The factors are held as one coefficient array in the spec's layout
     (structure tables for finite specs, an exponent window for Laurent
-    specs) and rotated through one kernel, the layout's ``rotate``.
+    specs) and rotated through one kernel, the layout's ``rotate``, R scaled
+    by a power of two (:class:`_ArrayWork`; the beta callable sees it so).
 
     Raises :class:`ConvergenceError` carrying the partial factors when an
     entry of A is not finite, when ``max_sweeps`` is exhausted, when one
     column in one sweep exceeds its rotation budget
-    (:func:`_rotation_budget`), or when a pivot or a targeted entry has a
-    non-finite norm.
+    (:func:`_rotation_budget`), when a pivot or a targeted entry has a
+    non-finite norm, or when R is past the float range (then the report's
+    r is None).
     """
     spec = A.spec
     betafn, beta_name, exact = resolve_beta(spec, beta)
@@ -490,22 +491,24 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
         q, r = W.factors()
         return DecompReport(
             kind="qr", method="jacobi", rotations=rotations, sweeps=sweeps,
-            qrd_calls=0, residual=W.residual() if residual is None else residual,
+            qrd_calls=0,
+            residual=(W.residual() if residual is None else residual) * 2.0 ** W.e,
             wall_time=time.perf_counter() - t0, eps=eps, norm=norm_name,
             beta=beta_name, q=q, r=r, trimmed=W.trimmed,
             stalled_pivots=stalled, decency_warnings=warnings)
 
     if not np.isfinite(W.RQ).all():
         raise ConvergenceError("non-finite entry", partial_report())
-    g1 = math.inf  # one sweep at least, however large eps is
-    while not g1 <= eps:
+    tol = eps * 2.0 ** -W.e  # eps in W's units: inf for the tiniest A
+    g1 = math.nan  # one sweep at least, however large tol is
+    while not g1 <= tol:
         if sweeps >= max_sweeps:
             raise ConvergenceError(
                 f"QR did not reach eps={eps:g} within {max_sweeps} sweeps",
                 partial_report())
         sweeps += 1
         for k in range(min(m, n)):
-            if not math.isfinite(W.norm(k, k)):
+            if not np.isfinite(W.RQ[k, k]).all():
                 raise ConvergenceError(f"non-finite pivot ({k}, {k})",
                                        partial_report())
             b = W.beta(k, k)
@@ -519,7 +522,7 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
             spent, budget = 0, None
             while True:
                 i, g2, p = W.pick(k)
-                if g2 <= eps:
+                if g2 <= tol:
                     break
                 if not math.isfinite(g2):
                     raise ConvergenceError(f"non-finite target entry ({i}, {k})",
@@ -529,7 +532,7 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
                     # never needs: only now is the budget worked out
                     if budget is None:
                         budget = _rotation_budget(max_sweeps, m - k - 1,
-                                                  *W.column(k), eps)
+                                                  *W.column(k), tol)
                     if spent >= budget:
                         raise ConvergenceError(
                             f"QR column {k} did not reach eps={eps:g} within "
@@ -551,11 +554,15 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
                 rotations += 1
         g1 = W.residual()
 
-    for k in range(min(m, n)):
+    for k in range(min(m, n)):  # no below-diagonal entry changes
         if W.re(k, k) < 0:
-            W.negate(k)
-
-    return partial_report(g1)  # negation keeps every norm
+            W.RQ[:, k] *= -1.0  # row k of R and Q^H
+        if exact:  # the rest of r_kk is round-off (the unit comes first)
+            W.RQ[k, k, 1:] = 0.0
+    report = partial_report(g1)
+    if report.r is None:
+        raise ConvergenceError("R is past the float range", report)
+    return report
 
 
 # -- the SVD iteration -----------------------------------------------------------------
@@ -563,7 +570,6 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
 _INNER_EPS = 0.1  # later QR passes of asvd stop at max(eps, _INNER_EPS * g)
 
 
-@np.errstate(over="ignore")  # as for aqr
 def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
          max_iters: int = 500, max_sweeps: int = 200,
          trim: float = 0.0) -> DecompReport:

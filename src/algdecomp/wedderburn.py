@@ -9,8 +9,8 @@ back.  Blocks of one field and size are the same problem repeated: each
 such group of R or C blocks runs one stacked LAPACK call, Householder QR
 (its R's diagonal made real and non-negative) or the Golub-Kahan SVD.
 numpy has no quaternion factorisation, so H blocks run one by one: the QR
-by the rotation engine at eps 0, where each rotation annihilates its entry
-exactly and one sweep ends (:func:`_quaternion_qr`), and the SVD takes V
+by the rotation engine at eps 0 and any scale, where one sweep annihilates
+each entry exactly (:func:`_quaternion_qr`), and the SVD takes V
 from numpy's SVD of the block's complex adjoint and U from that exact QR of
 B V (:func:`_quaternion_svd`).  No block reads ``eps``: every R comes out
 exactly triangular and every D exactly diagonal.
@@ -428,20 +428,13 @@ def _svd_factors(Z: np.ndarray) -> list:
 def _quaternion_qr(x: np.ndarray):
     """Exact QR of an H block with coefficients x (m, n, 4): ``aqr`` with
     ``beta="division"`` at eps 0, where each rotation annihilates its entry
-    exactly and one sweep ends, run on x scaled by 2^-e, 2^e the power of
-    two just above the largest coefficient, so that no pivot norm overflows
-    (exact in the normal range).  R is scaled back and keeps only the real
-    part of each diagonal quaternion, the rest being round-off.  Returns
+    exactly and one sweep ends, and R's diagonal comes out real.  Returns
     [Q, R] and the counts (rotations, sweeps, QR calls = 0).
     """
     lay = quaternion_algebra().layout()
-    e = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
-    out = aqr(AlgMatrix._of_array(lay, np.ldexp(x, -e)), beta="division",
-              norm="two", eps=0.0)
-    r = np.ldexp(out.r._array(lay), e)
-    k = min(r.shape[:2])
-    r[range(k), range(k), 1:] = 0.0
-    return [out.q._array(lay), r], (out.rotations, out.sweeps, 0)
+    out = aqr(AlgMatrix._of_array(lay, x), beta="division", norm="two",
+              eps=0.0)
+    return [out.q._array(lay), out.r._array(lay)], (out.rotations, out.sweeps, 0)
 
 
 def _quaternion_svd(x: np.ndarray):

@@ -57,6 +57,21 @@ def test_every_spec_has_its_layout():
     assert all(isinstance(spec.layout(), _Window) for spec in LAURENT)
 
 
+@pytest.mark.parametrize("spec", FINITE + [
+    clifford(4, 1), clifford(0, 4), clifford(2, 2), quadquat(), biquat(),
+    cyclic(1, 32), cyclic(2, 8)], ids=lambda spec: spec.descriptor)
+def test_tables_equal_the_memoised_maps(spec):
+    # the tables are built from the raw maps, the memo from the same maps
+    index = spec.label_index
+    prods = [spec.mul_basis(a, c) for a in spec.labels for c in spec.labels]
+    invs = [spec.inv_basis(a) for a in spec.labels]
+    t = spec.tables
+    assert t.sign.ravel().tolist() == [s for s, _ in prods]
+    assert t.index.ravel().tolist() == [index(k) for _, k in prods]
+    assert t.inv_sign.tolist() == [s for s, _ in invs]
+    assert t.inv_index.tolist() == [index(k) for _, k in invs]
+
+
 def _unitary(spec, rng, two_terms=True):
     """A basis element with a random sign; over a finite spec also
     cos t + sin t e_a for a basis element with e_a^2 = -1 (two terms)."""

@@ -16,6 +16,7 @@ from algdecomp import (AlgebraError, AlgMatrix, ConvergenceError, Element,
                        random_matrix, rep_cl41, rep_cyclic_dft,
                        representation_for, wqr, wsvd)
 from algdecomp.cli import check_contract
+from algdecomp.core import _exponent
 from algdecomp.matio import matrix_to_dict
 from oracles import spectrum_oracle
 
@@ -327,10 +328,12 @@ def test_qr_reconstruction_contract(spec, shape):
 
 def test_qr_invariants_via_steps(monkeypatch):
     # R after every shift and rotation, read where aqr's work array is
-    # rotated: its columns 0..n-1 hold R
+    # rotated: its columns 0..n-1 hold R scaled by 2^-e, 2^e the power of
+    # two just above A's largest coefficient
     spec = clifford(2, 1)
     rng = np.random.default_rng(8)
     A = random_matrix(spec, 4, 3, rng)
+    e = _exponent(A._array(spec.layout()))
     norms = []
     tops = []
     rotate_rows = jacobi._rotate_rows
@@ -343,7 +346,7 @@ def test_qr_invariants_via_steps(monkeypatch):
 
     monkeypatch.setattr(jacobi, "_rotate_rows", watch)
     aqr(A, eps=1e-9)
-    base = A.frob()
+    base = math.ldexp(A.frob(), -e)
     assert len(norms) > 10
     assert all(abs(f - base) <= 1e-12 * base for f in norms)
     assert all(b >= a - 1e-13 * max(base ** 2, 1.0)
@@ -793,6 +796,64 @@ def test_rotation_budget_covers_observed_counts():
     # even one sweep's budget leaves room
     assert jacobi._rotation_budget(1, 2, 10.0, 32, 1e-10) >= 4 * 713
     assert jacobi._rotation_budget(200, 3, 1.0, 1, 0.0) == 600
+
+
+def _times_pow2(X: AlgMatrix, k: int) -> AlgMatrix:
+    lay = X.spec.layout(X)
+    return AlgMatrix._of_array(lay, np.ldexp(X._array(lay), k))
+
+
+def _bytes(X: AlgMatrix):
+    lay, x = X._coeffs
+    return lay.h, x.tobytes()
+
+
+_COUNTS = ("rotations", "sweeps", "qrd_calls", "trimmed", "stalled_pivots",
+           "decency_warnings")
+
+
+@pytest.mark.parametrize("spec,norm,trim,eps", [
+    (clifford(4, 1), "inf", 0.0, 1e-8), (clifford(4, 1), "two", 0.0, 1e-8),
+    (quaternion_algebra(), "auto", 0.0, 1e-8),
+    (complex_algebra(), "auto", 0.0, 1e-8),
+    (laurent(1), "inf", 1e-6, 1e-4), (laurent(1), "two", 1e-6, 1e-4),
+], ids=lambda v: getattr(v, "descriptor", str(v)))
+def test_rotation_engine_takes_the_same_steps_at_every_scale(spec, norm, trim,
+                                                              eps):
+    # the 2-norms once squared raw coefficients: at 2^530 the pivot norm
+    # overflowed ("non-finite pivot"), at 2^-530 the squares underflowed and
+    # the runs stopped early reporting residual 0.0.  With A and eps times
+    # 2^k every step is the same: Q, U and V byte for byte, R, D and the
+    # residual times 2^k
+    A = random_matrix(spec, 3, 2, np.random.default_rng(5), degree=1)
+    runs = {}
+    for k in (0, -530, 530):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs[k] = [f(_times_pow2(A, k), norm=norm, eps=math.ldexp(eps, k),
+                         trim=trim) for f in (aqr, asvd)]
+    for k in (-530, 530):
+        for one, scaled in zip(runs[0], runs[k]):
+            assert [getattr(scaled, c) for c in _COUNTS] == \
+                [getattr(one, c) for c in _COUNTS]
+            assert scaled.residual == math.ldexp(one.residual, k)
+            same, times = ("q", "r") if one.kind == "qr" else ("uv", "d")
+            for f in same:
+                assert _bytes(getattr(scaled, f)) == _bytes(getattr(one, f))
+            assert _bytes(getattr(scaled, times)) == \
+                _bytes(_times_pow2(getattr(one, times), k))
+
+
+def test_qr_past_the_float_range_raises_without_a_warning():
+    # R's diagonal holds column norms, which pass the float range before
+    # A's coefficients do: scaled back, R would hold inf
+    A = _times_pow2(random_matrix(quaternion_algebra(), 3, 2,
+                                  np.random.default_rng(3)), 1022)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="float range") as exc:
+            aqr(A)
+    assert exc.value.report.r is None and exc.value.report.q is not None
 
 
 # -- SVD ---------------------------------------------------------------------------

@@ -385,33 +385,42 @@ def test_relative_error_of_a_huge_input(tmp_path, capsys):
     assert runs[0] == runs[1] and float(runs[0]) > 0.0
 
 
-def _huge_quaternion_run(tmp_path, capsys, method, op) -> int:
-    # quat 3x2 seed 3 scaled by 2^530 (about 3.5e159), run under -W error
+def _huge_quaternion_run(tmp_path, capsys, method, op, power=530,
+                         extra=()) -> int:
+    # quat 3x2 seed 3 scaled by 2^power (2^530 is about 3.5e159), run under
+    # -W error
     run(["decompose", "--algebra", "quat", "--random", "3", "2", "--seed", "3",
          "--output-prefix", str(tmp_path / "a")])
     capsys.readouterr()
-    _scaled_copy(tmp_path / "a.A.json", tmp_path / "big.json", 530)
+    _scaled_copy(tmp_path / "a.A.json", tmp_path / "big.json", power)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return run(["decompose", "--algebra", "quat", "--method", method,
                     "--op", op, "--input", str(tmp_path / "big.json"),
-                    "--output-prefix", str(tmp_path / "x")])
+                    "--output-prefix", str(tmp_path / "x"), *extra])
 
 
 @pytest.mark.parametrize("method,op", [("jacobi", "qr"), ("jacobi", "svd")])
-def test_huge_quaternion_input_fails_without_a_warning(tmp_path, capsys,
-                                                       method, op):
-    # the 2-norms of aqr square unscaled coefficients: numpy warned
-    # "overflow encountered in multiply" before the non-finite pivot raised
-    assert _huge_quaternion_run(tmp_path, capsys, method, op) == EXIT_CONVERGENCE
-    assert "non-finite pivot" in capsys.readouterr().err
+def test_huge_quaternion_input_decomposes_without_a_warning(tmp_path, capsys,
+                                                            method, op):
+    # the 2-norms of aqr once squared unscaled coefficients: numpy warned
+    # "overflow encountered in multiply", then a non-finite pivot raised
+    # (exit 5); aqr now holds R scaled by a power of two, so with eps scaled
+    # alike the run takes the unscaled run's steps
+    errors = []
+    for power in (0, 530):
+        eps = repr(math.ldexp(1e-10, power))
+        assert _huge_quaternion_run(tmp_path, capsys, method, op, power,
+                                    ("--eps", eps)) == EXIT_OK
+        errors.append(_relative_error(capsys))
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("op", ["qr", "svd"])
 def test_huge_quaternion_input_decomposes_through_the_representation(
         tmp_path, capsys, op):
-    # the representation engine runs an H block's QR on the block scaled by
-    # a power of two, so the input the rotation engine rejects decomposes
+    # an H block's QR is aqr, which holds R scaled by a power of two, so no
+    # pivot norm overflows
     assert _huge_quaternion_run(tmp_path, capsys, "wedderburn", op) == EXIT_OK
     assert float(_relative_error(capsys)) <= 1e-14
 
