@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlgebraError, AlgMatrix
+from .core import AlgebraError, AlgMatrix, _exponent
 from .catalog import (LaurentAlgebra, algebra_from_descriptor, random_matrix)
 from .jacobi import ConvergenceError, aqr, asvd
 from .matio import MatrixFileError, read_matrix, write_matrix
@@ -104,15 +104,18 @@ def _run_engine(args, A: AlgMatrix):
 
 @dataclass
 class Contract:
-    """Frobenius errors of a report's factors against its input."""
+    """Frobenius errors of a report's factors against its input, and the
+    reconstruction error over max(||A||_F, 1e-300), both norms taken on
+    arrays scaled by one power of two: finite whenever A and the error
+    are."""
     reconstruction_error: float
     unitarity_error: float
-    scale: float
+    relative: float
 
     @property
     def violated(self) -> bool:
         # a NaN error fails the comparison and so counts as a violation
-        return not (self.reconstruction_error <= 1e-6 * self.scale)
+        return not (self.relative <= 1e-6)
 
 
 def check_contract(report, A: AlgMatrix) -> Contract:
@@ -126,7 +129,13 @@ def check_contract(report, A: AlgMatrix) -> Contract:
         unitary = (report.u, report.v)
     # np.max, unlike max, keeps a NaN wherever it occurs
     unit = float(np.max([X.unitarity_error() for X in unitary]))
-    return Contract((recon - A).frob(), unit, max(A.frob(), 1e-300))
+    lay = A.spec.layout(A, recon)
+    a = A._array(lay)
+    t = 2.0 ** -_exponent(a)
+    with np.errstate(over="ignore"):  # a wild factor gives inf
+        error = float(np.linalg.norm(recon._array(lay) * t - a * t))
+    norm = float(np.linalg.norm(a * t))
+    return Contract(error / t, unit, error / max(norm, 1e-300 * t))
 
 
 def cmd_decompose(args) -> int:
@@ -148,7 +157,7 @@ def cmd_decompose(args) -> int:
 
     print(report.summary())
     print(f"reconstruction_error={c.reconstruction_error:.6e} "
-          f"(relative {c.reconstruction_error / c.scale:.6e})")
+          f"(relative {c.relative:.6e})")
     print(f"unitarity_error={c.unitarity_error:.6e}")
     if args.method == "wedderburn":
         mid = report.r if args.op == "qr" else report.d

@@ -497,13 +497,16 @@ class _Layout:
 
     Subclasses set ``spec``, ``width``, ``unit`` (the unit's position),
     ``labels`` (the label at each position) and ``index`` (its inverse, a
-    mapping), and define ``conj``, ``matmul`` and ``terms``.  ``matmul(a,
-    b)`` returns the layout of the product and its array.  ``terms(P, s,
-    b)`` maps rows P = (x, y), stacked on axis -2, to one array per term
-    c_t e_t of b, (-s c_t conj(e_t) y, s c_t e_t x), each coefficient
-    rounded as entry-wise Element arithmetic rounds it, for :meth:`rotate`.
-    Layouts with the same ``h`` (a window's half-widths; None for a finite
-    spec) place labels alike.
+    mapping), and define ``conj``, ``matmul`` and ``rotate``.  ``matmul(a,
+    b)`` returns the layout of the product and its array.  ``rotate(P, c,
+    s, terms)``, the rotation kernel, sets rows P = (x, y), stacked on axis
+    -2 of an array that :meth:`room` has prepared, to (c x - s conj(b) y,
+    s b x + c y), b = sum c_t e_t over the (label, coefficient) pairs
+    ``terms``: P times c plus one gather of the old P per term, (-s c_t
+    conj(e_t) y, s c_t e_t x), in order, rounding as entry-wise Element
+    arithmetic does (c = 0, s = -1 gives x <- conj(b) x).  Layouts with
+    the same ``h`` (a window's half-widths; None for a finite spec) place
+    labels alike.
     """
 
     h = None
@@ -515,20 +518,11 @@ class _Layout:
         return [[make(spec, {labels[t]: c for t, c in enumerate(v) if c != 0.0})
                  for v in row] for row in x.tolist()]
 
-    def room(self, x: np.ndarray, b: Element):
+    def room(self, x: np.ndarray, terms):
         """(layout, array): ``x`` on this layout or a wider one, such that
-        multiplying any of its rows by b or conj(b) keeps every coefficient."""
+        multiplying any of its rows by b or conj(b), b the sum of ``terms``,
+        keeps every coefficient."""
         return self, x
-
-    def rotate(self, P: np.ndarray, c: float, s: float, b: Element):
-        """The rotation kernel, in place on a pair of rows P = (x, y) stacked
-        on axis -2 of an array that :meth:`room` has prepared for b: (x, y)
-        <- (c x - s conj(b) y, s b x + c y), scaling by c and then adding
-        b's :meth:`terms` in order.  c = 0, s = -1 gives x <- conj(b) x."""
-        terms = self.terms(P, s, b)
-        np.multiply(P, c, out=P)
-        for G in terms:
-            np.add(P, G, out=P)
 
     def cropped(self, x: np.ndarray):
         """(layout, array): ``x`` on the narrowest layout that holds it."""
@@ -550,38 +544,41 @@ class _TableLayout(_Layout):
         self.labels = spec.labels
         self.index = spec._index
         self.by_name = {spec.label_str(lab): lab for lab in self.labels}
-        self._pairs = {}
 
     def conj(self, x: np.ndarray) -> np.ndarray:
         t = self.spec.tables
         return x[..., t.inv_index] * t.inv_sign
 
-    def terms(self, P: np.ndarray, s: float, b: Element) -> list:
-        flat = P.reshape(P.shape[:-2] + (2 * self.width,))
-        out = []
-        for lab, c in b.coeffs.items():
-            index, sign = self._pairs.get(lab) or self._pair(lab)
-            G = flat.take(index, axis=-1)
-            np.multiply(G, np.multiply(sign, s * c), out=G)
-            out.append(G.reshape(P.shape))
-        return out
-
-    def _pair(self, lab):
-        """The signed gather taking a pair of rows (x, y), flattened, to
-        (-conj(e_a) y, e_a x): conj(e_a) x = x[index[a]] * sign[a], and
-        e_a = s conj(e_a') when conj(e_a) = s e_a'."""
+    @functools.cached_property
+    def gathers(self) -> dict:
+        """Per label e_a, built once, the signed gather (index, sign arrays)
+        taking a pair of rows (x, y), flattened, to (-conj(e_a) y, e_a x):
+        conj(e_a) x = x[index[a]] * sign[a], and e_a = s conj(e_a') when
+        conj(e_a) = s e_a'."""
         t, d = self.spec.tables, self.width
-        a = self.spec._index[lab]
-        a_inv = t.inv_index[a]
-        p = self._pairs[lab] = (
-            np.concatenate([d + t.index[a], t.index[a_inv]]),
-            np.concatenate([-t.sign[a], t.inv_sign[a] * t.sign[a_inv]]))
-        return p
+        return {lab: (np.concatenate([d + t.index[a], t.index[t.inv_index[a]]]),
+                      np.concatenate([-t.sign[a],
+                                      t.inv_sign[a] * t.sign[t.inv_index[a]]]))
+                for a, lab in enumerate(self.labels)}
+
+    def rotate(self, P: np.ndarray, c: float, s: float, terms):
+        # sign is +-1, so multiplying by it after s c_t rounds nothing
+        flat = P.reshape(P.shape[:-2] + (2 * self.width,))
+        gathers, out = self.gathers, []
+        for lab, ct in terms:
+            index, sign = gathers[lab]
+            G = flat.take(index, axis=-1)
+            G *= s * ct
+            G *= sign
+            out.append(G)
+        flat *= c
+        for G in out:
+            flat += G
 
     def matmul(self, a: np.ndarray, b: np.ndarray):
         """Layout and product of (m, n, d) and (n, p, d) arrays: every
         right entry is gathered once per e_a (a signed gather, as in
-        :meth:`_pair`), and one real matrix product sums over k and a."""
+        :attr:`gathers`), and one real matrix product sums over k and a."""
         t = self.spec.tables
         m, n, d = a.shape
         p = b.shape[1]
@@ -615,9 +612,11 @@ class _Window(_Layout):
     """A Laurent spec: coefficients on the box of exponents [-h, h] (one
     half-width per variable) in C order, the lexicographic order of
     exponent vectors (``sort_key``).  The unit sits in the middle and
-    conjugation (e -> -e) reverses the axis.  z^a shifts the axis;
-    :meth:`room` moves an array to a wider window before a shift would push
-    a coefficient past its edge.
+    conjugation (e -> -e) reverses the axis.  z^a shifts the axis by a's
+    flat offset, so :meth:`rotate` gathers each term (a, c_t) of a rotation
+    by a shifted slice, and :meth:`room`, from the terms' labels, moves an
+    array to a wider window before a shift would push a coefficient past
+    its edge.
 
     A window is a value: :func:`_window` hands out one per half-widths and
     nothing changes it after its constructor.  The window of a matrix bounds
@@ -637,19 +636,20 @@ class _Window(_Layout):
     def conj(self, x: np.ndarray) -> np.ndarray:
         return x[..., ::-1].copy()
 
-    def terms(self, P: np.ndarray, s: float, b: Element) -> list:
-        """One shift per term of b (conj(z^a) = z^-a), exact on arrays that
-        :meth:`room` has prepared for b."""
-        w = self.width
-        out = []
-        for lab, c in b.coeffs.items():
+    def rotate(self, P: np.ndarray, c: float, s: float, terms):
+        # a term's gather is a shift by its flat offset (conj(z^a) = z^-a),
+        # exact on arrays that room has prepared for the terms
+        w, out = self.width, []
+        for lab, ct in terms:
             off = sum(e * t for e, t in zip(lab, self.strides))
             G = np.zeros(P.shape)
-            for half, shift, k in ((0, -off, -s * c), (1, off, s * c)):
+            for half, shift, k in ((0, -off, -s * ct), (1, off, s * ct)):
                 src = P[..., 1 - half, max(-shift, 0):w - max(shift, 0)]
                 np.multiply(src, k, out=G[..., half, max(shift, 0):w + min(shift, 0)])
             out.append(G)
-        return out
+        P *= c
+        for G in out:
+            P += G
 
     def held(self, x: np.ndarray) -> tuple:
         """Per variable, the largest |exponent| ``x`` holds (non-zero or NaN):
@@ -688,10 +688,11 @@ class _Window(_Layout):
         return _window(self.spec, tuple(map(max, self.h, self.h, *(
             map(abs, lab) for lab in labels))))
 
-    def room(self, x: np.ndarray, b: Element):
-        """Moves only an array holding a coefficient within step (b's largest
-        |exponent| per variable) of an edge: to max(h, 2 (held + step))."""
-        step = [max(map(abs, e)) for e in zip(*b.coeffs)]  # [] for b = 0
+    def room(self, x: np.ndarray, terms):
+        """Moves only an array holding a coefficient within step (the terms'
+        largest |exponent| per variable) of an edge: to max(h, 2 (held +
+        step))."""
+        step = [max(map(abs, e)) for e in zip(*(lab for lab, _ in terms))]
         y = x.reshape(x.shape[:-1] + self.box)
         if not any(y[(..., end) + (slice(None),) * (len(step) - 1 - t)].any()
                    for t, s in enumerate(step) if s

@@ -205,15 +205,16 @@ def _require_unitary(b: Element, tol: float = 1e-12):
 
 
 def _rotate_rows(lay, x: np.ndarray, j: int, i: int, c: float, s: float,
-                 b: Element, cut=None):
+                 terms, cut=None):
     """Rows (j, i) on axis -2 of ``x`` rotated in place by ``lay.rotate``
-    after ``lay.room(x, b)``, whose (layout, array) it returns.  ``cut``, if
-    given, acts in place on the rotated pair P = (x_j, x_i) before it is
-    written back (``aqr`` zeroes and trims there).  Row i is written first:
-    for i == j the shift x_j <- conj(b) x_j stays, with ``cut`` on P's row 0."""
-    lay, x = lay.room(x, b)
+    after ``lay.room(x, terms)``, whose (layout, array) it returns; b sums
+    the (label, coefficient) pairs ``terms``.  ``cut``, if given, acts in
+    place on the rotated pair P = (x_j, x_i) before it is written back
+    (``aqr`` zeroes and trims there).  Row i is written first: for i == j
+    the shift x_j <- conj(b) x_j stays, with ``cut`` on P's row 0."""
+    lay, x = lay.room(x, terms)
     P = x.take((j, i), axis=-2)
-    lay.rotate(P, c, s, b)
+    lay.rotate(P, c, s, terms)
     if cut is not None:
         cut(P)
     x[..., i, :] = P[..., 1, :]
@@ -226,7 +227,7 @@ def _rotated(X: AlgMatrix, j: int, i: int, c: float, s: float,
     """X with :func:`_rotate_rows` applied to its rows j and i."""
     lay = X.spec.layout(X)
     x = X._array(lay).copy().transpose(1, 0, 2)  # rows on axis -2
-    lay, x = _rotate_rows(lay, x, j, i, c, s, b)
+    lay, x = _rotate_rows(lay, x, j, i, c, s, b.coeffs.items())
     return AlgMatrix._of_array(*lay.cropped(x.transpose(1, 0, 2)))
 
 
@@ -306,21 +307,20 @@ class _ArrayWork:
     """R and Q^H of one QR run in one coefficient array in the spec's layout,
     indexed (column, row, position): columns 0..n-1 hold R, the rest Q^H,
     which starts as U^H (the identity when U is None) and so ends as
-    (U Q)^H.  R <- G R and Q <- Q G^H make Q^H <- G Q^H, so every shift
-    and rotation acts on two rows through the layout's kernel, rounding as
-    entry-wise Element arithmetic does; only 2-norms are summed in another
-    order.  Nothing that steers the run reads the Q^H columns.
+    (U Q)^H.  R <- G R and Q <- Q G^H make Q^H <- G Q^H, so ``aqr`` hands
+    every shift and rotation to :func:`_rotate_rows` on ``(lay, RQ)``, beta
+    as terms: under ``beta_basis`` the one term (e_p, 1) of the entry's
+    first largest coefficient (:meth:`pick`), whose alignment Re(conj(e_p)
+    r_ik) is that coefficient, else ``b.coeffs.items()`` of beta called on
+    the entry.  The kernel rounds as entry-wise Element arithmetic does;
+    only 2-norms are summed in another order.  Nothing that steers the run
+    reads the Q^H columns.
 
     R is held scaled by 2^-e (:func:`core._exponent` of A), every norm is
-    reported in those units, and :meth:`factors` scales R back.
+    reported in those units, and :meth:`factors` scales R back."""
 
-    The step trims the rotated rows before it writes them back
-    (:func:`_rotate_rows`' ``cut``): after a shift R's row k, after a
-    rotation rows k and i of R and Q^H, whose entry (i, k) an exact beta
-    zeroes first.  ``trimmed`` counts the coefficients dropped."""
-
-    def __init__(self, A: AlgMatrix, betafn, norm_name: str, exact: bool,
-                 tau: float, U: Optional[AlgMatrix] = None):
+    def __init__(self, A: AlgMatrix, norm_name: str,
+                 U: Optional[AlgMatrix] = None):
         self.spec = A.spec
         self.lay = lay = A.spec.layout(A) if U is None else A.spec.layout(A, U)
         self.n, x = A.n, A._array(lay)
@@ -332,9 +332,7 @@ class _ArrayWork:
                 self.RQ[A.n + r, r, lay.unit] = 1.0
         else:
             self.RQ[A.n:] = lay.conj(U._array(lay))
-        self.betafn, self.norm_name = betafn, norm_name
-        self.exact, self.tau = exact, tau
-        self.trimmed = 0
+        self.norm_name = norm_name
 
     def column(self, k: int) -> tuple[float, int]:
         """2-norm of column k from the pivot down and its coefficient width
@@ -346,7 +344,7 @@ class _ArrayWork:
     def pick(self, k: int) -> tuple[int, float, Optional[int]]:
         """Row and norm of the largest below-pivot entry; ties toward the
         lowest row, and a NaN norm wins.  Under the sup norm also the
-        position of the entry's first largest coefficient, for :meth:`beta`
+        position of the entry's first largest coefficient, beta_basis's term
         (else None): one argmax over the row-major magnitudes finds the
         first row holding the largest (or a NaN), and its first position."""
         rows = self.RQ[k, k + 1:]
@@ -357,44 +355,6 @@ class _ArrayWork:
         norms = _norms_two(rows)
         j = int(norms.argmax())  # first maximum, or first NaN
         return k + 1 + j, float(norms[j]), None
-
-    def re(self, i: int, k: int) -> float:
-        return float(self.RQ[k, i, self.lay.unit])
-
-    def beta(self, i: int, k: int, p: Optional[int] = None) -> Element:
-        """beta of entry (i, k); ``p``, if given, is the position of its
-        first largest coefficient (:meth:`pick`)."""
-        x = self.RQ[k, i]
-        spec = self.spec
-        if self.betafn is beta_basis:
-            # the first largest coefficient (beta_basis's tie-break: position
-            # order is canonical order); beta_basis(0) = 1
-            if p is None:
-                p = int(np.abs(x).argmax())
-            return (spec.basis_element(self.lay.labels[p]) if x[p] != 0.0
-                    else spec.one())
-        return self.betafn(self.lay.rows(x[None, None])[0][0])
-
-    def aligned(self, i: int, k: int, b: Element) -> float:
-        """Re(conj(b) r_ik); Re(conj(e_a) e_c) = delta_ac over a unitary basis."""
-        x, index = self.RQ[k, i], self.lay.index
-        return float(sum(c * x[index[lab]] for lab, c in b.coeffs.items()
-                         if lab in index))
-
-    def shift(self, k: int, b: Element):
-        def cut(P):
-            if self.tau:  # R's row k
-                self.trimmed += _trim_array(P[:self.n, 0], self.tau)
-        self.lay, self.RQ = _rotate_rows(self.lay, self.RQ, k, k, 0.0, -1.0, b, cut)
-
-    def rotate(self, i: int, k: int, theta: float, b: Element):
-        def cut(P):
-            if self.exact:  # entry (i, k) is annihilated up to round-off
-                P[k, 1] = 0.0
-            if self.tau:
-                self.trimmed += _trim_array(P, self.tau)
-        c, s = math.cos(-theta), math.sin(-theta)
-        self.lay, self.RQ = _rotate_rows(self.lay, self.RQ, k, i, c, s, b, cut)
 
     def residual(self) -> float:
         return _residual(self.RQ[:self.n].transpose(1, 0, 2), self.norm_name)
@@ -483,9 +443,9 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
 
     t0 = time.perf_counter()
     m, n = A.m, A.n
-    W = _ArrayWork(A, betafn, norm_name, exact, trim, q0)
-    one = spec.one()
-    rotations = sweeps = stalled = warnings = 0
+    W = _ArrayWork(A, norm_name, q0)
+    basis, one = betafn is beta_basis, spec.one().coeffs
+    rotations = sweeps = stalled = warnings = trimmed = 0
 
     def partial_report(residual=None):
         q, r = W.factors()
@@ -494,8 +454,25 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
             qrd_calls=0,
             residual=(W.residual() if residual is None else residual) * 2.0 ** W.e,
             wall_time=time.perf_counter() - t0, eps=eps, norm=norm_name,
-            beta=beta_name, q=q, r=r, trimmed=W.trimmed,
+            beta=beta_name, q=q, r=r, trimmed=trimmed,
             stalled_pivots=stalled, decency_warnings=warnings)
+
+    # the cuts of _rotate_rows, before write-back: after a shift R's row k,
+    # after a rotation rows k and i of R and Q^H, whose entry (i, k) an
+    # exact beta zeroes first; ``trimmed`` counts the coefficients dropped
+    def cut_shift(P):
+        nonlocal trimmed
+        trimmed += _trim_array(P[:n, 0], trim)
+
+    def cut_rotation(P):
+        nonlocal trimmed
+        if exact:  # entry (i, k) is annihilated up to round-off
+            P[k, 1] = 0.0
+        if trim:
+            trimmed += _trim_array(P, trim)
+
+    shift_cut = cut_shift if trim else None
+    rotation_cut = cut_rotation if exact or trim else None
 
     if not np.isfinite(W.RQ).all():
         raise ConvergenceError("non-finite entry", partial_report())
@@ -508,14 +485,21 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
                 partial_report())
         sweeps += 1
         for k in range(min(m, n)):
-            if not np.isfinite(W.RQ[k, k]).all():
+            lay, x = W.lay, W.RQ[k, k]
+            if not np.isfinite(x).all():
                 raise ConvergenceError(f"non-finite pivot ({k}, {k})",
                                        partial_report())
-            b = W.beta(k, k)
-            if b.coeffs != one.coeffs:
-                old_re = abs(W.re(k, k))
-                W.shift(k, b)
-                if abs(W.re(k, k)) + 1e-12 * max(old_re, 1.0) < old_re:
+            if basis:  # beta_basis(0) = 1
+                p = int(np.abs(x).argmax())
+                b = {lay.labels[p] if x[p] != 0.0 else spec.unit: 1.0}
+            else:
+                b = betafn(lay.rows(x[None, None])[0][0]).coeffs
+            if b != one:
+                old_re = abs(float(x[lay.unit]))
+                W.lay, W.RQ = _rotate_rows(lay, W.RQ, k, k, 0.0, -1.0,
+                                           b.items(), shift_cut)
+                if abs(float(W.RQ[k, k, W.lay.unit])) + \
+                        1e-12 * max(old_re, 1.0) < old_re:
                     warnings += 1
             if k == m - 1:
                 break
@@ -538,9 +522,18 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
                             f"QR column {k} did not reach eps={eps:g} within "
                             f"its rotation budget", partial_report())
                 spent += 1
-                b = W.beta(i, k, p)
-                t_re = W.aligned(i, k, b)
-                old_re = abs(W.re(i, k))
+                lay, x = W.lay, W.RQ[k, i]
+                if basis:
+                    # e_p for the first largest coefficient x[p] (not 0, as
+                    # the entry's norm is positive): Re(conj(e_p) x) = x[p]
+                    if p is None:
+                        p = int(np.abs(x).argmax())
+                    terms, t_re = ((lay.labels[p], 1.0),), float(x[p])
+                else:  # Re(conj(e_a) e_c) = delta_ac over a unitary basis
+                    terms = betafn(lay.rows(x[None, None])[0][0]).coeffs.items()
+                    t_re = float(sum(c * x[lay.index[lab]] for lab, c in terms
+                                     if lab in lay.index))
+                old_re = abs(float(x[lay.unit]))
                 if abs(t_re) + 1e-12 * max(old_re, 1.0) < old_re:
                     warnings += 1
                 if t_re == 0.0:
@@ -549,13 +542,14 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
                     # (only possible for an indecent beta)
                     stalled += 1
                     break
-                theta = math.atan2(t_re, W.re(k, k))
-                W.rotate(i, k, theta, b)
+                theta = math.atan2(t_re, float(W.RQ[k, k, lay.unit]))
+                W.lay, W.RQ = _rotate_rows(lay, W.RQ, k, i, math.cos(-theta),
+                                           math.sin(-theta), terms, rotation_cut)
                 rotations += 1
         g1 = W.residual()
 
     for k in range(min(m, n)):  # no below-diagonal entry changes
-        if W.re(k, k) < 0:
+        if W.RQ[k, k, W.lay.unit] < 0:
             W.RQ[:, k] *= -1.0  # row k of R and Q^H
         if exact:  # the rest of r_kk is round-off (the unit comes first)
             W.RQ[k, k, 1:] = 0.0

@@ -403,12 +403,14 @@ def unlift(blocks_mats, rep: Representation, m: int, n: int) -> AlgMatrix:
 def _qr_factors(Z: np.ndarray) -> list:
     """Householder QR of a stack of matrices, each R's diagonal real and
     non-negative: column k of Q times the phase of R's d_k, row k of R times
-    its conjugate, |d_k| on the diagonal."""
+    its conjugate, |d_k| on the diagonal.  numpy divides d_k by |d_k|
+    through 1 / |d_k|, which overflows for a subnormal |d_k|: such a d_k
+    keeps phase 1, an error below 2^-1021 in Q R."""
     Q, R = np.linalg.qr(Z, mode="complete")
     d = R.diagonal(0, -2, -1)
     k = np.arange(d.shape[-1])
     mag = np.abs(d)
-    phase = np.divide(d, mag, out=np.ones_like(d), where=mag > 0.0)
+    phase = np.divide(d, mag, out=np.ones_like(d), where=mag >= 2.0 ** -1022)
     Q[..., :len(k)] *= phase[..., None, :]
     R[..., :len(k), :] *= phase.conj()[..., None]
     R[..., k, k] = mag
@@ -487,7 +489,8 @@ def _decompose(kind: str, A: AlgMatrix, rep: Representation,
     """:func:`wqr` (``kind="qr"``) or :func:`wsvd` of A: lift, check every
     block's entries, factor each group of blocks of one field and size
     (``rep.groups``), an R or C group in one stacked LAPACK call and H
-    blocks one by one, and unlift each factor."""
+    blocks one by one (refusing a non-finite R or D), and unlift each
+    factor."""
     t0 = time.perf_counter()
     common = dict(kind=kind, method="wedderburn", eps=eps, norm="inf",
                   beta="division")
@@ -504,22 +507,28 @@ def _decompose(kind: str, A: AlgMatrix, rep: Representation,
     for key, group in rep.groups.items():
         tag = key[0]
         try:
-            if tag == "H":
-                run = _quaternion_qr if kind == "qr" else _quaternion_svd
-                for l in group:
-                    factors[l], counts[l] = run(x[l])
-            else:
-                F = (_qr_factors if kind == "qr" else _svd_factors)(
-                    _field_array(tag, np.array([x[l] for l in group])))
-                F = [_field_coeffs(tag, f) for f in F]
-                for t, l in enumerate(group):
-                    factors[l] = [f[t] for f in F]
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                if tag == "H":  # aqr refuses an R past the float range
+                    run = _quaternion_qr if kind == "qr" else _quaternion_svd
+                    for l in group:
+                        factors[l], counts[l] = run(x[l])
+                else:
+                    F = (_qr_factors if kind == "qr" else _svd_factors)(
+                        _field_array(tag, np.array([x[l] for l in group])))
+                    F = [_field_coeffs(tag, f) for f in F]
+                    for t, l in enumerate(group):
+                        factors[l] = [f[t] for f in F]
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"blocks {group} {key}: LAPACK: {exc}",
                                    failed) from exc
         except ConvergenceError as exc:  # the QR of H block l
             raise ConvergenceError(f"block {l} {key}: {exc}",
                                    exc.report) from exc
+        # Q, U and V are finite when R or D is (LAPACK; _qr_factors' phase)
+        if tag != "H" and not np.isfinite(F[1]).all():
+            l = next(l for t, l in enumerate(group)
+                     if not np.isfinite(F[1][t]).all())
+            raise ConvergenceError(f"block {l} {key}: non-finite factor", failed)
     shapes = [(A.m, A.m), (A.m, A.n), (A.n, A.n)][:len(factors[0])]
     mats = [unlift([AlgMatrix._of_array(B.spec.layout(), f[j])
                     for B, f in zip(blocks, factors)], rep, *shape)

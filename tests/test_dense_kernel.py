@@ -537,16 +537,16 @@ def test_room_moves_only_past_the_edge(spec):
     assert lay.held(x) == held
     inside = spec.basis_element((1,) * spec.kappa)
     for b in (spec.one(), inside, inside.conj()):
-        got, y = lay.room(x, b)
+        got, y = lay.room(x, b.coeffs.items())
         assert got is lay and y is x
     # step (2,) or (2, 1): held + step passes h = 3 in the first variable
     past = Element(spec, {(2,) + (0,) * (spec.kappa - 1): 0.6,
                           (0,) * (spec.kappa - 1) + (-1,): 0.8})
-    got, y = lay.room(x, past)
+    got, y = lay.room(x, past.coeffs.items())
     assert got.h == wide and got is _window(spec, wide)
     assert got.rows(y) == lay.rows(x) == X.entries
     if spec.kappa == 2:  # the second variable alone: 1 + 3 passes h
-        got, y = lay.room(x, spec.basis_element((0, -3)))
+        got, y = lay.room(x, (((0, -3), 1.0),))
         assert got.h == (4, 8) and got.rows(y) == X.entries
 
 

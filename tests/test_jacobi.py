@@ -493,6 +493,25 @@ def test_laurent2_svd_counts_pinned():
         "1d57492160cf2e81", "8a10f5d831a7e291", "e3cbcbf9cfa397f6")
 
 
+# beta_basis under the sup norm on two more finite specs: biquat, whose
+# tables carry signs -1, and cyclic(1,8), where conj(g^k) = g^-k
+@pytest.mark.parametrize("spec,qr,svd,digests", [
+    (biquat(), (262, 1), (1021, 98, 99),
+     ("139c1774960ef51a", "9e4d9f65f5527f02", "5db404241d5121ad",
+      "f275dc7aa2d3f524", "1f26831f5124c203")),
+    (cyclic(1, 8), (398, 1), (636, 30, 30),
+     ("f87a299ff0ef08bd", "18aa073771bf852f", "574c6de091fc7b5b",
+      "70b8d277bfb5ff80", "356d82911ea057e3")),
+], ids=["biquat", "cyclic(1,8)"])
+def test_basis_counts_and_factors_pinned(spec, qr, svd, digests):
+    A = random_matrix(spec, 3, 2, np.random.default_rng(7))
+    q = aqr(A, beta="basis", norm="inf", eps=1e-10)
+    s = asvd(A, beta="basis", norm="inf", eps=1e-8)
+    assert (q.rotations, q.sweeps) == qr
+    assert (s.rotations, s.qrd_calls, s.sweeps) == svd
+    assert tuple(map(_digest, (q.q, q.r, s.u, s.d, s.v))) == digests
+
+
 def _recorded_aqr_calls(monkeypatch):
     """Patch ``jacobi.aqr`` (what ``asvd`` calls) to record each call's
     input and eps."""
@@ -605,43 +624,56 @@ def test_svd_with_trim_keeps_the_reconstruction(seed):
     A = random_matrix(quadquat(), 4, 3, np.random.default_rng(seed))
     rep = asvd(A, eps=1e-6, trim=1e-6)
     c = check_contract(rep, A)
-    assert c.reconstruction_error <= 1e-6 * c.scale
+    assert c.relative <= 1e-6
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_step_trim_equals_per_row_trims(seed):
+def test_step_trim_equals_per_row_trims(seed, monkeypatch):
     # the trim inside aqr's step zeroes what per-row _trim_array calls on
     # the written-back rows zero, with the same count: after a shift R's row
     # k alone, after a rotation rows k and i of R and Q^H, whose entry (i, k)
-    # an exact beta zeroes first
+    # an exact beta zeroes first; watched on every step of aqr runs on
+    # inputs and q0 (which nothing reads) whose coefficients lie far apart,
+    # the step's own trims counted through _trim_array
     rng = np.random.default_rng(seed)
-    A = random_matrix(laurent(1), 4, 3, rng, degree=2)
-    z = laurent(1).basis_element((1,))
-    for exact in (False, True):
-        W = jacobi._ArrayWork(A, beta_basis, "inf", exact, 1e-6)
-        W.RQ = rng.standard_normal(W.RQ.shape) * 10.0 ** rng.integers(
-            -12, 1, W.RQ.shape)
-        W.RQ[rng.random(W.RQ.shape) < 0.2] = 0.0
-        n, theta, counts = W.n, 0.7, []
-        for i, k in ((1, 1), (2, 0), (3, 1)):
-            before = W.trimmed
+    rotate_rows, trim_array = jacobi._rotate_rows, jacobi._trim_array
+    dropped = []
+
+    def counting(x, tau):
+        dropped.append(trim_array(x, tau))
+        return dropped[-1]
+
+    def spread(X):
+        # coefficients 1e-12 to 1 apart, a fifth of them zero
+        lay, x = X._coeffs
+        x = x * 10.0 ** rng.integers(-12, 1, x.shape)
+        x[rng.random(x.shape) < 0.2] = 0.0
+        return AlgMatrix._of_array(lay, x)
+
+    for spec, beta, exact in ((laurent(1), "basis", False),
+                              (quaternion_algebra(), "division", True)):
+        A, q0 = (spread(random_matrix(spec, 4, n, rng, degree=2))
+                 for n in (3, 4))
+        counts = []
+
+        def step(lay, x, k, i, c, s, terms, cut=None):
+            _, want = rotate_rows(lay, x.copy(), k, i, c, s, terms)
             if i == k:
-                _, want = jacobi._rotate_rows(W.lay, W.RQ.copy(), k, k, 0.0,
-                                              -1.0, z)
-                count = jacobi._trim_array(want[:n, k], 1e-6)
-                W.shift(k, z)
+                count = trim_array(want[:A.n, k], 1e-6)
             else:
-                _, want = jacobi._rotate_rows(
-                    W.lay, W.RQ.copy(), k, i, math.cos(-theta),
-                    math.sin(-theta), z)
                 if exact:
                     want[k, i] = 0.0
-                count = sum(jacobi._trim_array(want[:, r], 1e-6) for r in (k, i))
-                W.rotate(i, k, theta, z)
-            assert W.trimmed - before == count
-            assert np.array_equal(W.RQ, want)
+                count = sum(trim_array(want[:, r], 1e-6) for r in (k, i))
+            dropped.clear()
+            lay, x = rotate_rows(lay, x, k, i, c, s, terms, cut)
+            assert sum(dropped) == count
+            assert np.array_equal(x, want)
             counts.append(count)
-        assert sum(counts) > 0
+            return lay, x
+        monkeypatch.setattr(jacobi, "_rotate_rows", step)
+        monkeypatch.setattr(jacobi, "_trim_array", counting)
+        rep = aqr(A, beta=beta, norm="inf", eps=1e-3, trim=1e-6, q0=q0)
+        assert rep.trimmed == sum(counts) > 0
 
 
 def test_block_engine_counts_pinned():

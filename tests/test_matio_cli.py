@@ -425,6 +425,32 @@ def test_huge_quaternion_input_decomposes_through_the_representation(
     assert float(_relative_error(capsys)) <= 1e-14
 
 
+@pytest.mark.parametrize("op,power,code", [
+    ("qr", 1021, EXIT_CONVERGENCE), ("svd", 1021, EXIT_CONVERGENCE),
+    ("qr", -1070, EXIT_OK), ("svd", -1070, EXIT_OK)])
+def test_representation_at_the_ends_of_the_float_range(tmp_path, capsys, op,
+                                                       power, code):
+    # cl(4,1) 3x2 seed 3 scaled by 2^1021: the lifted C block's R passes the
+    # float range, and the QR's phase fix once divided inf by inf, a numpy
+    # warning that escaped -W error as a traceback (exit 1); the rotation
+    # engine on the same file exits 5 as well.  Scaled by 2^-1070 (subnormal
+    # coefficients) the phase fix overflowed dividing by a subnormal |d_k|,
+    # again a traceback; both runs there meet the contract (its 1e-300 floor)
+    run(["decompose", "--algebra", "cl(4,1)", "--random", "3", "2", "--seed",
+         "3", "--output-prefix", str(tmp_path / "a")])
+    _scaled_copy(tmp_path / "a.A.json", tmp_path / "s.json", power)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["decompose", "--algebra", "cl(4,1)", "--method",
+                    "wedderburn", "--op", op, "--input",
+                    str(tmp_path / "s.json"),
+                    "--output-prefix", str(tmp_path / "x")]) == code
+    if code == EXIT_CONVERGENCE:
+        assert capsys.readouterr().err == (
+            "error: block 0 ('C', 4): non-finite factor\n")
+
+
 @pytest.mark.parametrize("algebra", ["quat", "complex"])
 @pytest.mark.parametrize("entries", [[[0, 0, [["1", 1.0]]],
                                       [1, 0, [["g1", 1e-170]]]],
@@ -515,6 +541,29 @@ def test_contract_counts_both_unitary_factors():
     assert c.unitarity_error == pytest.approx(3 * np.sqrt(2))
     assert c.reconstruction_error == pytest.approx(np.sqrt(2))
     assert c.violated
+
+
+def test_contract_past_the_float_range():
+    # ||A||_F of this finite A passes the float range (about 2.1e308): the
+    # contract once compared with 1e-6 ||A||_F = inf, so the inf error of
+    # D = -A counted as met; both norms are now taken on A and the error
+    # scaled by one power of two
+    spec = clifford(1, 0)
+    I = AlgMatrix.identity(spec, 2)
+
+    def diag(x):
+        return AlgMatrix(spec, [[spec.scalar(x), spec.zero()],
+                                [spec.zero(), spec.scalar(x)]])
+    A = diag(1.5e308)
+    assert A.frob() == math.inf
+    c = check_contract(_svd_report(I, A, I), A)
+    assert not c.violated and c.relative == 0.0
+    c = check_contract(_svd_report(I, -A, I), A)
+    assert c.reconstruction_error == math.inf and c.violated
+    assert c.relative == 2.0
+    c = check_contract(_svd_report(I, diag(0.75e308), I), A)
+    assert math.isfinite(c.reconstruction_error) and c.violated
+    assert c.relative == 0.5
 
 
 def test_contract_nan_error_is_a_violation():
