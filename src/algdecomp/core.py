@@ -204,8 +204,7 @@ class Element:
     """One algebra entry: a finitely supported label -> coefficient map.
 
     Zero coefficients are never stored, so equality is support-wise and
-    exact.  Use :meth:`isclose` for tolerance-based comparison.  The
-    constructor rejects NaN and infinite coefficients.
+    exact.  The constructor rejects NaN and infinite coefficients.
     """
 
     __slots__ = ("spec", "coeffs")
@@ -302,12 +301,6 @@ class Element:
                 and other.coeffs == self.coeffs)
 
     __hash__ = None
-
-    def isclose(self, other: "Element", tol: float = 1e-12,
-                norm: str = "two") -> bool:
-        diff = self - other
-        val = diff.norm_inf() if norm == "inf" else diff.norm2()
-        return val <= tol
 
     def __repr__(self):
         if not self.coeffs:
@@ -480,10 +473,6 @@ class AlgMatrix:
     def is_unitary(self, tol: float = 1e-12) -> bool:
         return self.unitarity_error() <= tol
 
-    def isclose(self, other: "AlgMatrix", tol: float = 1e-12) -> bool:
-        self._check(other)
-        return self.shape == other.shape and (self - other).frob() <= tol
-
     def __repr__(self):
         return f"<AlgMatrix {self.m}x{self.n} over {self.spec.descriptor}>"
 
@@ -622,6 +611,9 @@ class _Window(_Layout):
     nothing changes it after its constructor.  The window of a matrix bounds
     what its array holds; sums, products, rotated matrices, ``aqr``'s
     factors and ``laurent_unembed`` crop theirs to it (:meth:`cropped`).
+    A product (:meth:`matmul`) runs real FFTs of the operands, each scaled
+    by its power of two, and every slot that no pair of nonzero
+    coefficients reaches is exactly 0.
     """
 
     def __init__(self, spec: AlgebraSpec, h: tuple):
@@ -704,25 +696,26 @@ class _Window(_Layout):
 
     def matmul(self, a: np.ndarray, b: np.ndarray):
         """Product of (m, n, W) and (n, p, W) arrays of this window, on the
-        window twice as wide (then cropped): a sum of convolutions.  Both
-        operands sit at the low corner of the product's box, so the flat
-        index of a sum of exponents is the sum of flat indices (Kronecker
-        substitution) and one 1-D convolution per entry pair serves any
-        number of variables."""
+        window twice as wide (then cropped): per entry, the sum over k of the
+        convolutions, by real FFTs over the window axes sized to the
+        product's box, so nothing wraps.  Each operand is scaled by its power
+        of two (:func:`_exponent`) before the transforms and the product
+        scaled back after, so no transform overflows where the product is
+        finite.  A slot that no pair of nonzero coefficients reaches is
+        exactly 0, as in the exact sum: the same transforms of ``a != 0`` and
+        ``b != 0`` count the pairs per slot, and a count below 1/2 zeroes it."""
         out = _window(self.spec, tuple(2 * h for h in self.h))
-        corner = tuple(slice(0, w) for w in self.box)
-        span = sum((w - 1) * s for w, s in zip(self.box, out.strides)) + 1
+        axes = tuple(range(2, 2 + len(self.h)))
 
-        def embed(x):
-            y = np.zeros(x.shape[:-1] + out.box)
-            y[(Ellipsis,) + corner] = x.reshape(x.shape[:-1] + self.box)
-            return y.reshape(x.shape[:-1] + (out.width,))[..., :span]
+        def convolve(x, y):
+            fx, fy = (np.fft.rfftn(v.reshape(v.shape[:2] + self.box), out.box, axes)
+                      for v in (x, y))
+            f = np.einsum("ik...,kj...->ij...", fx, fy)
+            return np.fft.irfftn(f, out.box, axes).reshape(f.shape[:2] + (-1,))
 
-        a, b = embed(a), embed(b)
-        prod = np.zeros((a.shape[0], b.shape[1], out.width))
-        for i, j, k in itertools.product(range(a.shape[0]), range(b.shape[1]),
-                                         range(a.shape[1])):
-            prod[i, j] += np.convolve(a[i, k], b[k, j])
+        ea, eb = _exponent(a), _exponent(b)
+        prod = np.ldexp(convolve(np.ldexp(a, -ea), np.ldexp(b, -eb)), ea + eb)
+        prod[convolve(a != 0, b != 0) < 0.5] = 0.0
         return out.cropped(prod)
 
 

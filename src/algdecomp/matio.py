@@ -46,12 +46,18 @@ def matrix_from_dict(doc: dict) -> AlgMatrix:
         if doc["format"] != FORMAT:
             raise MatrixFileError(f"unsupported format {doc.get('format')!r}")
         spec = algebra_from_descriptor(doc["algebra"])
-        m, n = int(doc["m"]), int(doc["n"])
+        m, n = doc["m"], doc["n"]
+        if not type(m) is type(n) is int:  # JSON integers: no float, no bool
+            raise MatrixFileError(f"size {m!r}x{n!r} is not two integers")
         out = AlgMatrix.zeros(spec, m, n)
         named = spec.layout().by_name if spec.dim else {}  # Laurent: parse all
+        seen = set()
         for i, j, pairs in doc["entries"]:
-            if not (0 <= i < m and 0 <= j < n):
-                raise MatrixFileError(f"entry ({i},{j}) outside {m}x{n}")
+            if not (type(i) is type(j) is int and 0 <= i < m and 0 <= j < n):
+                raise MatrixFileError(f"no entry ({i!r},{j!r}) in {m}x{n}")
+            if (i, j) in seen:
+                raise MatrixFileError(f"repeated entry ({i},{j})")
+            seen.add((i, j))
             coeffs = {}
             for lab_s, c in pairs:
                 lab = named[lab_s] if lab_s in named else spec.parse_label(lab_s)

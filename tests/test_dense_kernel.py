@@ -97,14 +97,37 @@ def _random(spec, m, n, seed):
     return random_matrix(spec, m, n, np.random.default_rng(seed), degree=1)
 
 
+def _sparse(spec, m, n, rng, degree):
+    """A random matrix with a random share of its coefficients zeroed; over
+    a Laurent spec only exponents in a random sub-box of [-degree, degree]
+    are drawn, so the support is often narrow and off-centre."""
+    if spec.dim:
+        lay, keep = spec.layout(), True
+    else:
+        lay = _window(spec, (degree,) * spec.kappa)
+        exps = np.array(lay.labels)
+        lo, hi = np.sort(rng.integers(-degree, degree + 1, (2, spec.kappa)), 0)
+        keep = ((lo <= exps) & (exps <= hi)).all(axis=1)
+    keep = keep & (rng.random((m, n, lay.width)) < rng.random())
+    return AlgMatrix._of_array(*lay.cropped(rng.standard_normal(keep.shape) * keep))
+
+
 @settings(max_examples=60)
-@given(every, seeds, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+@given(st.one_of(finite, st.sampled_from(LAURENT)), seeds, st.integers(1, 3),
+       st.integers(1, 3), st.integers(1, 3))
 def test_matmul_equals_sum_of_element_products(spec, seed, m, k, n):
-    A, B = _random(spec, m, k, seed), _random(spec, k, n, seed + 1)
+    rng = np.random.default_rng(seed)
+    degree = int(rng.integers(0, 7))
+    A, B = _sparse(spec, m, k, rng, degree), _sparse(spec, k, n, rng, degree)
     want = AlgMatrix(spec, [[sum((A[i, t] * B[t, j] for t in range(k)),
                                  spec.zero()) for j in range(n)]
                             for i in range(m)])
-    assert _close(A @ B, want, A.frob() * B.frob())
+    C = A @ B
+    assert _close(C, want, A.frob() * B.frob())
+    # a slot that no pair of nonzero coefficients reaches is exactly 0
+    lay = spec.layout(C, want)
+    assert np.array_equal(C._array(lay) != 0, want._array(lay) != 0)
+    assert spec.dim or _tight(C)
 
 
 @settings(max_examples=40)

@@ -55,6 +55,16 @@ def test_zero_entries_omitted(tmp_path):
      "entries": [[2, 0, [["1", 1.0]]]]},
     {"format": "algdecomp-mat/1", "algebra": "real", "m": 1, "n": 1,
      "entries": [[0, 0, [["1", 1.0], ["1", 2.0]]]]},
+    # these four were once read: an IndexError traceback, 5.0 written to
+    # both (1, 0) and (1, 1), m read as 1, the second entry kept
+    {"format": "algdecomp-mat/1", "algebra": "real", "m": 1, "n": 1,
+     "entries": [[0.5, 0, [["1", 1.0]]]]},
+    {"format": "algdecomp-mat/1", "algebra": "real", "m": 2, "n": 2,
+     "entries": [[True, 1, [["1", 5.0]]]]},
+    {"format": "algdecomp-mat/1", "algebra": "real", "m": 1.7, "n": 1,
+     "entries": []},
+    {"format": "algdecomp-mat/1", "algebra": "real", "m": 1, "n": 1,
+     "entries": [[0, 0, [["1", 1.0]]], [0, 0, [["1", 2.0]]]]},
 ])
 def test_malformed_documents_rejected(tmp_path, doc):
     path = tmp_path / "bad.json"
@@ -167,6 +177,17 @@ def test_exit_code_file_error(tmp_path, capsys):
     path.write_text("{broken")
     code = run(["decompose", "--algebra", "real", "--input", str(path)])
     assert code == EXIT_FILE
+
+
+def test_exit_code_fractional_index(tmp_path, capsys):
+    # an entry index of 0.5 once ended in an IndexError traceback (exit 1)
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({
+        "format": "algdecomp-mat/1", "algebra": "real", "m": 1, "n": 1,
+        "entries": [[0.5, 0, [["1", 1.0]]]]}))
+    code = run(["decompose", "--algebra", "real", "--input", str(path),
+                "--output-prefix", str(tmp_path / "x")])
+    assert code == EXIT_FILE and _one_error_line(capsys)
 
 
 def _one_error_line(capsys):
@@ -364,25 +385,38 @@ def test_rotation_svd_with_trim_meets_the_contract(tmp_path, capsys, seed):
     assert float(_relative_error(capsys)) <= 1e-6
 
 
+def _scaled_run(tmp_path, capsys, algebra, op, power, eps) -> str:
+    """The printed relative error of the rotation engine's ``op`` on the
+    3x2 seed-3 input over ``algebra`` with every coefficient and ``eps``
+    times 2^power, under -W error (asserting exit 0)."""
+    run(["decompose", "--algebra", algebra, "--random", "3", "2", "--seed",
+         "3", "--output-prefix", str(tmp_path / "a")])
+    _scaled_copy(tmp_path / "a.A.json", tmp_path / "s.json", power)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["decompose", "--algebra", algebra, "--method", "jacobi",
+                    "--op", op, "--input", str(tmp_path / "s.json"), "--eps",
+                    repr(math.ldexp(eps, power)),
+                    "--output-prefix", str(tmp_path / "x")])
+    assert code == EXIT_OK
+    return _relative_error(capsys)
+
+
 def test_relative_error_of_a_huge_input(tmp_path, capsys):
     # frob once squared unscaled coefficients, so ||A||_F overflowed past
     # about 1e154 and the relative error read 0; eps is absolute, so it is
     # scaled with A, and the scaled run does the same work
-    run(["decompose", "--algebra", "cl(4,1)", "--random", "3", "2", "--seed",
-         "3", "--output-prefix", str(tmp_path / "a")])
-    _scaled_copy(tmp_path / "a.A.json", tmp_path / "big.json", 530)
-    runs = []
-    for path, eps in ((tmp_path / "a.A.json", 1e-10),
-                      (tmp_path / "big.json", math.ldexp(1e-10, 530))):
-        capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run(["decompose", "--algebra", "cl(4,1)", "--method",
-                        "jacobi", "--input", str(path), "--eps", repr(eps),
-                        "--output-prefix", str(tmp_path / "x")])
-        assert code == EXIT_OK
-        runs.append(_relative_error(capsys))
+    runs = [_scaled_run(tmp_path, capsys, "cl(4,1)", "qr", power, 1e-10)
+            for power in (0, 530)]
     assert runs[0] == runs[1] and float(runs[0]) > 0.0
+    # the contract check multiplies Laurent factors by FFT, which overflows
+    # here ("overflow encountered in irfft") unless each operand is scaled
+    # by its power of two; at eps 1e-10 this SVD's supports grow for
+    # minutes, so it runs at 1e-3
+    for op, eps in (("qr", 1e-10), ("svd", 1e-3)):
+        assert float(_scaled_run(tmp_path, capsys, "laurent(1)", op, 1021,
+                                 eps)) <= 1e-13
 
 
 def _huge_quaternion_run(tmp_path, capsys, method, op, power=530,
