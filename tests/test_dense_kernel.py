@@ -46,6 +46,7 @@ FINITE = [
     direct_sum_pm(clifford(0, 2), clifford(1, 1)),
 ]
 LAURENT = [laurent(1), laurent(2)]
+WINDOWS = LAURENT + [laurent(3)]  # the window helpers on 1 to 3 variables
 
 seeds = st.integers(0, 2 ** 32 - 1)
 finite = st.sampled_from(FINITE)
@@ -491,20 +492,69 @@ def test_windows_of_one_width_share_their_labels(monkeypatch):
     assert all(_state(lay) == state for lay, state in made)
 
 
+def _labels_held(lay, x):
+    """The labels of the coefficients ``x`` holds (nonzero or NaN), read one
+    element at a time through ``lay.rows``: the reference for the window
+    helpers, which read the array a slab at a time."""
+    return [lab for row in lay.rows(x) for e in row for lab in e.coeffs]
+
+
+def _held_reference(lay, x):
+    held = (0,) * len(lay.h)
+    for lab in _labels_held(lay, x):
+        held = tuple(map(max, held, map(abs, lab)))
+    return held
+
+
+def _placed(to, x, lay):
+    """``x``, on window ``lay``, placed label by label on window ``to``
+    (labels that ``to`` lacks dropped)."""
+    out = np.zeros(x.shape[:-1] + (to.width,))
+    for p, lab in enumerate(lay.labels):
+        if lab in to.index:
+            out[..., to.index[lab]] = x[..., p]
+    return out
+
+
+def _check_window_helpers(lay, x, terms):
+    # held, moved, cropped and room against the per-label reference, bytes
+    # compared (NaN and -0.0 included)
+    spec, held = lay.spec, _held_reference(lay, x)
+    assert lay.held(x) == held
+    for h in (held, tuple(t + 1 for t in lay.h)):  # a crop and a pad
+        to = _window(spec, h)
+        assert to.moved(x, lay.h).tobytes() == _placed(to, x, lay).tobytes()
+    got, y = lay.cropped(x)
+    assert got is _window(spec, held)
+    assert y.tobytes() == _placed(got, x, lay).tobytes()
+    # room moves iff a coefficient lies within step of an edge, in a
+    # variable that some term shifts
+    step = [max(abs(lab[t]) for lab, _ in terms) for t in range(spec.kappa)]
+    got, y = lay.room(x, terms)
+    if not any(s and abs(e) + s > h for lab in _labels_held(lay, x)
+               for e, s, h in zip(lab, step, lay.h)):
+        assert got is lay and y is x
+    else:
+        assert got is _window(spec, tuple(
+            max(h, 2 * (r + s)) for h, r, s in zip(lay.h, held, step)))
+        assert y.tobytes() == _placed(got, x, lay).tobytes()
+
+
 def _tight(X):
     lay, x = X._coeffs
-    return lay.held(x) == lay.h
+    return lay.held(x) == _held_reference(lay, x) == lay.h
 
 
-@pytest.mark.parametrize("spec", LAURENT)
+@pytest.mark.parametrize("spec", WINDOWS)
 def test_products_and_factors_hold_what_their_windows_cover(spec):
     rng = np.random.default_rng(2)
+    eps = 1e-1 if spec.kappa == 3 else 3e-2  # keeps the laurent(3) runs short
     A = random_matrix(spec, 2, 1, rng, degree=1)
     B = random_matrix(spec, 1, 2, rng, degree=1)
-    qr = aqr(A, beta="basis", norm="inf", eps=3e-2, trim=1e-3)
+    qr = aqr(A, beta="basis", norm="inf", eps=eps, trim=1e-3)
     # over laurent(1) 2x2, trims leave U and V narrower than their products
-    C = random_matrix(spec, 2, 3 - spec.kappa, rng, degree=1)
-    svd = asvd(C, beta="basis", norm="inf", eps=3e-2, trim=1e-3)
+    C = random_matrix(spec, 2, max(3 - spec.kappa, 1), rng, degree=1)
+    svd = asvd(C, beta="basis", norm="inf", eps=eps, trim=1e-3)
     assert all(map(_tight, (A @ B, B.herm() @ A.herm(), qr.q, qr.r, svd.u,
                             svd.d, svd.v)))
     z = spec.basis_element((1,) * spec.kappa)
@@ -543,13 +593,14 @@ def test_layout_of_arrays_reads_their_windows(monkeypatch):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("spec", LAURENT)
+@pytest.mark.parametrize("spec", WINDOWS)
 def test_room_moves_only_past_the_edge(spec):
     # room leaves an array alone for a unit b and for a shift inside the
     # slack of its window, and past the edge widens to max(h, 2 (held +
     # step)) per variable, every coefficient keeping its exponent
     rng = np.random.default_rng(4)
-    held, wide = ((2,), (8,)) if spec.kappa == 1 else ((2, 1), (8, 4))
+    held, wide = {1: ((2,), (8,)), 2: ((2, 1), (8, 4)),
+                  3: ((2, 1, 1), (8, 3, 4))}[spec.kappa]
     lay = _window(spec, (3,) * spec.kappa)
     grid = [[spec.zero() for _ in range(3)] for _ in range(2)]
     for lab in itertools.product(*(range(-t, t + 1) for t in held)):
@@ -568,9 +619,32 @@ def test_room_moves_only_past_the_edge(spec):
     got, y = lay.room(x, past.coeffs.items())
     assert got.h == wide and got is _window(spec, wide)
     assert got.rows(y) == lay.rows(x) == X.entries
-    if spec.kappa == 2:  # the second variable alone: 1 + 3 passes h
-        got, y = lay.room(x, (((0, -3), 1.0),))
-        assert got.h == (4, 8) and got.rows(y) == X.entries
+    for t in range(1, spec.kappa):  # a later variable alone: 1 + 3 passes h
+        lab = tuple(-3 if u == t else 0 for u in range(spec.kappa))
+        got, y = lay.room(x, ((lab, 1.0),))
+        assert got.h == tuple(8 if u == t else max(3, 2 * held[u])
+                              for u in range(spec.kappa))
+        assert got.rows(y) == X.entries
+    # against the per-label reference on an uneven window: arrays all zero
+    # (-0.0 too), holding a NaN (live) on an edge, a coefficient on a corner
+    # or one short of every edge, and random ones; shifts by single terms of
+    # either sign in each variable, by the unit and by two mixed-sign terms
+    lay = _window(spec, (3, 1, 2)[:spec.kappa])
+    k, zero = spec.kappa, np.zeros((3, 2, lay.width))
+    corner, short, nan = zero.copy(), zero.copy(), zero.copy()
+    corner[1, 0, lay.index[(-3,) + lay.h[1:]]] = 1.5
+    short[0, 1, lay.index[tuple(h - 1 for h in lay.h)]] = -2.0
+    nan[2, 1, lay.unit] = 0.5
+    nan[0, 0, lay.index[(0,) * (k - 1) + (-lay.h[-1],)]] = np.nan
+    mixed = rng.standard_normal(zero.shape) * (rng.random(zero.shape) < 0.3)
+    shifts = [(((0,) * k, 1.0),),
+              (((1, -2, 1)[:k], 0.6), ((-1, 0, -2)[:k], 0.8))]
+    for t in range(k):
+        for e in (-1, 1, 2):
+            shifts.append(((tuple(e if u == t else 0 for u in range(k)), 1.0),))
+    for x in (zero, -zero, corner, short, nan, mixed):
+        for terms in shifts:
+            _check_window_helpers(lay, x, terms)
 
 
 # -- one storage: the coefficient array ---------------------------------------------

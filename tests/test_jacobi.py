@@ -411,6 +411,8 @@ def test_svd_counts_pinned():
      ("dc427c9f2db2c2e3", "5949e9c88d2d4c7a")),
     (2, 2, 2, 1, 1e-2, 1e-4, (112, 1, 53100),
      ("82317164c4d82985", "89e82766ee72b6ab")),
+    (3, 2, 1, 1, 1e-1, 1e-4, (114, 1, 418469),
+     ("6ded5e33db779708", "81e36d7f74dcf81c")),
 ])
 def test_laurent_qr_counts_and_factors_pinned(kappa, m, n, seed, eps, trim,
                                               counts, digests):
@@ -418,6 +420,7 @@ def test_laurent_qr_counts_and_factors_pinned(kappa, m, n, seed, eps, trim,
                       degree=1)
     rep = aqr(A, beta="basis", norm="inf", eps=eps, trim=trim)
     assert (rep.rotations, rep.sweeps, rep.trimmed) == counts
+    assert type(rep.trimmed) is int  # not a numpy integer
     assert (_digest(rep.q), _digest(rep.r)) == digests
 
 
@@ -426,7 +429,9 @@ def test_laurent_svd_counts_pinned():
     rep = asvd(A, beta="basis", norm="inf", eps=1e-3, trim=1e-6)
     assert (rep.rotations, rep.qrd_calls, rep.sweeps, rep.trimmed) == \
         (289, 18, 18, 13618)
-    assert _digest(rep.d) == "c5a4d059fce74299"
+    assert type(rep.trimmed) is int
+    assert tuple(map(_digest, (rep.u, rep.d, rep.v))) == (
+        "b434037f14b5e342", "c5a4d059fce74299", "7f54c51686c92254")
 
 
 # an exact beta zeroes each annihilated entry before the trim sees it
