@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
@@ -603,9 +604,12 @@ class _Window(_Layout):
     exponent vectors (``sort_key``).  The unit sits in the middle and
     conjugation (e -> -e) reverses the axis.  z^a shifts the axis by a's
     flat offset, so :meth:`rotate` gathers each term (a, c_t) of a rotation
-    by a shifted slice, and :meth:`room`, from the terms' labels, moves an
-    array to a wider window before a shift would push a coefficient past
-    its edge.
+    by two scaled, shifted slices, and :meth:`room`, from the terms'
+    labels, moves an array to a wider window before a shift would push a
+    coefficient past its edge; it counts only the edge slabs that a shift
+    reaches (:attr:`slabs`).  One code path serves every number of
+    variables: in C order the first variable's slabs are flat ranges of
+    the last axis, and a later variable's are ranges of a view.
 
     A window is a value: :func:`_window` hands out one per half-widths and
     nothing changes it after its constructor.  The window of a matrix bounds
@@ -624,20 +628,28 @@ class _Window(_Layout):
         self.unit = self.width // 2
         self.labels = tuple(itertools.product(*(range(-t, t + 1) for t in h)))
         self.index = {lab: p for p, lab in enumerate(self.labels)}
+        # per variable t, the last axis split as (outer, box[t], stride):
+        # its exponents within s of t's two edges are the first and the last
+        # s * stride positions of each row of the (outer, box[t] * stride) view
+        self.slabs = tuple((math.prod(self.box[:t]), b, st)
+                           for t, (b, st) in enumerate(zip(self.box, self.strides)))
 
     def conj(self, x: np.ndarray) -> np.ndarray:
         return x[..., ::-1].copy()
 
     def rotate(self, P: np.ndarray, c: float, s: float, terms):
-        # a term's gather is a shift by its flat offset (conj(z^a) = z^-a),
-        # exact on arrays that room has prepared for the terms
+        # a term's gather is a shift by its flat offset off (conj(z^a) =
+        # z^-a), exact on arrays that room has prepared for the terms: G's
+        # half 0 is -s c_t y shifted by -off and half 1 s c_t x shifted by
+        # off, one multiply each into bounds set once per term.  G is zero
+        # elsewhere, so P c + G turns a -0.0 into +0.0 where no term lands
         w, out = self.width, []
         for lab, ct in terms:
-            off = sum(e * t for e, t in zip(lab, self.strides))
+            off = sum(map(operator.mul, lab, self.strides))
+            lo, hi = max(off, 0), w - max(-off, 0)  # where z^a x lands
             G = np.zeros(P.shape)
-            for half, shift, k in ((0, -off, -s * ct), (1, off, s * ct)):
-                src = P[..., 1 - half, max(-shift, 0):w - max(shift, 0)]
-                np.multiply(src, k, out=G[..., half, max(shift, 0):w + min(shift, 0)])
+            np.multiply(P[..., 1, lo:hi], -s * ct, out=G[..., 0, w - hi:w - lo])
+            np.multiply(P[..., 0, w - hi:w - lo], s * ct, out=G[..., 1, lo:hi])
             out.append(G)
         P *= c
         for G in out:
@@ -646,26 +658,34 @@ class _Window(_Layout):
     def held(self, x: np.ndarray) -> tuple:
         """Per variable, the largest |exponent| ``x`` holds (non-zero or NaN):
         from the first and last live index of the box's axis t, lo and hi
-        positions in from its two ends, it is h - min(lo, hi)."""
-        any_of = np.logical_or.reduce
-        live = any_of(x.reshape(-1, self.width) != 0, axis=0).reshape(self.box)
-        axes = range(len(self.h))
-        held = []
-        for t, h in enumerate(self.h):
-            line = any_of(live, axis=tuple(a for a in axes if a != t))
-            lo, hi = int(line.argmax()), int(line[::-1].argmax())
-            held.append(h - min(lo, hi) if line[lo] else 0)
+        positions in from its two ends, it is h - min(lo, hi).  One
+        reduction finds the live slots; in C order the first and last of
+        them give the first variable's lo and hi, and one reduction of a
+        (outer, box, stride) view (:attr:`slabs`) each later variable's."""
+        any_of = np.logical_or.reduce  # a NaN is true
+        live = any_of(x.reshape(-1, self.width), axis=0)
+        lo = int(live.argmax())
+        if not live[lo]:
+            return (0,) * len(self.h)
+        held = [self.h[0] - min(lo, int(live[::-1].argmax())) // self.strides[0]]
+        for h, shape in zip(self.h[1:], self.slabs[1:]):
+            line = any_of(live.reshape(shape), axis=(0, 2))
+            held.append(h - int(min(line.argmax(), line[::-1].argmax())))
         return tuple(held)
 
     def moved(self, x: np.ndarray, h) -> np.ndarray:
         """``x``, held on the box of half-widths ``h``, padded with zeros or
         cropped to this window's box (a crop drops only zeros when the
-        window covers what ``x`` holds)."""
-        lead, keep = x.shape[:-1], [min(o, t) for o, t in zip(h, self.h)]
-        src, dst = ((...,) + tuple(slice(c - k, c + k + 1) for c, k in zip(mid, keep))
-                    for mid in (h, self.h))
+        window covers what ``x`` holds): one copy between the two boxes,
+        their slices built in one pass over the variables."""
+        lead, box, src, dst = x.shape[:-1], [], [...], [...]
+        for o, t in zip(h, self.h):
+            k = min(o, t)
+            box.append(2 * o + 1)
+            src.append(slice(o - k, o + k + 1))
+            dst.append(slice(t - k, t + k + 1))
         out = np.zeros(lead + self.box)
-        out[dst] = x.reshape(lead + tuple(2 * o + 1 for o in h))[src]
+        out[tuple(dst)] = x.reshape(lead + tuple(box))[tuple(src)]
         return out.reshape(lead + (self.width,))
 
     def cropped(self, x: np.ndarray):
@@ -683,12 +703,20 @@ class _Window(_Layout):
     def room(self, x: np.ndarray, terms):
         """Moves only an array holding a coefficient within step (the terms'
         largest |exponent| per variable) of an edge: to max(h, 2 (held +
-        step))."""
-        step = [max(map(abs, e)) for e in zip(*(lab for lab, _ in terms))]
-        y = x.reshape(x.shape[:-1] + self.box)
-        if not any(y[(..., end) + (slice(None),) * (len(step) - 1 - t)].any()
-                   for t, s in enumerate(step) if s
-                   for end in (slice(s), slice(-s, None))):
+        step)).  For each variable that a term shifts, ``np.count_nonzero``
+        reads its two edge slabs (:attr:`slabs`; a NaN counts); the full
+        :meth:`held` scan runs only when the array moves."""
+        step = [0] * len(self.h)
+        for lab, _ in terms:
+            step = list(map(max, step, map(abs, lab)))
+        lead = x.shape[:-1]
+        for (outer, b, stride), s in zip(self.slabs, step):
+            if s:
+                y = x if outer == 1 else x.reshape(lead + (outer, b * stride))
+                k = s * stride
+                if np.count_nonzero(y[..., :k]) or np.count_nonzero(y[..., -k:]):
+                    break
+        else:
             return self, x
         need = [r + s for r, s in zip(self.held(x), step)]
         lay = _window(self.spec, tuple(max(h, 2 * n) for h, n in zip(self.h, need)))

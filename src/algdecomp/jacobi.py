@@ -296,10 +296,12 @@ def _trim_array(x: np.ndarray, tau: float) -> int:
     kept coefficient is nonzero (a NaN is not kept), so that is how many
     nonzero ones were not kept."""
     mag = np.abs(x)
-    keep = mag > tau * np.maximum.reduce(mag, axis=-1, keepdims=True)
+    top = np.maximum.reduce(mag, axis=-1, keepdims=True)
+    top *= tau
+    keep = mag > top
     dropped = int(np.count_nonzero(mag)) - int(np.count_nonzero(keep))
     if dropped:
-        np.copyto(x, 0.0, where=~keep)
+        np.putmask(x, ~keep, 0.0)
     return dropped
 
 
