@@ -14,10 +14,12 @@ from algdecomp import (AlgebraError, AlgMatrix, ConvergenceError, Element,
                        givens_matrix, jacobi, laurent, laurent_embed,
                        quadquat, quaternion_algebra, random_element,
                        random_matrix, rep_cl41, rep_cyclic_dft,
-                       representation_for, wqr, wsvd)
+                       rep_trivial, representation_for, wqr, wsvd)
 from algdecomp.cli import check_contract
 from algdecomp.core import _exponent
 from algdecomp.matio import matrix_to_dict
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import spectrum_oracle
 
 
@@ -475,6 +477,72 @@ def test_division_trim_counts_and_factors_pinned(spec, seed, qr, svd, digests):
     assert (s.rotations, s.qrd_calls, s.trimmed) == svd
     assert s.sweeps == s.qrd_calls  # one exact sweep per QR call
     assert tuple(map(_digest, (q.q, q.r, s.u, s.d, s.v))) == digests
+
+
+# the division beta at trim 0 under both norms: quat and complex 4x3, seed 1
+@pytest.mark.parametrize("spec,norm,qr,svd,digests", [
+    (quaternion_algebra(), "two", (6, 1), (93, 38, 38),
+     ("3d50b34e08ba0b3c", "538defee2b5dc030", "8785420cc2b4d486",
+      "998def8043af53ac", "81eb44e1ded94859")),
+    (quaternion_algebra(), "inf", (6, 1), (93, 38, 38),
+     ("3d50b34e08ba0b3c", "538defee2b5dc030", "8785420cc2b4d486",
+      "998def8043af53ac", "81eb44e1ded94859")),
+    (complex_algebra(), "two", (6, 1), (111, 74, 74),
+     ("95d41986affdf73b", "2d25ef72c6657045", "501d9705434db753",
+      "892a0f8cb4737e25", "d30f9f7b2a4907ac")),
+    (complex_algebra(), "inf", (6, 1), (111, 74, 74),
+     ("134f27bac8e1273a", "c4335873ef4deaeb", "1d4ad4d360d4bb08",
+      "d5bb7ad76d9248ae", "20631743aa50095b")),
+], ids=["quat-two", "quat-inf", "complex-two", "complex-inf"])
+def test_division_counts_and_factors_pinned(spec, norm, qr, svd, digests):
+    A = random_matrix(spec, 4, 3, np.random.default_rng(1))
+    q, s = aqr(A, norm=norm), asvd(A, norm=norm)
+    assert (q.beta, s.beta) == ("division", "division")
+    assert (q.rotations, q.sweeps) == qr
+    assert (s.rotations, s.qrd_calls, s.sweeps) == svd
+    assert tuple(map(_digest, (q.q, q.r, s.u, s.d, s.v))) == digests
+
+
+# beta_division passed as a callable is not the exact mode: no entry is
+# zeroed after its rotation, and R keeps its diagonal's round-off
+@pytest.mark.parametrize("spec,digests", [
+    (quaternion_algebra(), ("565de4fb711c0bcd", "f6cafd6446934864")),
+    (complex_algebra(), ("c3cdf9ee145bd5b4", "95624e464dffafe0")),
+], ids=["quat", "complex"])
+def test_division_callable_counts_and_factors_pinned(spec, digests):
+    A = random_matrix(spec, 4, 3, np.random.default_rng(2))
+    rep = aqr(A, beta=beta_division)
+    assert (rep.beta, rep.rotations, rep.sweeps) == ("beta_division", 6, 1)
+    assert (_digest(rep.q), _digest(rep.r)) == digests
+    with pytest.raises(AlgebraError):
+        aqr(A, beta=beta_division, eps=0.0)
+
+
+def test_quaternion_block_counts_and_factors_pinned():
+    # the representation engine's H-block QR and SVD, one 16x12 block
+    H = quaternion_algebra()
+    A = random_matrix(H, 16, 12, np.random.default_rng(1))
+    q, s = wqr(A, rep_trivial(H)), wsvd(A, rep_trivial(H))
+    assert (q.rotations, q.sweeps, q.block_rotations) == (114, 1, (114,))
+    assert (s.rotations, s.qrd_calls, s.sweeps, s.block_rotations) == \
+        (114, 1, 1, (114,))
+    assert tuple(map(_digest, (q.q, q.r, s.u, s.d, s.v))) == (
+        "d7f4d2fd3d979f12", "055fbee3d183d9a3", "27f3b7f06300b03b",
+        "acc9654229a4d52e", "614891096484118b")
+
+
+# integer coefficients in -2..2 tie often; a 1x1 aqr is one shift by the
+# engine's pick b, so its Q is b or -b
+@settings(max_examples=60)
+@given(st.sampled_from([clifford(4, 1), quadquat(), laurent(2)]), st.data())
+def test_beta_basis_equals_the_engine_pick(spec, data):
+    lay = spec.layout(random_matrix(spec, 1, 1, np.random.default_rng(0),
+                                    degree=1))
+    x = data.draw(st.lists(st.integers(-2, 2), min_size=lay.width,
+                           max_size=lay.width))
+    A = AlgMatrix._of_array(lay, np.array(x, dtype=float).reshape(1, 1, -1))
+    b, q = beta_basis(A[0, 0]), aqr(A, beta="basis", norm="inf").q[0, 0]
+    assert q == b or q == -b
 
 
 # the 2-norm sums a window's coefficients: a window change could regroup them
