@@ -97,46 +97,44 @@ def beta_basis(a: Element) -> Element:
     Ties break toward the earliest label in canonical order; beta(0) = 1.
     Decent for the sup norm (rho = 1) whenever the basis is unitary.
     """
-    if not a.coeffs:
-        return a.spec.one()
-    spec = a.spec
-    best_lab = None
-    best_mag = -1.0
-    best_key = None
-    for lab, c in a.coeffs.items():
-        mag = abs(c)
-        if mag > best_mag:
-            best_lab, best_mag, best_key = lab, mag, None
-        elif mag == best_mag:
-            if best_key is None:
-                best_key = spec.sort_key(best_lab)
-            key = spec.sort_key(lab)
-            if key < best_key:
-                best_lab, best_key = lab, key
-    return spec.basis_element(best_lab)
+    spec, coeffs = a.spec, a.coeffs
+    if not coeffs:
+        return spec.one()
+    return spec.basis_element(min(coeffs, key=lambda lab: (-abs(coeffs[lab]),
+                                                           spec.sort_key(lab))))
+
+
+def _unit_vector(pairs) -> list:
+    """The (key, b_t) pairs of b = x / ||x||_2 for the nonzero (key, x_t)
+    pairs of x, in order ([] for x = 0), rounded as Element arithmetic
+    does: squares summed in order, x first scaled by its largest
+    coefficient's power of two (exact, dropping what underflows) when the
+    norm is below 2^-511 or infinite, every b_t kept even if it is 0."""
+    x = [(t, c) for t, c in pairs if c != 0.0]
+    if not x:
+        return x
+    norm = math.sqrt(sum(c * c for _, c in x))
+    if not 2.0 ** -511 <= norm < math.inf:
+        e = math.frexp(max(abs(c) for _, c in x))[1]
+        x = [(t, y) for t, c in x if (y := math.ldexp(c, -e)) != 0.0]
+        norm = math.sqrt(sum(c * c for _, c in x))
+    r = 1.0 / norm
+    return [(t, r * c) for t, c in x]
 
 
 def beta_division(a: Element) -> Element:
     """a / ||a||_2, the optimal choice on a division algebra (rho = 1).
 
-    conj(beta(a)) * a then has 2-norm equal to its real part, so each
-    rotation removes the targeted entry entirely.  When the sum of squares
-    leaves the normal float range (the norm below 2^-511 or infinite), a
-    is first scaled by the power of two of its largest coefficient, which
-    is exact.
+    conj(beta(a)) * a has 2-norm equal to its real part, so each rotation
+    removes its entry; :func:`_unit_vector` rescales out of the float range.
     """
-    if not a.spec.is_division:
+    spec = a.spec
+    if not spec.is_division:
         raise AlgebraError(
             f"beta_division needs the real/complex/quaternion algebra, "
-            f"got {a.spec.descriptor}")
-    if not a.coeffs:
-        return a.spec.one()
-    norm = a.norm2()
-    if not 2.0 ** -511 <= norm < math.inf:
-        e = math.frexp(a.norm_inf())[1]
-        a = Element(a.spec, {lab: math.ldexp(c, -e) for lab, c in a.coeffs.items()})
-        norm = a.norm2()
-    return a / norm
+            f"got {spec.descriptor}")
+    return Element._make(spec, dict(_unit_vector(a.coeffs.items()))
+                         or {spec.unit: 1.0})
 
 
 def beta_prime(inner: Callable[[Element], Element]) -> Callable[[Element], Element]:
@@ -158,29 +156,59 @@ def beta_prime(inner: Callable[[Element], Element]) -> Callable[[Element], Eleme
     return wrapped
 
 
+def _basis_step(lay, x: np.ndarray, p: Optional[int]):
+    """beta_basis read from x: e_p for x's first largest coefficient x_p,
+    which is the alignment, and the unit when x = 0."""
+    if p is None:
+        p = int(np.abs(x).argmax())
+    x_p = float(x[p])
+    return ((lay.labels[p if x_p != 0.0 else lay.unit], 1.0),), x_p
+
+
+def _division_step(lay, x: np.ndarray, p: Optional[int]):
+    """beta_division read from x, its alignment summed in term order."""
+    v = x.tolist()
+    b = _unit_vector(enumerate(v)) or [(lay.unit, 1.0)]
+    return (tuple((lay.labels[t], c) for t, c in b),
+            sum(c * v[t] for t, c in b))
+
+
+def _called(beta: Callable[[Element], Element], lay, x: np.ndarray, p):
+    """The step of a beta callable, the one place where the rotation engine
+    builds an Element; b's labels outside the layout do not align."""
+    terms = tuple(beta(lay.rows(x[None, None])[0][0]).coeffs.items())
+    return terms, float(sum(c * x[lay.index[lab]] for lab, c in terms
+                            if lab in lay.index))
+
+
 def resolve_beta(spec: AlgebraSpec, beta) -> tuple[Callable, str, bool]:
-    """Map a beta choice to (callable, name, exact-annihilation flag)."""
+    """Map a beta choice to (step, name, exact-annihilation flag).
+
+    A step maps an entry's coefficients x (a row of the layout ``lay``) and
+    the position p of its first largest coefficient (or None) to b's terms,
+    (label, coefficient) pairs, and the alignment Re(conj(b) x) = sum_t b_t
+    x_t.  Named betas read x; a callable's step is :func:`_called`.
+    """
     if callable(beta):
-        return beta, getattr(beta, "__name__", "custom"), False
+        return (functools.partial(_called, beta),
+                getattr(beta, "__name__", "custom"), False)
     if beta == "auto":
         beta = "division" if spec.is_division else "basis"
     if beta == "basis":
-        return beta_basis, "basis", False
+        return _basis_step, "basis", False
     if beta == "division":
         if not spec.is_division:
             raise AlgebraError(
                 f"beta='division' needs a division algebra, got {spec.descriptor}")
-        return beta_division, "division", True
+        return _division_step, "division", True
     raise AlgebraError(f"unknown beta choice {beta!r}")
 
 
-def resolve_norm(spec: AlgebraSpec, norm) -> tuple[Callable[[Element], float], str]:
+def resolve_norm(spec: AlgebraSpec, norm) -> str:
     if norm == "auto":
         norm = "two" if spec.is_division else "inf"
-    if norm == "two":
-        return Element.norm2, "two"
-    if norm == "inf":
-        return Element.norm_inf, "inf"
+    if norm in ("two", "inf"):
+        return norm
     raise AlgebraError(f"unknown norm choice {norm!r}")
 
 
@@ -199,9 +227,8 @@ class GivensParams:
             raise AlgebraError(f"need 0 <= j < i, got i={self.i}, j={self.j}")
 
 
-def _require_unitary(b: Element, tol: float = 1e-12):
-    if (b.conj() * b - b.spec.one()).norm2() > tol:
-        raise AlgebraError("shift element is not unitary")
+def _is_unitary(b: Element, tol: float = 1e-12) -> bool:
+    return (b.conj() * b - b.spec.one()).norm2() <= tol  # NaN is not
 
 
 def _rotate_rows(lay, x: np.ndarray, j: int, i: int, c: float, s: float,
@@ -224,7 +251,9 @@ def _rotate_rows(lay, x: np.ndarray, j: int, i: int, c: float, s: float,
 
 def _rotated(X: AlgMatrix, j: int, i: int, c: float, s: float,
              b: Element) -> AlgMatrix:
-    """X with :func:`_rotate_rows` applied to its rows j and i."""
+    """X with :func:`_rotate_rows` applied to its rows j and i, b unitary."""
+    if not _is_unitary(b):
+        raise AlgebraError("shift element is not unitary")
     lay = X.spec.layout(X)
     x = X._array(lay).copy().transpose(1, 0, 2)  # rows on axis -2
     lay, x = _rotate_rows(lay, x, j, i, c, s, b.coeffs.items())
@@ -238,7 +267,6 @@ def givens_matrix(spec: AlgebraSpec, m: int, g: GivensParams) -> AlgMatrix:
 
 def apply_givens_left(X: AlgMatrix, g: GivensParams) -> AlgMatrix:
     """G(theta, b, i, j) @ X; only rows i and j change, norms are preserved."""
-    _require_unitary(g.b)
     if g.i >= X.m:
         raise AlgebraError("row index out of range")
     return _rotated(X, g.j, g.i, math.cos(g.theta), math.sin(g.theta), g.b)
@@ -246,7 +274,6 @@ def apply_givens_left(X: AlgMatrix, g: GivensParams) -> AlgMatrix:
 
 def apply_shift_left(X: AlgMatrix, b: Element, i: int) -> AlgMatrix:
     """B(b, i) @ X: left-multiply row i by the unitary element b."""
-    _require_unitary(b)
     if not 0 <= i < X.m:
         raise AlgebraError("row index out of range")
     return _rotated(X, i, i, 0.0, -1.0, b.conj())
@@ -255,7 +282,6 @@ def apply_shift_left(X: AlgMatrix, b: Element, i: int) -> AlgMatrix:
 def apply_shift_right(X: AlgMatrix, b: Element, i: int) -> AlgMatrix:
     """X @ B(b, i) = (B(conj(b), i) X^H)^H: right-multiply column i by the
     unitary element b."""
-    _require_unitary(b)
     if not 0 <= i < X.n:
         raise AlgebraError("column index out of range")
     return _rotated(X.herm(), i, i, 0.0, -1.0, b).herm()
@@ -263,15 +289,12 @@ def apply_shift_right(X: AlgMatrix, b: Element, i: int) -> AlgMatrix:
 
 # -- the QR iteration ----------------------------------------------------------------
 
-def _norms_inf(x: np.ndarray) -> np.ndarray:
-    return np.maximum.reduce(np.abs(x), axis=-1)
-
-
 def _norms_two(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
-_NORMS = {"two": _norms_two, "inf": _norms_inf}
+_NORMS = {"two": _norms_two,
+          "inf": lambda x: np.maximum.reduce(np.abs(x), axis=-1)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -310,13 +333,10 @@ class _ArrayWork:
     indexed (column, row, position): columns 0..n-1 hold R, the rest Q^H,
     which starts as U^H (the identity when U is None) and so ends as
     (U Q)^H.  R <- G R and Q <- Q G^H make Q^H <- G Q^H, so ``aqr`` hands
-    every shift and rotation to :func:`_rotate_rows` on ``(lay, RQ)``, beta
-    as terms: under ``beta_basis`` the one term (e_p, 1) of the entry's
-    first largest coefficient (:meth:`pick`), whose alignment Re(conj(e_p)
-    r_ik) is that coefficient, else ``b.coeffs.items()`` of beta called on
-    the entry.  The kernel rounds as entry-wise Element arithmetic does;
-    only 2-norms are summed in another order.  Nothing that steers the run
-    reads the Q^H columns.
+    every shift and rotation to :func:`_rotate_rows` on ``(lay, RQ)``, b as
+    the terms of its beta step (:func:`resolve_beta`).  The kernel rounds as
+    entry-wise Element arithmetic does; only 2-norms are summed in another
+    order.  Nothing that steers the run reads the Q^H columns.
 
     R is held scaled by 2^-e (:func:`core._exponent` of A), every norm is
     reported in those units, and :meth:`factors` scales R back."""
@@ -425,7 +445,7 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
     The factors are held as one coefficient array in the spec's layout
     (structure tables for finite specs, an exponent window for Laurent
     specs) and rotated through one kernel, the layout's ``rotate``, R scaled
-    by a power of two (:class:`_ArrayWork`; the beta callable sees it so).
+    by a power of two (:class:`_ArrayWork`; a beta callable sees it so).
 
     Raises :class:`ConvergenceError` carrying the partial factors when an
     entry of A is not finite, when ``max_sweeps`` is exhausted, when one
@@ -435,8 +455,8 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
     r is None).
     """
     spec = A.spec
-    betafn, beta_name, exact = resolve_beta(spec, beta)
-    _, norm_name = resolve_norm(spec, norm)
+    step, beta_name, exact = resolve_beta(spec, beta)
+    norm_name = resolve_norm(spec, norm)
     _check_tolerances(eps, trim)
     if eps == 0 and not exact:
         raise AlgebraError("eps = 0 requires beta='division' on R, C or H")
@@ -446,7 +466,7 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
     t0 = time.perf_counter()
     m, n = A.m, A.n
     W = _ArrayWork(A, norm_name, q0)
-    basis, one = betafn is beta_basis, spec.one().coeffs
+    unit = ((spec.unit, 1.0),)  # the terms of b = 1
     rotations = sweeps = stalled = warnings = trimmed = 0
 
     def partial_report(residual=None):
@@ -491,15 +511,11 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
             if not np.isfinite(x).all():
                 raise ConvergenceError(f"non-finite pivot ({k}, {k})",
                                        partial_report())
-            if basis:  # beta_basis(0) = 1
-                p = int(np.abs(x).argmax())
-                b = {lay.labels[p] if x[p] != 0.0 else spec.unit: 1.0}
-            else:
-                b = betafn(lay.rows(x[None, None])[0][0]).coeffs
-            if b != one:
+            terms, _ = step(lay, x, None)
+            if terms != unit:
                 old_re = abs(float(x[lay.unit]))
                 W.lay, W.RQ = _rotate_rows(lay, W.RQ, k, k, 0.0, -1.0,
-                                           b.items(), shift_cut)
+                                           terms, shift_cut)
                 if abs(float(W.RQ[k, k, W.lay.unit])) + \
                         1e-12 * max(old_re, 1.0) < old_re:
                     warnings += 1
@@ -525,16 +541,7 @@ def aqr(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
                             f"its rotation budget", partial_report())
                 spent += 1
                 lay, x = W.lay, W.RQ[k, i]
-                if basis:
-                    # e_p for the first largest coefficient x[p] (not 0, as
-                    # the entry's norm is positive): Re(conj(e_p) x) = x[p]
-                    if p is None:
-                        p = int(np.abs(x).argmax())
-                    terms, t_re = ((lay.labels[p], 1.0),), float(x[p])
-                else:  # Re(conj(e_a) e_c) = delta_ac over a unitary basis
-                    terms = betafn(lay.rows(x[None, None])[0][0]).coeffs.items()
-                    t_re = float(sum(c * x[lay.index[lab]] for lab, c in terms
-                                     if lab in lay.index))
+                terms, t_re = step(lay, x, p)
                 old_re = abs(float(x[lay.unit]))
                 if abs(t_re) + 1e-12 * max(old_re, 1.0) < old_re:
                     warnings += 1
@@ -590,7 +597,7 @@ def asvd(A: AlgMatrix, beta="auto", norm="auto", eps: float = 1e-10,
     _check_tolerances(eps, trim, svd=True)
     if max_iters < 1:
         raise AlgebraError("max_iters must be at least 1")
-    _, norm_name = resolve_norm(spec, norm)
+    norm_name = resolve_norm(spec, norm)
     _, beta_name, exact = resolve_beta(spec, beta)
 
     t0 = time.perf_counter()
@@ -670,35 +677,29 @@ def decency_check(beta, spec: AlgebraSpec, samples: int = 1000,
     from .catalog import random_element  # local import to avoid a cycle
 
     rng = rng or np.random.default_rng(0)
-    betafn, _, _ = resolve_beta(spec, beta)
-    normfn, _ = resolve_norm(spec, norm)
+    _, name, _ = resolve_beta(spec, beta)
+    betafn = beta if callable(beta) else \
+        {"basis": beta_basis, "division": beta_division}[name]
+    normfn = {"two": Element.norm2, "inf": Element.norm_inf}[
+        resolve_norm(spec, norm)]
 
-    probes = []
-    if spec.dim is not None:
-        probes.extend(spec.basis_element(lab) for lab in spec.labels)
-    probes.extend(random_element(spec, rng, degree) for _ in range(samples))
+    probes = [spec.basis_element(lab) for lab in spec.labels] if spec.dim else []
+    probes += [random_element(spec, rng, degree) for _ in range(samples)]
 
-    rho = math.inf
-    witness = None
-    passed = True
-    one = spec.one()
+    rho, witness = math.inf, None
     for a in probes:
         na = normfn(a)
         if na == 0.0:
             continue
         b = betafn(a)
-        if (b.conj() * b - one).norm2() > 1e-12:
-            passed, witness = False, a
-            break
         val = abs((b.conj() * a).re())
-        if val + 1e-12 * na < abs(a.re()):
-            passed, witness = False, a
+        if not _is_unitary(b) or val + 1e-12 * na < abs(a.re()):
+            witness = a
             break
-        ratio = val / na
-        if ratio <= 1e-12:
-            passed, witness = False, a
-            rho = 0.0
+        rho = min(rho, val / na)
+        if rho <= 1e-12:
+            witness, rho = a, 0.0
             break
-        rho = min(rho, ratio)
     return DecencyResult(rho=0.0 if rho is math.inf else rho,
-                         passed=passed, witness=witness, samples=len(probes))
+                         passed=witness is None, witness=witness,
+                         samples=len(probes))

@@ -15,8 +15,9 @@ import pytest
 from algdecomp import (AlgMatrix, Element, GivensParams, SpecMismatchError,
                        apply_givens_left,
                        apply_shift_left, apply_shift_right, aqr, asvd,
-                       beta_basis, biquat, boolean_group, clifford,
-                       clifford_twist, cyclic, cyclic_group, direct_sum_pm,
+                       beta_basis, beta_prime, biquat, boolean_group,
+                       clifford, clifford_twist, cyclic, cyclic_group,
+                       direct_sum_pm,
                        givens_matrix, idempotent_split, jacobi, laurent,
                        laurent_embed, quadquat, quaternion_algebra,
                        random_element, random_matrix, rep_cyclic_dft,
@@ -426,22 +427,29 @@ def _rebuilt_grids(monkeypatch):
 
 
 def test_engines_never_rebuild_elements(monkeypatch):
-    # only a beta callable may see an element, one entry at a time
+    # the built-in betas read coefficient arrays: no run builds an element
     cl41 = random_matrix(clifford(4, 1), 3, 2, np.random.default_rng(7))
     poly = random_matrix(laurent(1), 3, 2, np.random.default_rng(1), degree=1)
     dft = rep_cyclic_dft(1, 32)
     C = laurent_embed(random_matrix(laurent(1), 3, 2,
                                     np.random.default_rng(11), degree=2), 32)
+    quat = quaternion_algebra()
+    H = random_matrix(quat, 4, 3, np.random.default_rng(7))
+    Z = random_matrix(clifford(0, 1), 4, 3, np.random.default_rng(7))
     shapes = _rebuilt_grids(monkeypatch)
     assert asvd(cl41, beta="basis", norm="inf", eps=1e-6).qrd_calls > 2
     assert asvd(poly, beta="basis", norm="inf", eps=1e-3,
                 trim=1e-6).trimmed > 0
     wqr(C, dft)
     wsvd(C, dft, eps=1e-10)
-    # an H block runs aqr, whose beta_division sees one entry at a time
-    quat = quaternion_algebra()
-    wqr(random_matrix(quat, 3, 2, np.random.default_rng(7)),
-        representation_for(quat))
+    # an H block runs aqr at beta="division", as do R, C and H by default
+    assert wqr(H, representation_for(quat)).rotations > 0
+    assert wsvd(H, representation_for(quat)).rotations > 0
+    for X in (H, Z):
+        assert aqr(X).beta == asvd(X).beta == "division"
+    assert shapes == []
+    # only a beta callable sees an element, one entry at a time
+    aqr(H, beta=beta_prime(beta_basis))
     assert shapes and set(shapes) == {(1, 1)}
 
 

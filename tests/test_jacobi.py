@@ -15,6 +15,7 @@ from algdecomp import (AlgebraError, AlgMatrix, ConvergenceError, Element,
                        quadquat, quaternion_algebra, random_element,
                        random_matrix, rep_cl41, rep_cyclic_dft,
                        rep_trivial, representation_for, wqr, wsvd)
+from algdecomp import catalog
 from algdecomp.cli import check_contract
 from algdecomp.core import _exponent
 from algdecomp.matio import matrix_to_dict
@@ -1054,6 +1055,22 @@ def test_constant_beta_fails_with_witness():
     res = decency_check(one, C, samples=50, rng=np.random.default_rng(15))
     assert not res.passed
     assert res.witness == C.basis_element(1)  # the imaginary unit
+
+
+def test_decency_failures_name_the_first_failing_probe(monkeypatch):
+    spec = clifford(1, 0)
+    g1 = spec.basis_element(spec.labels[1])
+    for beta in (lambda a: a.spec.scalar(2.0),  # not unitary
+                 lambda a: g1):                  # Re(conj(g1) 1) = 0 < 1
+        res = decency_check(beta, spec, samples=10)
+        assert (res.passed, res.witness) == (False, spec.one())
+    # a zero probe is skipped: the witness is the first non-zero one
+    L = laurent(1)
+    probes = iter([L.zero(), L.basis_element((1,)), L.one()])
+    monkeypatch.setattr(catalog, "random_element", lambda *_: next(probes))
+    res = decency_check(lambda a: a.spec.scalar(2.0), L, samples=3)
+    assert (res.passed, res.witness, res.samples) == \
+        (False, L.basis_element((1,)), 3)
 
 
 def test_division_beta_decent_two_norm():

@@ -14,7 +14,8 @@ from algdecomp import (AlgMatrix, Element, MatrixFileError, biquat, clifford,
 from algdecomp.catalog import algebra_from_descriptor
 from algdecomp import cli
 from algdecomp.cli import (EXIT_CONVERGENCE, EXIT_FILE, EXIT_OK, EXIT_OUTPUT,
-                           EXIT_SPEC, EXIT_USAGE, check_contract, main)
+                           EXIT_RESIDUAL, EXIT_SPEC, EXIT_USAGE,
+                           check_contract, main)
 from algdecomp.matio import matrix_from_dict
 
 
@@ -135,6 +136,27 @@ def test_decompose_identity_input(tmp_path, capsys):
                 "--output-prefix", str(tmp_path / "I_out")])
     assert code == EXIT_OK
     assert "rotations=0" in capsys.readouterr().out
+
+
+def test_contract_violation_exits_6_after_writing(tmp_path, capsys,
+                                                  monkeypatch):
+    # a report whose R does not reconstruct A: the factors are still
+    # written, then one error line and exit 6
+    aqr = cli.aqr
+
+    def perturbed(A, **kw):
+        rep = aqr(A, **kw)
+        rep.r = rep.r + rep.r
+        return rep
+    monkeypatch.setattr(cli, "aqr", perturbed)
+    prefix = tmp_path / "bad"
+    code = run(["decompose", "--algebra", "quat", "--random", "3", "2",
+                "--output-prefix", str(prefix)])
+    assert code == EXIT_RESIDUAL
+    assert capsys.readouterr().err == \
+        "error: reconstruction residual violates the contract\n"
+    A, Q, R = (read_matrix(f"{prefix}.{t}.json") for t in "AQR")
+    assert (Q @ R - A - A).frob() <= 1e-12 * A.frob()
 
 
 def test_decompose_deterministic(tmp_path):

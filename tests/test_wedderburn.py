@@ -748,6 +748,48 @@ def test_split_complex_idempotents():
     assert (idempotent_join(parts, idem) - A).frob() <= 1e-15 * A.frob()
 
 
+def test_split_makes_no_element_products(monkeypatch):
+    # the laws are checked on one layout product, not k^2 Element products
+    rep = representation_for(cyclic(2, 8))
+    idem = rep.idempotents()
+    A = random_matrix(rep.source, 3, 2, RNG(3))
+    calls, mul = [], Element.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+    monkeypatch.setattr(Element, "__mul__", counting)
+    parts = idempotent_split(A, idem)
+    assert len(parts) == len(idem.elements) == 34 and not calls
+    assert (idempotent_join(parts, idem) - A).frob() <= 1e-13 * A.frob()
+
+
+def _laws_oracle(idem):
+    # the idempotent, self-adjoint, orthogonal and partition laws, entry-wise
+    worst, one = 0.0, idem.spec.one()
+    for k, e in enumerate(idem.elements):
+        worst = max(worst, (e * e - e).norm_inf(), (e.conj() - e).norm_inf(),
+                    *((e * f).norm_inf() for l, f in enumerate(idem.elements)
+                      if l != k))
+    total = sum(idem.elements[1:], idem.elements[0])
+    return max(worst, (total - one).norm_inf())
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: (s.scalar(0.5) + s.basis_element((1,), 0.5),
+               s.scalar(0.5) + s.basis_element((1,), -0.5)),
+    lambda s: (s.one(), s.one()),                            # not orthogonal
+    lambda s: (s.scalar(2.0),),                              # not idempotent
+    lambda s: (s.scalar(0.5) + s.basis_element((1,), 0.5),),  # no partition
+    lambda s: (s.basis_element((1,), 0.5),
+               s.one() - s.basis_element((1,), 0.5)),        # not self-adjoint
+], ids=["valid", "orthogonal", "idempotent", "partition", "adjoint"])
+def test_idempotent_residual_equals_the_entrywise_laws(make):
+    spec = cyclic(1, 4)
+    idem = IdempotentSet(spec, make(spec))
+    assert math.isclose(idem.residual(), _laws_oracle(idem), abs_tol=1e-15)
+
+
 def test_dft_idempotents():
     rep = rep_cyclic_dft(1, 4)
     idem = rep.idempotents()
