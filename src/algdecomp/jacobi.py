@@ -100,8 +100,10 @@ def beta_basis(a: Element) -> Element:
     spec, coeffs = a.spec, a.coeffs
     if not coeffs:
         return spec.one()
-    return spec.basis_element(min(coeffs, key=lambda lab: (-abs(coeffs[lab]),
-                                                           spec.sort_key(lab))))
+    top = max(map(abs, coeffs.values()))
+    tied = [lab for lab, c in coeffs.items() if abs(c) == top]
+    return spec.basis_element(min(tied, key=spec.sort_key) if tied[1:]
+                              else tied[0])
 
 
 def _unit_vector(pairs) -> list:

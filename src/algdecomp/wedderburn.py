@@ -25,14 +25,14 @@ Shipped representations:
   self-conjugate frequencies, C elsewhere);
 * ``rep_trivial``: the identity representation of R, C or H.
 
-All block fields share one layout.  A block of size n over a field of
-dimension f (1, 2 or 4) is n*n*f real parameters, entry by entry, held as
-a matrix in the field's coefficient layout (``layout()`` of R, C or H),
-the layout ``lift`` and ``unlift`` use and the rotation engine computes
-in; LAPACK reads and writes R and C blocks as real and complex arrays.
-Only the public formats differ by field: images are real (n, n), complex
-(n, n) or (n, n, 4) quaternion arrays (components 1, i, j, k), and
-``lift`` yields matrices over R, C or H.
+A block of size n over a field of dimension f (1, 2 or 4) is n*n*f real
+parameters, entry by entry, in the field's coefficient layout.  A matrix
+travels as one stack per group, (count, m n, n n, f), from the lift (one
+product by the coefficient map, one gather per group, a slice where its
+blocks are adjacent) to the unlift (one scatter per group, one product
+by the inverse map); ``lift`` and ``unlift`` are per-block views of that
+transport.  LAPACK reads R and C stacks as real and complex arrays;
+images are real (n, n), complex (n, n) or (n, n, 4) quaternion arrays.
 
 Every representation is verified at construction: multiplicativity and
 involution-compatibility on all basis pairs, one layout product per
@@ -126,6 +126,14 @@ class Representation:
             raise AlgebraError(
                 f"{self.name}: block sizes do not add up to dimension {d}")
         self._offsets = np.cumsum([0] + sizes)
+        self._positions = {}  # (tag, n) -> its blocks' parameter positions
+        for (tag, n), group in self.groups.items():
+            pos = (self._offsets[group, None]
+                   + np.arange(n * n * _FIELD_DIM[tag])).ravel()
+            # adjacent blocks as a slice: a view to read, not a gather
+            self._positions[tag, n] = (
+                slice(pos[0], pos[-1] + 1) if pos[-1] - pos[0] == len(pos) - 1
+                else pos)
 
         images = list(basis_images.values())
         cols = [source.label_index(lab) for lab in basis_images]
@@ -189,13 +197,32 @@ class Representation:
                                roundtrip, d * d)
 
     # -- coefficient transport ------------------------------------------------
+    def _stacks(self, A: AlgMatrix) -> dict:
+        """A's blocks (see :func:`lift`), one stack (count, m n_l, n n_l, f)
+        per group ``(tag, n_l)``."""
+        if A.spec != self.source:
+            raise SpecMismatchError(
+                "matrix algebra does not match the representation")
+        with np.errstate(invalid="ignore", over="ignore"):  # inf times 0
+            params = A._array(self.source.layout()) @ self.fwd.T
+        return {(tag, nl): params[..., pos]
+                .reshape(A.m, A.n, -1, nl, nl, _FIELD_DIM[tag])
+                .transpose(2, 0, 3, 1, 4, 5)
+                .reshape(-1, A.m * nl, A.n * nl, _FIELD_DIM[tag])
+                for (tag, nl), pos in self._positions.items()}
+
+    def _unstacked(self, stacks: dict, m: int, n: int) -> AlgMatrix:
+        """The m x n source matrix whose group stacks are ``stacks``."""
+        params = np.empty((m, n, self.source.dim))
+        for (tag, nl), pos in self._positions.items():
+            x = stacks[tag, nl].reshape(-1, m, nl, n, nl, _FIELD_DIM[tag])
+            params[..., pos] = x.transpose(1, 3, 0, 2, 4, 5).reshape(m, n, -1)
+        return AlgMatrix._of_array(self.source.layout(), params @ self.inv.T)
+
     def image(self, a: Element) -> list[np.ndarray]:
         """Block matrices of one algebra element."""
-        if a.spec != self.source:
-            raise SpecMismatchError("element does not belong to the source algebra")
-        params = self.fwd @ AlgMatrix(a.spec, [[a]])._coeffs[1][0, 0]
-        return [_field_array(tag, params[lo:hi].reshape(n, n, -1))
-                for (tag, n), lo, hi in self._slices()]
+        return [_field_array(tag, B._array(B.spec.layout())) for (tag, _), B
+                in zip(self.blocks, lift(AlgMatrix(a.spec, [[a]]), self))]
 
     def idempotents(self) -> "IdempotentSet":
         """The central idempotents 1_k projecting onto each block."""
@@ -372,30 +399,22 @@ def lift(A: AlgMatrix, rep: Representation) -> list[AlgMatrix]:
     """One (n_l m) x (n_l n) matrix over R/C/H per block of the representation.
 
     Entry (i, j) of A becomes the (i, j) block of size n_l x n_l; a
-    non-finite coefficient gives non-finite block entries, rejected there.
+    non-finite coefficient gives non-finite block entries, with no numpy
+    warning.  Each matrix is a view of its block in its group's stack.
     """
-    if A.spec != rep.source:
-        raise SpecMismatchError("matrix algebra does not match the representation")
-    with np.errstate(invalid="ignore", over="ignore"):  # inf times a zero of fwd
-        params = A._array(rep.source.layout()) @ rep.fwd.T
-    out = []
-    for (tag, nl), lo, hi in rep._slices():
-        field = _field_spec(tag)
-        x = params[..., lo:hi].reshape(A.m, A.n, nl, nl, field.dim)
-        x = x.transpose(0, 2, 1, 3, 4).reshape(A.m * nl, A.n * nl, field.dim)
-        out.append(AlgMatrix._of_array(field.layout(), x))
+    stacks, out = rep._stacks(A), [None] * len(rep.blocks)
+    for (tag, nl), group in rep.groups.items():
+        for l, x in zip(group, stacks[tag, nl]):
+            out[l] = AlgMatrix._of_array(_field_spec(tag).layout(), x)
     return out
 
 
 def unlift(blocks_mats, rep: Representation, m: int, n: int) -> AlgMatrix:
     """Map per-block matrices back to one matrix over the source algebra."""
-    parts = []
-    for ((tag, nl), _, _), B in zip(rep._slices(), blocks_mats):
-        x = B._array(_field_spec(tag).layout())
-        parts.append(x.reshape(m, nl, n, nl, -1).transpose(0, 2, 1, 3, 4)
-                     .reshape(m, n, -1))
-    coeffs = np.concatenate(parts, axis=-1) @ rep.inv.T
-    return AlgMatrix._of_array(rep.source.layout(), coeffs)
+    return rep._unstacked(
+        {(tag, nl): np.array([blocks_mats[l]._array(_field_spec(tag).layout())
+                              for l in group])
+         for (tag, nl), group in rep.groups.items()}, m, n)
 
 
 # -- the two decompositions ------------------------------------------------------
@@ -486,38 +505,39 @@ def _quaternion_svd(x: np.ndarray):
 
 def _decompose(kind: str, A: AlgMatrix, rep: Representation,
                eps: float) -> DecompReport:
-    """:func:`wqr` (``kind="qr"``) or :func:`wsvd` of A: lift, check every
-    block's entries, factor each group of blocks of one field and size
-    (``rep.groups``), an R or C group in one stacked LAPACK call and H
-    blocks one by one (refusing a non-finite R or D), and unlift each
-    factor."""
+    """:func:`wqr` (``kind="qr"``) or :func:`wsvd` of A.  A's blocks go as
+    one stack per field and size (``rep.groups``) from the lift to the
+    unlift: every entry is checked first, then an R or C group runs one
+    stacked LAPACK call and H blocks run one by one (refusing a non-finite
+    R or D), and each factor maps back in one product."""
     t0 = time.perf_counter()
     common = dict(kind=kind, method="wedderburn", eps=eps, norm="inf",
                   beta="division")
     failed = DecompReport(rotations=0, sweeps=0, qrd_calls=0,
                           residual=math.nan, wall_time=0.0, **common)
-    blocks = lift(A, rep)
-    x = [B._array(B.spec.layout()) for B in blocks]
-    for l, (key, xl) in enumerate(zip(rep.blocks, x)):
-        if not np.isfinite(xl).all():
-            raise ConvergenceError(f"block {l} {key}: non-finite block entry",
-                                   failed)
-    factors = [None] * len(x)
-    counts = [(0, 0, 0)] * len(x)  # rotations, sweeps, QR calls
-    for key, group in rep.groups.items():
-        tag = key[0]
+    stacks, finite = rep._stacks(A), np.empty(len(rep.blocks), dtype=bool)
+    for key, x in stacks.items():
+        finite[rep.groups[key]] = np.isfinite(x).all(axis=(1, 2, 3))
+    if not finite.all():
+        l = int(finite.argmin())
+        raise ConvergenceError(
+            f"block {l} {rep.blocks[l]}: non-finite block entry", failed)
+    counts = [(0, 0, 0)] * len(rep.blocks)  # rotations, sweeps, QR calls
+    factors = {}  # (tag, n) -> the stack of each factor
+    for key, x in stacks.items():
+        tag, group = key[0], rep.groups[key]
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
                 if tag == "H":  # aqr refuses an R past the float range
                     run = _quaternion_qr if kind == "qr" else _quaternion_svd
-                    for l in group:
-                        factors[l], counts[l] = run(x[l])
-                else:
-                    F = (_qr_factors if kind == "qr" else _svd_factors)(
-                        _field_array(tag, np.array([x[l] for l in group])))
-                    F = [_field_coeffs(tag, f) for f in F]
+                    F = [None] * len(group)
                     for t, l in enumerate(group):
-                        factors[l] = [f[t] for f in F]
+                        F[t], counts[l] = run(x[t])
+                    F = [np.array(f) for f in zip(*F)]
+                else:
+                    F = [_field_coeffs(tag, f) for f in
+                         (_qr_factors if kind == "qr" else _svd_factors)(
+                             _field_array(tag, x))]
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"blocks {group} {key}: LAPACK: {exc}",
                                    failed) from exc
@@ -525,13 +545,13 @@ def _decompose(kind: str, A: AlgMatrix, rep: Representation,
             raise ConvergenceError(f"block {l} {key}: {exc}",
                                    exc.report) from exc
         # Q, U and V are finite when R or D is (LAPACK; _qr_factors' phase)
-        if tag != "H" and not np.isfinite(F[1]).all():
-            l = next(l for t, l in enumerate(group)
-                     if not np.isfinite(F[1][t]).all())
+        finite = np.isfinite(F[1]).all(axis=(1, 2, 3))
+        if not finite.all():
+            l = group[int(finite.argmin())]
             raise ConvergenceError(f"block {l} {key}: non-finite factor", failed)
-    shapes = [(A.m, A.m), (A.m, A.n), (A.n, A.n)][:len(factors[0])]
-    mats = [unlift([AlgMatrix._of_array(B.spec.layout(), f[j])
-                    for B, f in zip(blocks, factors)], rep, *shape)
+        factors[key] = F
+    shapes = [(A.m, A.m), (A.m, A.n), (A.n, A.n)][:3 if kind == "svd" else 2]
+    mats = [rep._unstacked({key: F[j] for key, F in factors.items()}, *shape)
             for j, shape in enumerate(shapes)]
     rot, sweeps, calls = zip(*counts)
     return DecompReport(

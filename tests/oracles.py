@@ -8,11 +8,14 @@ numpy's SVD of the real matrix representation.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
 
 from algdecomp import AlgMatrix, rmr, rmr_lift
+from algdecomp.matio import matrix_to_dict
 
 
 def blade_mul_oracle(p: int, q: int, blade_a, blade_b):
@@ -54,6 +57,12 @@ def blade_to_mask(blade) -> int:
 def trace_re_oracle(a) -> float:
     """Real part as the normalised trace of the regular representation."""
     return float(np.trace(rmr(a))) / a.spec.dim
+
+
+def digest(X: AlgMatrix) -> str:
+    """A short hash of X's matrix file (matio's canonical JSON, floats in
+    repr), so equal digests mean equal factor bytes."""
+    return hashlib.sha256(json.dumps(matrix_to_dict(X)).encode()).hexdigest()[:16]
 
 
 def spectrum_oracle(X: AlgMatrix) -> np.ndarray:

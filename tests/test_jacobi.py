@@ -1,7 +1,5 @@
 """Rotation engine: beta functions, Givens mechanics, QR/SVD contracts."""
 
-import hashlib
-import json
 import math
 import warnings
 
@@ -18,10 +16,9 @@ from algdecomp import (AlgebraError, AlgMatrix, ConvergenceError, Element,
 from algdecomp import catalog
 from algdecomp.cli import check_contract
 from algdecomp.core import _exponent
-from algdecomp.matio import matrix_to_dict
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import spectrum_oracle
+from oracles import digest, spectrum_oracle
 
 
 def elem(spec, pairs):
@@ -51,6 +48,24 @@ def test_beta_basis_tie_break_canonical():
     spec = clifford(2, 0)
     a = Element(spec, {0b10: 1.0, 0b01: 1.0})
     assert beta_basis(a) == spec.basis_element(0b01)  # g1 before g2
+
+
+@pytest.mark.parametrize("spec", [clifford(4, 1), laurent(1)],
+                         ids=lambda spec: spec.descriptor)
+def test_beta_basis_orders_only_tied_labels(spec, monkeypatch):
+    # sort_key breaks ties among the largest coefficients only: no call
+    # when the largest is unique, one per tied label otherwise
+    calls, key = [], type(spec).sort_key
+    monkeypatch.setattr(type(spec), "sort_key",
+                        lambda self, lab: calls.append(lab) or key(self, lab))
+    a = random_element(spec, np.random.default_rng(0), degree=1)
+    assert beta_basis(a) == spec.basis_element(
+        max(a.coeffs, key=lambda lab: abs(a.coeffs[lab])))
+    assert calls == []
+    first, second, third = sorted(a.coeffs, key=lambda lab: key(spec, lab))[:3]
+    tie = Element(spec, {third: 1.0, second: -2.0, first: 2.0})
+    assert beta_basis(tie) == spec.basis_element(first)
+    assert sorted(calls, key=lambda lab: key(spec, lab)) == [first, second]
 
 
 def test_beta_division_complex():
@@ -387,10 +402,6 @@ def test_qr_trim_runs_and_reports():
 # floating-point operations for beta_basis under the sup norm, on finite
 # and Laurent specs alike, so these hold bit for bit.
 
-def _digest(X: AlgMatrix) -> str:
-    return hashlib.sha256(json.dumps(matrix_to_dict(X)).encode()).hexdigest()[:16]
-
-
 @pytest.mark.parametrize("trim,trimmed,digests", [
     (0.0, 0, ("bca450fde69c6231", "5112cdebfb5f92e1")),
     (1e-6, 322, ("d6387f03b2256332", "96099d2fea20a3e2")),
@@ -399,14 +410,14 @@ def test_qr_counts_and_factors_pinned(trim, trimmed, digests):
     A = random_matrix(clifford(4, 1), 3, 2, np.random.default_rng(7))
     rep = aqr(A, beta="basis", norm="inf", eps=1e-10, trim=trim)
     assert (rep.rotations, rep.sweeps, rep.trimmed) == (1110, 2, trimmed)
-    assert (_digest(rep.q), _digest(rep.r)) == digests
+    assert (digest(rep.q), digest(rep.r)) == digests
 
 
 def test_svd_counts_pinned():
     A = random_matrix(quadquat(), 3, 2, np.random.default_rng(7))
     rep = asvd(A, beta="basis", norm="inf", eps=1e-10)
     assert (rep.rotations, rep.qrd_calls, rep.sweeps) == (2529, 114, 115)
-    assert _digest(rep.d) == "25529c0dec316a06"
+    assert digest(rep.d) == "25529c0dec316a06"
 
 
 @pytest.mark.parametrize("kappa,m,n,seed,eps,trim,counts,digests", [
@@ -424,7 +435,7 @@ def test_laurent_qr_counts_and_factors_pinned(kappa, m, n, seed, eps, trim,
     rep = aqr(A, beta="basis", norm="inf", eps=eps, trim=trim)
     assert (rep.rotations, rep.sweeps, rep.trimmed) == counts
     assert type(rep.trimmed) is int  # not a numpy integer
-    assert (_digest(rep.q), _digest(rep.r)) == digests
+    assert (digest(rep.q), digest(rep.r)) == digests
 
 
 def test_laurent_svd_counts_pinned():
@@ -433,7 +444,7 @@ def test_laurent_svd_counts_pinned():
     assert (rep.rotations, rep.qrd_calls, rep.sweeps, rep.trimmed) == \
         (289, 18, 18, 13618)
     assert type(rep.trimmed) is int
-    assert tuple(map(_digest, (rep.u, rep.d, rep.v))) == (
+    assert tuple(map(digest, (rep.u, rep.d, rep.v))) == (
         "b434037f14b5e342", "c5a4d059fce74299", "7f54c51686c92254")
 
 
@@ -477,7 +488,7 @@ def test_division_trim_counts_and_factors_pinned(spec, seed, qr, svd, digests):
     assert (q.rotations, q.sweeps, q.trimmed) == qr
     assert (s.rotations, s.qrd_calls, s.trimmed) == svd
     assert s.sweeps == s.qrd_calls  # one exact sweep per QR call
-    assert tuple(map(_digest, (q.q, q.r, s.u, s.d, s.v))) == digests
+    assert tuple(map(digest, (q.q, q.r, s.u, s.d, s.v))) == digests
 
 
 # the division beta at trim 0 under both norms: quat and complex 4x3, seed 1
@@ -501,7 +512,7 @@ def test_division_counts_and_factors_pinned(spec, norm, qr, svd, digests):
     assert (q.beta, s.beta) == ("division", "division")
     assert (q.rotations, q.sweeps) == qr
     assert (s.rotations, s.qrd_calls, s.sweeps) == svd
-    assert tuple(map(_digest, (q.q, q.r, s.u, s.d, s.v))) == digests
+    assert tuple(map(digest, (q.q, q.r, s.u, s.d, s.v))) == digests
 
 
 # beta_division passed as a callable is not the exact mode: no entry is
@@ -514,7 +525,7 @@ def test_division_callable_counts_and_factors_pinned(spec, digests):
     A = random_matrix(spec, 4, 3, np.random.default_rng(2))
     rep = aqr(A, beta=beta_division)
     assert (rep.beta, rep.rotations, rep.sweeps) == ("beta_division", 6, 1)
-    assert (_digest(rep.q), _digest(rep.r)) == digests
+    assert (digest(rep.q), digest(rep.r)) == digests
     with pytest.raises(AlgebraError):
         aqr(A, beta=beta_division, eps=0.0)
 
@@ -527,7 +538,7 @@ def test_quaternion_block_counts_and_factors_pinned():
     assert (q.rotations, q.sweeps, q.block_rotations) == (114, 1, (114,))
     assert (s.rotations, s.qrd_calls, s.sweeps, s.block_rotations) == \
         (114, 1, 1, (114,))
-    assert tuple(map(_digest, (q.q, q.r, s.u, s.d, s.v))) == (
+    assert tuple(map(digest, (q.q, q.r, s.u, s.d, s.v))) == (
         "d7f4d2fd3d979f12", "055fbee3d183d9a3", "27f3b7f06300b03b",
         "acc9654229a4d52e", "614891096484118b")
 
@@ -555,7 +566,7 @@ def test_laurent_two_norm_qr_pinned(seed, counts, digests):
     A = random_matrix(laurent(1), 3, 2, np.random.default_rng(seed), degree=1)
     rep = aqr(A, beta="basis", norm="two", eps=1e-6, trim=1e-9)
     assert (rep.rotations, rep.sweeps, rep.trimmed) == counts
-    assert (_digest(rep.q), _digest(rep.r)) == digests
+    assert (digest(rep.q), digest(rep.r)) == digests
 
 
 def test_laurent2_svd_counts_pinned():
@@ -563,7 +574,7 @@ def test_laurent2_svd_counts_pinned():
     rep = asvd(A, beta="basis", norm="inf", eps=3e-2, trim=1e-3)
     assert (rep.rotations, rep.qrd_calls, rep.sweeps, rep.trimmed) == \
         (389, 12, 12, 183974)
-    assert tuple(map(_digest, (rep.u, rep.d, rep.v))) == (
+    assert tuple(map(digest, (rep.u, rep.d, rep.v))) == (
         "1d57492160cf2e81", "8a10f5d831a7e291", "e3cbcbf9cfa397f6")
 
 
@@ -583,7 +594,7 @@ def test_basis_counts_and_factors_pinned(spec, qr, svd, digests):
     s = asvd(A, beta="basis", norm="inf", eps=1e-8)
     assert (q.rotations, q.sweeps) == qr
     assert (s.rotations, s.qrd_calls, s.sweeps) == svd
-    assert tuple(map(_digest, (q.q, q.r, s.u, s.d, s.v))) == digests
+    assert tuple(map(digest, (q.q, q.r, s.u, s.d, s.v))) == digests
 
 
 def _recorded_aqr_calls(monkeypatch):
@@ -686,7 +697,7 @@ def test_qr_q0_premultiplies_q(spec):
     plain = aqr(A, beta="basis", norm="inf", eps=1e-8)
     rep = aqr(A, beta="basis", norm="inf", eps=1e-8, q0=U)
     assert (rep.rotations, rep.sweeps) == (plain.rotations, plain.sweeps)
-    assert _digest(rep.r) == _digest(plain.r)
+    assert digest(rep.r) == digest(plain.r)
     assert (rep.q - U @ plain.q).frob() <= 1e-12 * U.frob()
 
 
@@ -784,7 +795,7 @@ def test_basis_rotation_chain_pinned():
         b = spec.basis_element(spec.labels[int(rng.integers(spec.dim))])
         U = apply_givens_left(
             U, GivensParams(float(rng.uniform(0, 2 * math.pi)), b, i, j))
-    assert _digest(U) == "d680b27496f61802"
+    assert digest(U) == "d680b27496f61802"
 
 
 @pytest.mark.parametrize("spec", [clifford(4, 1), quadquat(), cyclic(1, 8),

@@ -16,7 +16,7 @@ from algdecomp import (AlgebraError, AlgMatrix, ConvergenceError, Element,
                        wsvd)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import (complex_ndarray, eval_laurent, quat_matmul,
+from oracles import (complex_ndarray, digest, eval_laurent, quat_matmul,
                      spectrum_oracle)
 
 RNG = lambda s: np.random.default_rng(s)
@@ -553,6 +553,29 @@ def test_overflowing_lift_names_its_first_non_finite_block():
     _raises_naming_block(A, rep, first)
 
 
+def test_non_finite_blocks_of_both_groups_name_the_first(monkeypatch):
+    # 1e308 at z^0 and -1e308 at z1 z2^2 overflow the blocks of frequency
+    # f with f1 + 2 f2 = 4 (mod 8): C blocks 2, 14, 18 and R blocks 29, 33.
+    # The R group comes first in rep.groups, but block 2 is named, before
+    # any group is factored
+    spec = cyclic(2, 8)
+    A = random_matrix(spec, 3, 2, RNG(7))
+    coeffs = dict(A[1, 1].coeffs)
+    coeffs[spec.unit], coeffs[(1, 2)] = 1e308, -1e308
+    A[1, 1] = Element(spec, coeffs)
+    rep = representation_for(spec)
+    assert [l for l, B in enumerate(lift(A, rep))
+            if not np.isfinite(B._array(B.spec.layout())).all()] == \
+        [2, 14, 18, 29, 33]
+    assert (next(iter(rep.groups)), rep.blocks[2]) == (("R", 1), ("C", 1))
+    calls = []
+    for name in ("qr", "svd"):
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *args, name=name, **kw: calls.append(name))
+    _raises_naming_block(A, rep, 2)
+    assert calls == []
+
+
 def test_lapack_failure_names_the_group(monkeypatch):
     # a LAPACK failure raises naming every block of the failing stacked
     # call: cyclic(2,8)'s R group runs first and succeeds, its C group
@@ -719,6 +742,76 @@ def test_factors_match_a_per_block_numpy_reference(make_rep, shape):
         want = unlift([AlgMatrix._of_array(B.spec.layout(), r[name])
                        for B, r in zip(blocks, ref)], rep, rows, cols)
         assert (got - want).frob() <= 1e-14 * want.frob(), name
+
+
+_PIN_REPS = {
+    "cyclic(1,32)": lambda: representation_for(cyclic(1, 32)),
+    "cyclic(2,8)": lambda: representation_for(cyclic(2, 8)),
+    "cl(4,1)": rep_cl41, "quadquat": rep_quadquat, "biquat": rep_biquat,
+    "quat": lambda: rep_trivial(quaternion_algebra()), "cl(0,4)": _cl04_rep,
+}
+
+
+# counts: wqr's rotations and sweeps, wsvd's rotations, QR calls and sweeps;
+# digests: wqr's Q and R, wsvd's U, D and V, and unlift(lift(A)).  Seed 1;
+# R and C blocks give LAPACK's bytes, which hold within one numpy build
+@pytest.mark.parametrize("name,shape,counts,digests", [
+    ("cyclic(1,32)", (3, 2), (0, 0, 0, 0, 0), (
+        "62647d32165d3dec", "9c31fc2fb67d344f", "ae03d4d9b16ad33f",
+        "1f25a83b8efca9ec", "eea8245d8870a773", "afb3ffccd8930979")),
+    ("cyclic(1,32)", (2, 3), (0, 0, 0, 0, 0), (
+        "76764b0105875b02", "bd7fcca4602e9595", "edc5495eb55455d9",
+        "ab841dd48d107d21", "c6fe0bed7f4952d1", "0bf3289b5bc16a9a")),
+    ("cyclic(2,8)", (3, 2), (0, 0, 0, 0, 0), (
+        "428f0182ac2a999e", "76e073900b24c82b", "707654d666d01d6b",
+        "31834924ed470f74", "f44fdf44cb1ffe43", "db81752ca5b05cc6")),
+    ("cyclic(2,8)", (2, 3), (0, 0, 0, 0, 0), (
+        "a35010cab4b42475", "110052eed0697dd1", "d58f2b565d2ccde6",
+        "a9dd06bc6465b665", "b4f6f4794d12120f", "a89eb92e5b5ce9cb")),
+    ("cl(4,1)", (3, 2), (0, 0, 0, 0, 0), (
+        "02f6ef2629911262", "5d3150b929d7a756", "534035f95d6841b3",
+        "653a994083f563a0", "dcfe2dd9ad338731", "50125f028a3e626b")),
+    ("cl(4,1)", (2, 3), (0, 0, 0, 0, 0), (
+        "bff147a1a99e0cd0", "860e2f96f80311fe", "bdcf0b43db572dd2",
+        "9a70f55c66409f70", "8a88dea123c5a5aa", "7e81a74361f6f6fa")),
+    ("quadquat", (3, 2), (0, 0, 0, 0, 0), (
+        "fc9071c1e67c2025", "c1ab2ce458c4470f", "6203af0aa924f05c",
+        "c662d44d8615fae4", "929276fc95d79950", "55f25a3f107f1ce8")),
+    ("quadquat", (2, 3), (0, 0, 0, 0, 0), (
+        "b70c465d31c3a772", "0928b840f829d413", "5e55f2f7e9cac097",
+        "962e760c3d2192aa", "65b16c343d2fb954", "912ef40b815a37d6")),
+    ("biquat", (3, 2), (0, 0, 0, 0, 0), (
+        "c87052821b087e9e", "b6455dcac4817ab7", "1ad90fe3e92ab55e",
+        "dfa4290a2b580291", "4c4b6a3654671ec6", "a024506c6a80b061")),
+    ("biquat", (2, 3), (0, 0, 0, 0, 0), (
+        "1e7c4c8dff12d7ea", "7384baf3c5da688a", "5a2847ab335b4218",
+        "b9840c9df839f647", "6fe6bcd2d2d152f8", "6e022830a956bf34")),
+    ("quat", (3, 2), (3, 1, 3, 1, 1), (
+        "575337e81b0afec5", "f51f0eb7c6d781a9", "1e942c19406dd732",
+        "7c3be4c21297fd8e", "189cf5a347698877", "bb230baf586f49cf")),
+    ("quat", (2, 3), (1, 1, 3, 1, 1), (
+        "35a9563452b7f567", "eb4bc2904cb28103", "a3079f9074ba9024",
+        "ee26317fc56e6b16", "9e70954a8dc9d5a2", "6051aeccea2226fa")),
+    ("cl(0,4)", (3, 2), (14, 1, 14, 1, 1), (
+        "65a9d20fe969fd55", "15b867b18e418828", "6f4cc599afdb7c46",
+        "aa5d2cdaca38882b", "1aeed44595862e9e", "8a049c8a6d9809c8")),
+    ("cl(0,4)", (2, 3), (6, 1, 14, 1, 1), (
+        "45eef9ff84f0aa7e", "2e86a98e26011a33", "e119c866d8141057",
+        "b2cf205471eebcec", "3c5e2e777b9d71b9", "8dce243ea055d349")),
+])
+def test_factors_counts_and_round_trip_pinned(name, shape, counts, digests):
+    rep, rng = _PIN_REPS[name](), RNG(1)
+    if name == "cyclic(1,32)":  # the Laurent frequency route
+        A = laurent_embed(random_matrix(laurent(1), *shape, rng, degree=1), 32)
+    else:
+        A = random_matrix(rep.source, *shape, rng)
+    q, s = wqr(A, rep), wsvd(A, rep)
+    assert (q.rotations, q.sweeps, s.rotations, s.qrd_calls, s.sweeps) == counts
+    for out in (q, s):  # no rep here has an H block beside another block
+        assert out.block_rotations == tuple(
+            out.rotations if tag == "H" else 0 for tag, _ in rep.blocks)
+    round_trip = unlift(lift(A, rep), rep, *shape)
+    assert tuple(map(digest, (q.q, q.r, s.u, s.d, s.v, round_trip))) == digests
 
 
 def test_blocks_decompose_independently():
