@@ -91,27 +91,12 @@ class DecompReport:
 
 # -- beta functions -------------------------------------------------------------
 
-def beta_basis(a: Element) -> Element:
-    """The basis element carrying the largest-magnitude coefficient.
-
-    Ties break toward the earliest label in canonical order; beta(0) = 1.
-    Decent for the sup norm (rho = 1) whenever the basis is unitary.
-    """
-    spec, coeffs = a.spec, a.coeffs
-    if not coeffs:
-        return spec.one()
-    top = max(map(abs, coeffs.values()))
-    tied = [lab for lab, c in coeffs.items() if abs(c) == top]
-    return spec.basis_element(min(tied, key=spec.sort_key) if tied[1:]
-                              else tied[0])
-
-
 def _unit_vector(pairs) -> list:
     """The (key, b_t) pairs of b = x / ||x||_2 for the nonzero (key, x_t)
-    pairs of x, in order ([] for x = 0), rounded as Element arithmetic
-    does: squares summed in order, x first scaled by its largest
-    coefficient's power of two (exact, dropping what underflows) when the
-    norm is below 2^-511 or infinite, every b_t kept even if it is 0."""
+    pairs of x, in order ([] for x = 0): squares summed in order, x first
+    scaled by its largest coefficient's power of two (exact, dropping what
+    underflows) when the norm is below 2^-511 or infinite, every b_t kept
+    even if it is 0."""
     x = [(t, c) for t, c in pairs if c != 0.0]
     if not x:
         return x
@@ -122,21 +107,6 @@ def _unit_vector(pairs) -> list:
         norm = math.sqrt(sum(c * c for _, c in x))
     r = 1.0 / norm
     return [(t, r * c) for t, c in x]
-
-
-def beta_division(a: Element) -> Element:
-    """a / ||a||_2, the optimal choice on a division algebra (rho = 1).
-
-    conj(beta(a)) * a has 2-norm equal to its real part, so each rotation
-    removes its entry; :func:`_unit_vector` rescales out of the float range.
-    """
-    spec = a.spec
-    if not spec.is_division:
-        raise AlgebraError(
-            f"beta_division needs the real/complex/quaternion algebra, "
-            f"got {spec.descriptor}")
-    return Element._make(spec, dict(_unit_vector(a.coeffs.items()))
-                         or {spec.unit: 1.0})
 
 
 def beta_prime(inner: Callable[[Element], Element]) -> Callable[[Element], Element]:
@@ -204,6 +174,34 @@ def resolve_beta(spec: AlgebraSpec, beta) -> tuple[Callable, str, bool]:
                 f"beta='division' needs a division algebra, got {spec.descriptor}")
         return _division_step, "division", True
     raise AlgebraError(f"unknown beta choice {beta!r}")
+
+
+def _stepped(step, a: Element) -> tuple[Element, float]:
+    """b and the alignment Re(conj(b) a) of a beta step (:func:`resolve_beta`)
+    run on a's row in its layout, b without its zero terms."""
+    lay, x = AlgMatrix(a.spec, [[a]])._coeffs
+    terms, align = step(lay, x[0, 0], None)
+    return Element._make(a.spec, {lab: c for lab, c in terms if c != 0.0}), align
+
+
+def beta_basis(a: Element) -> Element:
+    """The basis element carrying the largest-magnitude coefficient: the
+    engine's ``beta="basis"`` step on a.
+
+    Ties break toward the earliest label in canonical order; beta(0) = 1.
+    Decent for the sup norm (rho = 1) whenever the basis is unitary.
+    """
+    return _stepped(_basis_step, a)[0]
+
+
+def beta_division(a: Element) -> Element:
+    """a / ||a||_2, the optimal choice on a division algebra (rho = 1): the
+    engine's ``beta="division"`` step on a.
+
+    conj(beta(a)) * a has 2-norm equal to its real part, so each rotation
+    removes its entry; :func:`_unit_vector` rescales out of the float range.
+    """
+    return _stepped(resolve_beta(a.spec, "division")[0], a)[0]
 
 
 def resolve_norm(spec: AlgebraSpec, norm) -> str:
@@ -668,20 +666,19 @@ class DecencyResult:
 
 def decency_check(beta, spec: AlgebraSpec, samples: int = 1000,
                   norm: str = "inf", rng=None, degree: int = 2) -> DecencyResult:
-    """Empirically test the two decency conditions for a beta function.
+    """Empirically test the two decency conditions for a beta choice.
 
     For each probe a (every basis element when the dimension is finite,
-    plus ``samples`` random elements) the check requires beta(a) unitary,
-    |Re(conj(beta(a)) a)| >= |Re(a)|, and a strictly positive ratio
-    |Re(conj(beta(a)) a)| / ||a||.  Returns the smallest ratio seen and the
-    first witness of a violation, if any.
+    plus ``samples`` random elements) the check runs the step that
+    :func:`resolve_beta` gives ``beta``, as :func:`aqr` does, and requires
+    beta(a) unitary, |Re(conj(beta(a)) a)| >= |Re(a)|, and a strictly
+    positive ratio |Re(conj(beta(a)) a)| / ||a||.  Returns the smallest
+    ratio seen and the first witness of a violation, if any.
     """
     from .catalog import random_element  # local import to avoid a cycle
 
     rng = rng or np.random.default_rng(0)
-    _, name, _ = resolve_beta(spec, beta)
-    betafn = beta if callable(beta) else \
-        {"basis": beta_basis, "division": beta_division}[name]
+    step = resolve_beta(spec, beta)[0]
     normfn = {"two": Element.norm2, "inf": Element.norm_inf}[
         resolve_norm(spec, norm)]
 
@@ -693,8 +690,8 @@ def decency_check(beta, spec: AlgebraSpec, samples: int = 1000,
         na = normfn(a)
         if na == 0.0:
             continue
-        b = betafn(a)
-        val = abs((b.conj() * a).re())
+        b, align = _stepped(step, a)
+        val = abs(align)
         if not _is_unitary(b) or val + 1e-12 * na < abs(a.re()):
             witness = a
             break

@@ -63,7 +63,9 @@ def matrix_from_dict(doc: dict) -> AlgMatrix:
                 lab = named[lab_s] if lab_s in named else spec.parse_label(lab_s)
                 if lab in coeffs:
                     raise MatrixFileError(f"duplicate label {lab_s!r} at ({i},{j})")
-                coeffs[lab] = float(c)
+                if type(c) not in (int, float):  # no bool, no string
+                    raise MatrixFileError(f"coefficient {c!r} is not a number")
+                coeffs[lab] = float(c)  # OverflowError past the float range
             out[i, j] = Element(spec, coeffs)
         return out
     except MatrixFileError:
@@ -71,7 +73,7 @@ def matrix_from_dict(doc: dict) -> AlgMatrix:
     except MemoryError as exc:
         raise MatrixFileError(f"a {doc['m']}x{doc['n']} matrix does not fit "
                               f"in memory") from exc
-    except (KeyError, TypeError, ValueError, AlgebraError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AlgebraError) as exc:
         raise MatrixFileError(f"malformed matrix file: {exc}") from exc
 
 
@@ -82,8 +84,9 @@ def write_matrix(path, X: AlgMatrix) -> None:
 def read_matrix(path) -> AlgMatrix:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MatrixFileError(f"not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise MatrixFileError(f"cannot read input: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an
+        # integer past 4300 digits, nesting past the recursion limit
+        raise MatrixFileError(f"not valid JSON: {exc}") from exc
     return matrix_from_dict(doc)

@@ -10,7 +10,8 @@ from algdecomp import (AlgebraError, Element, UnsupportedOperationError,
                        direct_sum_pm, laurent, quadquat, quaternion_algebra,
                        random_element, random_matrix, real_algebra, tensor,
                        twisted_group)
-from algdecomp.catalog import CyclicGroupAlgebra
+from algdecomp import cli, verify
+from algdecomp.catalog import CliffordAlgebra, CyclicGroupAlgebra
 from algdecomp.verify import (check_associativity, check_unitary_basis,
                               verify_algebra)
 from oracles import blade_mul_oracle, blade_to_mask, mask_to_blade
@@ -227,7 +228,62 @@ def test_catalog_invariants(spec):
 def test_laurent_invariants_sampled():
     rng = np.random.default_rng(2)
     assert check_associativity(laurent(2), rng, samples=2000).passed
-    assert check_unitary_basis(laurent(1), rng).passed
+    assert check_unitary_basis(laurent(1)).passed
+
+
+@pytest.mark.parametrize("spec,n", [(clifford(3, 0), 8), (laurent(2), 25)],
+                         ids=lambda x: getattr(x, "descriptor", x))
+def test_structure_checks_exact_on_every_label(spec, n):
+    # every label of a finite spec, every label of a Laurent spec's degree-2
+    # box: the pair identities run over all n^2 pairs, the rows over all n
+    got = {r.name: r for r in verify_algebra(spec)}
+    for name, detail in [("unit axiom", f"{n} labels"),
+                         ("associativity", f"{n ** 3} triples"),
+                         ("unitary basis", f"{n * n} pairs"),
+                         ("involution", f"{n * n} pairs"),
+                         ("isometry (A2)", f"{n} rows")]:
+        assert (got[name].passed, got[name].worst, got[name].detail) == \
+            (True, 0.0, detail)
+
+
+# -- verify catches a broken spec: cl(2,0) with one defect ---------------------------
+# (labels 0, 1, 2, 3 are 1, g1, g2, g1g2)
+
+class _FlippedConj(CliffordAlgebra):  # conj(g1g2) = +g1g2
+    def _inv_raw(self, a):
+        s, k = super()._inv_raw(a)
+        return (-s if a == 3 else s), k
+
+
+class _MergedRow(CliffordAlgebra):  # g1 g2 = g1: row g1 hits g1 twice
+    def _mul_raw(self, a, b):
+        return (1.0, 1) if (a, b) == (1, 2) else super()._mul_raw(a, b)
+
+
+class _DoubledSign(CliffordAlgebra):  # g1 g2 = 2 g1g2
+    def _mul_raw(self, a, b):
+        s, k = super()._mul_raw(a, b)
+        return (2.0 * s if (a, b) == (1, 2) else s), k
+
+
+class _SwappedConj(CliffordAlgebra):  # conj(g1) = g2 and conj(g2) = g1
+    def _inv_raw(self, a):
+        return super()._inv_raw({1: 2, 2: 1}.get(a, a))
+
+
+@pytest.mark.parametrize("broken,check", [
+    (_FlippedConj, "check_involution"),
+    (_MergedRow, "check_isometry"),
+    (_DoubledSign, "check_isometry"),
+    (_SwappedConj, "check_unitary_basis"),
+], ids=["involution-sign", "non-injective-row", "sign-2", "non-unitary-basis"])
+def test_verify_catches_a_broken_spec(broken, check, monkeypatch, capsys):
+    spec = broken(2, 0)
+    res = getattr(verify, check)(spec)
+    assert not res.passed and res.worst > 0, res
+    monkeypatch.setattr(cli, "algebra_from_descriptor", lambda _: spec)
+    assert cli.main(["verify", "cl(2,0)"]) == cli.EXIT_VERIFY
+    assert "FAILURES detected" in capsys.readouterr().out
 
 
 # -- descriptors -------------------------------------------------------------------

@@ -53,8 +53,9 @@ def test_beta_basis_tie_break_canonical():
 @pytest.mark.parametrize("spec", [clifford(4, 1), laurent(1)],
                          ids=lambda spec: spec.descriptor)
 def test_beta_basis_orders_only_tied_labels(spec, monkeypatch):
-    # sort_key breaks ties among the largest coefficients only: no call
-    # when the largest is unique, one per tied label otherwise
+    # ties among the largest coefficients break toward the earliest label in
+    # sort_key's order, which is the layout's position order: the engine's
+    # step reads positions, so sort_key is never called, tie or not
     calls, key = [], type(spec).sort_key
     monkeypatch.setattr(type(spec), "sort_key",
                         lambda self, lab: calls.append(lab) or key(self, lab))
@@ -65,7 +66,7 @@ def test_beta_basis_orders_only_tied_labels(spec, monkeypatch):
     first, second, third = sorted(a.coeffs, key=lambda lab: key(spec, lab))[:3]
     tie = Element(spec, {third: 1.0, second: -2.0, first: 2.0})
     assert beta_basis(tie) == spec.basis_element(first)
-    assert sorted(calls, key=lambda lab: key(spec, lab)) == [first, second]
+    assert calls == []
 
 
 def test_beta_division_complex():
@@ -81,6 +82,13 @@ def test_beta_division_aligns_norm():
         a = random_element(H, rng)
         val = (beta_division(a).conj() * a).re()
         assert math.isclose(val, a.norm2(), rel_tol=1e-12)
+
+
+def test_beta_division_stores_no_zero():
+    # b's second term, 5e-324 / 2, rounds to 0.0, which was once stored
+    H = quaternion_algebra()
+    b = beta_division(Element(H, {0: 2.0, 1: 5e-324}))
+    assert b == Element(H, {0: 1.0})
 
 
 def test_beta_division_zero_and_domain():
@@ -1082,6 +1090,22 @@ def test_decency_failures_name_the_first_failing_probe(monkeypatch):
     res = decency_check(lambda a: a.spec.scalar(2.0), L, samples=3)
     assert (res.passed, res.witness, res.samples) == \
         (False, L.basis_element((1,)), 3)
+
+
+def test_decency_check_runs_the_engine_step(monkeypatch):
+    # the step aqr runs for beta="basis", swapped for one that always picks
+    # b = 1 (not decent: Re(conj(1) g1) = 0), is what decency_check tests
+    calls = []
+
+    def unit_step(lay, x, p):
+        calls.append(p)
+        return ((lay.labels[lay.unit], 1.0),), float(x[lay.unit])
+
+    monkeypatch.setattr(jacobi, "_basis_step", unit_step)
+    spec = clifford(4, 1)
+    res = decency_check("basis", spec, samples=10)
+    assert (res.passed, res.witness) == (False, spec.basis_element(1))
+    assert calls == [None, None]
 
 
 def test_division_beta_decent_two_norm():

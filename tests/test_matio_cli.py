@@ -217,6 +217,31 @@ def _one_error_line(capsys):
     return err.count("\n") == 1 and err.startswith("error: ")
 
 
+def _coefficient_file(c: str) -> str:
+    return ('{"format": "algdecomp-mat/1", "algebra": "real", "m": 1, "n": 1, '
+            '"entries": [[0, 0, [["1", ' + c + ']]]]}')
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[" * 200_000 + "]" * 200_000, "maximum recursion depth"),
+    (_coefficient_file("1" + "0" * 400), "int too large to convert to float"),
+    (_coefficient_file("1" + "0" * 5000), "Exceeds the limit (4300 digits)"),
+    (_coefficient_file("true"), "coefficient True is not a number"),
+    (_coefficient_file('"1.5"'), "coefficient '1.5' is not a number"),
+], ids=["deep", "huge-int", "past-4300-digits", "true", "string"])
+def test_exit_code_malformed_file(tmp_path, capsys, text, message):
+    # the first three once ended in a RecursionError, an OverflowError and a
+    # ValueError traceback (exit 1); true and "1.5" were read as numbers
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = run(["decompose", "--algebra", "real", "--input", str(path),
+                "--output-prefix", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert (code, err.count("\n"), err[:7]) == (EXIT_FILE, 1, "error: ")
+    assert message in err and "Traceback" not in err
+    assert not list(tmp_path.glob("x*"))
+
+
 @pytest.mark.parametrize("name", ["missing.json", ".", "latin1.json"],
                          ids=["missing", "directory", "not-utf8"])
 def test_exit_code_unreadable_input(tmp_path, capsys, name):
