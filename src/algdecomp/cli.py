@@ -7,8 +7,7 @@ Subcommands:
   matrix files and prints a summary.
 * ``sweep-eps`` -- rotation counts and wall times versus tolerance for
   one or both engines, emitted as CSV.  Only the wall time compares the
-  engines: R and C blocks of the representation route run LAPACK and
-  count no rotation.
+  engines: the representation route counts no rotation.
 * ``verify`` -- run the invariant suites for an algebra (and its cataloged
   representation, when one exists).
 

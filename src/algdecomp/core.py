@@ -315,12 +315,15 @@ class Element:
         return " + ".join(parts)
 
 
-def _exponent(x: np.ndarray) -> int:
+def _exponent(x: np.ndarray, axis=None):
     """e with 2^e the power of two just above x's largest magnitude (0 if
     that is 0 or not finite), kept in [-1022, 1023] so that 2.0 ** +-e are
     normal floats: x 2^-e, exact in the normal range, has no coefficient
-    reaching 2, so no sum of squares overflows or loses its largest term."""
-    return min(max(math.frexp(float(np.abs(x).max(initial=0.0)))[1], -1022), 1023)
+    reaching 2, so no sum of squares overflows or loses its largest term.
+    Over ``axis``, an array of one e per index of the other axes."""
+    top = np.abs(x).max(axis, initial=0.0)
+    return (np.minimum(np.maximum(np.frexp(top)[1], -1022), 1023) if axis else
+            min(max(math.frexp(top)[1], -1022), 1023))
 
 
 def _check_shape(m: int, n: int):

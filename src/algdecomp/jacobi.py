@@ -22,7 +22,7 @@ Over the real, complex and quaternion algebras, ``beta="division"``
 annihilates each targeted entry exactly, so QR terminates after one sweep
 with one rotation per nonzero below-diagonal entry even at eps = 0 and
 R's diagonal is real (the SVD's passes keep eps: a looser one would save
-no rotation).  The representation engine's H blocks run this exact QR.
+no rotation).
 """
 
 from __future__ import annotations

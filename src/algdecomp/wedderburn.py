@@ -5,15 +5,13 @@ full matrix algebras over R, C and H.  Given such an isomorphism as an
 invertible linear map on coefficients (a :class:`Representation`), a matrix
 over the source algebra lifts to one block matrix per summand, each block
 is decomposed independently over its division algebra, and the factors map
-back.  Blocks of one field and size are the same problem repeated: each
-such group of R or C blocks runs one stacked LAPACK call, Householder QR
-(its R's diagonal made real and non-negative) or the Golub-Kahan SVD.
-numpy has no quaternion factorisation, so H blocks run one by one: the QR
-by the rotation engine at eps 0 and any scale, where one sweep annihilates
-each entry exactly (:func:`_quaternion_qr`), and the SVD takes V
-from numpy's SVD of the block's complex adjoint and U from that exact QR of
-B V (:func:`_quaternion_svd`).  No block reads ``eps``: every R comes out
-exactly triangular and every D exactly diagonal.
+back.  Blocks of one field and size are the same problem repeated, so
+each such group runs once, on one stack.  R and C groups run one LAPACK
+call: Householder QR (its R's diagonal made real and non-negative) or the
+Golub-Kahan SVD.  numpy has no quaternion factorisation, so H groups run
+on their blocks' complex adjoints (:func:`_quaternion_factors`).  No block
+reads ``eps``: every R comes out exactly triangular and every D exactly
+diagonal.
 
 Shipped representations:
 
@@ -50,15 +48,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AlgebraError, AlgebraSpec, AlgMatrix, Element,
-                   SpecMismatchError, UnsupportedOperationError, _window)
+                   SpecMismatchError, UnsupportedOperationError, _exponent,
+                   _window)
 from .catalog import (CyclicGroupAlgebra, LaurentAlgebra, biquat, clifford,
                       complex_algebra, cyclic, laurent, quadquat,
                       quaternion_algebra, real_algebra)
 from .jacobi import (ConvergenceError, DecompReport, _check_tolerances,
-                     _residual, aqr)
+                     _residual, aqr)  # aqr: unused; bench/test_bench.py reads it
 
 _FIELD_DIM = {"R": 1, "C": 2, "H": 4}
 _VERIFY_TOL = 1e-12  # worst entry error of a verified product or involution
+_TINY = np.finfo(float).tiny  # x / _TINY >= 2^-52 for a subnormal x
 
 
 def _field_spec(tag: str) -> AlgebraSpec:
@@ -419,12 +419,18 @@ def unlift(blocks_mats, rep: Representation, m: int, n: int) -> AlgMatrix:
 
 # -- the two decompositions ------------------------------------------------------
 
-def _qr_factors(Z: np.ndarray) -> list:
-    """Householder QR of a stack of matrices, each R's diagonal real and
-    non-negative: column k of Q times the phase of R's d_k, row k of R times
-    its conjugate, |d_k| on the diagonal.  numpy divides d_k by |d_k|
-    through 1 / |d_k|, which overflows for a subnormal |d_k|: such a d_k
-    keeps phase 1, an error below 2^-1021 in Q R."""
+def _lapack_factors(kind: str, Z: np.ndarray) -> list:
+    """numpy's QR or SVD of a stack of real or complex matrices.  QR:
+    Householder's, column k of Q times the phase of R's d_k, row k of R
+    times its conjugate and |d_k| on R's diagonal; a subnormal |d_k|, whose
+    1 / |d_k| overflows in numpy, keeps phase 1 (an error below 2^-1021 in
+    Q R).  SVD: Golub-Kahan's, D = diag(s), s descending, and V = Vh^H."""
+    if kind == "svd":
+        U, s, Vh = np.linalg.svd(Z, full_matrices=True)
+        D = np.zeros(Z.shape)
+        k = np.arange(s.shape[-1])
+        D[..., k, k] = s
+        return [U, D, Vh.conj().swapaxes(-1, -2)]
     Q, R = np.linalg.qr(Z, mode="complete")
     d = R.diagonal(0, -2, -1)
     k = np.arange(d.shape[-1])
@@ -436,85 +442,97 @@ def _qr_factors(Z: np.ndarray) -> list:
     return [Q, R]
 
 
-def _svd_factors(Z: np.ndarray) -> list:
-    """Golub-Kahan SVD of a stack of matrices: D = diag(s), s descending,
-    and V = Vh^H."""
-    U, s, Vh = np.linalg.svd(Z, full_matrices=True)
-    D = np.zeros(Z.shape)
-    k = np.arange(s.shape[-1])
-    D[..., k, k] = s
-    return [U, D, Vh.conj().swapaxes(-1, -2)]
+def _adjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The complex adjoint chi of a + b j, complex a, b (..., m, n), a
+    *-homomorphism (Zhang 1997): each entry [[a, b], [-conj b, conj a]]."""
+    Z = np.empty(a.shape[:-2] + (2 * a.shape[-2], 2 * a.shape[-1]), dtype=complex)
+    Z[..., 0::2, 0::2], Z[..., 0::2, 1::2] = a, b
+    Z[..., 1::2, 0::2], Z[..., 1::2, 1::2] = -b.conj(), a.conj()
+    return Z
 
 
-def _quaternion_qr(x: np.ndarray):
-    """Exact QR of an H block with coefficients x (m, n, 4): ``aqr`` with
-    ``beta="division"`` at eps 0, where each rotation annihilates its entry
-    exactly and one sweep ends, and R's diagonal comes out real.  Returns
-    [Q, R] and the counts (rotations, sweeps, QR calls = 0).
-    """
-    lay = quaternion_algebra().layout()
-    out = aqr(AlgMatrix._of_array(lay, x), beta="division", norm="two",
-              eps=0.0)
-    return [out.q._array(lay), out.r._array(lay)], (out.rotations, out.sweeps, 0)
+def _quaternions(Z: np.ndarray) -> np.ndarray:
+    """Quaternion coefficients (..., m, n, 4) of chi's Z, from its even rows."""
+    return np.stack([Z[..., 0::2, 0::2], Z[..., 0::2, 1::2]], -1).view(float)
 
 
-def _quaternion_svd(x: np.ndarray):
-    """SVD of an H block B = B1 + B2 j, coefficients x (m, n, 4), through
-    its complex adjoint chi(B) = [[B1, B2], [-conj B2, conj B1]], a
-    *-homomorphism: B = U D V^H with D exactly diagonal, real, non-negative
-    and descending.
+def _pairs(v: np.ndarray) -> np.ndarray:
+    """[v, p(v)] (..., 2L, 2): chi of the quaternion column (..., L) whose
+    chi's first column is v (p(v) = (-conj v_1, conj v_0, ...))."""
+    return _adjoint(v[..., 0::2, None], -v[..., 1::2, None].conj())
 
-    The right singular vectors of chi(B) pair up: with v = [x; y], so is
-    p(v) = [-conj y; conj x], for the same singular value, and (v, p(v))
-    are the columns of chi of the quaternion column x - conj(y) j.  V's n
-    columns come from numpy's SVD of chi(B) one at a time: each is the one
-    with the largest residual after projecting out those taken and their
-    partners, normalised, so V is unitary whatever the clusters and null
-    spaces of B.  Ordered by singular value, B V has orthogonal columns; one
-    exact QR of it (:func:`_quaternion_qr`) gives U and, as R's diagonal,
-    D, sorted with U's and V's columns.  A wide B goes through B^H.
-    Returns [U, D, V] and the counts (rotations, sweeps, QR calls = 1).
-    """
-    lay = quaternion_algebra().layout()
-    m, n = x.shape[:2]
-    if m < n:
-        (u, d, v), counts = _quaternion_svd(lay.conj(x).transpose(1, 0, 2))
-        return [v, lay.conj(d).transpose(1, 0, 2), u], counts
-    B1, B2 = x[..., 0] + 1j * x[..., 1], x[..., 2] + 1j * x[..., 3]
-    vh = np.linalg.svd(np.block([[B1, B2], [-B2.conj(), B1.conj()]]))[2]
-    cand = vh.conj().T  # columns in descending order of singular value
-    chi = np.zeros((2 * n, 2 * n), dtype=complex)  # chi(V), columns v, p(v)
-    taken = []
-    for t in range(n):
-        res = cand - chi @ (chi.conj().T @ cand)
-        norms = np.linalg.norm(res, axis=0)
-        k = int(norms.argmax())
-        chi[:, 2 * t] = v = res[:, k] / norms[k]
-        chi[:, 2 * t + 1] = np.concatenate([-v[n:].conj(), v[:n].conj()])
-        taken.append(k)
-    V1, V2 = chi[:n, 0::2], chi[:n, 1::2]
-    v = np.stack([V1.real, V1.imag, V2.real, V2.imag], -1)[:, np.argsort(taken)]
-    (q, r), (rotations, sweeps, _) = _quaternion_qr(lay.matmul(x, v)[1])
-    d = r[range(n), range(n), 0]
-    order = np.argsort(-d, kind="stable")
-    D = np.zeros((m, n, 4))
-    D[range(n), range(n), 0] = d[order]
-    return ([q[:, np.r_[order, n:m]], D, v[:, order]],
-            (rotations, sweeps, 1))
+
+def _adjoint_qr(Z: np.ndarray) -> list:
+    """Quaternion Q and R of complex adjoints Z (count, 2m, 2n) by
+    Householder steps on [Z | I] (Bunse-Gerstner, Byers & Mehrmann 1989).
+    Step k: x is chi's first column of column k from row k down (scaled by
+    its largest entry), u_k the unit phase of x_1 (-1 if 0), W = [w, p(w)]
+    with w = x + |x| u_k e_1: I - 2 W W^H / |w|^2 takes x to -|x| u_k e_1.
+    Row k, kept by later steps, then times -conj(u_k) holds |x|; R is set
+    to 0 below its diagonal and to real on it."""
+    count, m2, n2 = Z.shape
+    Y = np.concatenate([Z, np.broadcast_to(np.eye(m2), (count, m2, m2))], 2)
+    u = np.full((count, min(m2, n2) // 2, 2), [-1, 0], dtype=complex)
+    for k in range(0, min(m2, n2), 2):
+        x = Y[:, k:, k] / np.maximum(np.abs(Y[:, k:, k]).max(1, keepdims=True), _TINY)
+        mag = np.hypot(np.abs(x[:, :1]), np.abs(x[:, 1:2]))
+        np.divide(x[:, :2], mag, out=u[:, k // 2], where=mag > 0)
+        x[:, :2] += np.linalg.norm(x, axis=1, keepdims=True) * u[:, k // 2]  # now w
+        W, f = _pairs(x), 2.0 / np.maximum(np.linalg.norm(x, axis=1) ** 2, _TINY)
+        Y[:, k:, k:] -= W @ (W.conj().swapaxes(1, 2) @ Y[:, k:, k:]
+                             * f[:, None, None])  # W = 0 where x = 0
+    rows = Y[:, :2 * u.shape[1]].reshape(count, -1, 2, Y.shape[2])
+    rows[...] = _adjoint(-u[..., :1, None].conj(), -u[..., 1:, None].conj()) @ rows
+    Q, R = _quaternions(Y[:, :, n2:].conj().swapaxes(1, 2)), _quaternions(Y[:, :, :n2])
+    k = np.arange(min(m2, n2) // 2)
+    R[:, np.tri(m2 // 2, n2 // 2, -1, dtype=bool)] = R[:, k, k, 1:] = 0.0
+    return [Q, R]
+
+
+def _quaternion_factors(kind: str, x: np.ndarray) -> list:
+    """QR or SVD of an H group x (count, m, n, 4) on the complex adjoints of
+    its blocks, each scaled by its power of two (:func:`core._exponent`).
+    The SVD takes V from numpy's SVD of chi(B), whose right singular vectors
+    pair up (v, p(v)), one column at a time: the candidate with the largest
+    residual after projecting out those taken and their partners, so V is
+    unitary whatever B's clusters and null spaces.  B V, its columns by
+    singular value, has orthogonal columns: its QR gives U and D."""
+    s = 2.0 ** _exponent(x, axis=(1, 2, 3))[:, None, None, None]
+    Z = _adjoint(*np.moveaxis((x / s).view(complex), -1, 0))
+    if kind == "qr":
+        Q, R = _adjoint_qr(Z)
+        return [Q, R * s]
+    count, m2, n2 = Z.shape
+    c = np.arange(count)[:, None]
+    cand = np.linalg.svd(Z)[2].conj()  # rows: right singular vectors, descending
+    V, taken = np.zeros((count, n2, n2), dtype=complex), np.empty((count, n2 // 2), int)
+    for t in range(0, n2, 2):
+        res = cand - cand @ V[:, :t].conj().swapaxes(1, 2) @ V[:, :t]
+        norms = np.linalg.norm(res, axis=2)
+        j = taken[:, t // 2] = norms.argmax(axis=1)
+        V[:, t:t + 2] = _pairs(res[c[:, 0], j] / norms[c, j[:, None]]).swapaxes(1, 2)
+    # V's rows are the v and p(v) taken: chi(V), its columns by singular value
+    V = V.reshape(count, -1, 2, n2)[c, taken.argsort(1)].reshape(V.shape).swapaxes(1, 2)
+    (U, R), V = _adjoint_qr(Z @ V), _quaternions(V)
+    k = np.arange(min(m2, n2) // 2)
+    order = np.argsort(-R[:, k, k, 0], axis=1, kind="stable")
+    D = np.zeros(R.shape)
+    D[:, k, k] = R[c, order, order] * s[:, :, 0]
+    for F in (U, V):  # the columns of the singular values, sorted with them
+        F[:, :, k] = F[c, :, order].swapaxes(1, 2)
+    return [U, D, V]
 
 
 def _decompose(kind: str, A: AlgMatrix, rep: Representation,
                eps: float) -> DecompReport:
-    """:func:`wqr` (``kind="qr"``) or :func:`wsvd` of A.  A's blocks go as
-    one stack per field and size (``rep.groups``) from the lift to the
-    unlift: every entry is checked first, then an R or C group runs one
-    stacked LAPACK call and H blocks run one by one (refusing a non-finite
-    R or D), and each factor maps back in one product."""
+    """:func:`wqr` (``kind="qr"``) or :func:`wsvd` of A, as one stack per
+    field and size (``rep.groups``) from the lift to the unlift: every entry
+    is checked first, then each group runs once (refusing a non-finite R
+    or D), and each factor maps back in one product."""
     t0 = time.perf_counter()
     common = dict(kind=kind, method="wedderburn", eps=eps, norm="inf",
-                  beta="division")
-    failed = DecompReport(rotations=0, sweeps=0, qrd_calls=0,
-                          residual=math.nan, wall_time=0.0, **common)
+                  beta="division", rotations=0, sweeps=0, qrd_calls=0)
+    failed = DecompReport(residual=math.nan, wall_time=0.0, **common)
     stacks, finite = rep._stacks(A), np.empty(len(rep.blocks), dtype=bool)
     for key, x in stacks.items():
         finite[rep.groups[key]] = np.isfinite(x).all(axis=(1, 2, 3))
@@ -522,29 +540,18 @@ def _decompose(kind: str, A: AlgMatrix, rep: Representation,
         l = int(finite.argmin())
         raise ConvergenceError(
             f"block {l} {rep.blocks[l]}: non-finite block entry", failed)
-    counts = [(0, 0, 0)] * len(rep.blocks)  # rotations, sweeps, QR calls
     factors = {}  # (tag, n) -> the stack of each factor
     for key, x in stacks.items():
         tag, group = key[0], rep.groups[key]
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                if tag == "H":  # aqr refuses an R past the float range
-                    run = _quaternion_qr if kind == "qr" else _quaternion_svd
-                    F = [None] * len(group)
-                    for t, l in enumerate(group):
-                        F[t], counts[l] = run(x[t])
-                    F = [np.array(f) for f in zip(*F)]
-                else:
-                    F = [_field_coeffs(tag, f) for f in
-                         (_qr_factors if kind == "qr" else _svd_factors)(
-                             _field_array(tag, x))]
+                F = (_quaternion_factors(kind, x) if tag == "H" else
+                     [_field_coeffs(tag, f) for f in
+                      _lapack_factors(kind, _field_array(tag, x))])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"blocks {group} {key}: LAPACK: {exc}",
                                    failed) from exc
-        except ConvergenceError as exc:  # the QR of H block l
-            raise ConvergenceError(f"block {l} {key}: {exc}",
-                                   exc.report) from exc
-        # Q, U and V are finite when R or D is (LAPACK; _qr_factors' phase)
+        # Q, U and V are finite when R or D is (LAPACK, R's phase, H scaled)
         finite = np.isfinite(F[1]).all(axis=(1, 2, 3))
         if not finite.all():
             l = group[int(finite.argmin())]
@@ -553,10 +560,7 @@ def _decompose(kind: str, A: AlgMatrix, rep: Representation,
     shapes = [(A.m, A.m), (A.m, A.n), (A.n, A.n)][:3 if kind == "svd" else 2]
     mats = [rep._unstacked({key: F[j] for key, F in factors.items()}, *shape)
             for j, shape in enumerate(shapes)]
-    rot, sweeps, calls = zip(*counts)
     return DecompReport(
-        rotations=sum(rot), sweeps=(max if kind == "qr" else sum)(sweeps),
-        qrd_calls=sum(calls), block_rotations=rot,
         # R (QR) or D (SVD): below-diagonal or off-diagonal entries
         residual=_residual(mats[1]._array(rep.source.layout()), "inf",
                            off=kind == "svd"),
@@ -567,14 +571,11 @@ def _decompose(kind: str, A: AlgMatrix, rep: Representation,
 def wqr(A: AlgMatrix, rep: Representation, eps: float = 0.0) -> DecompReport:
     """QR through the representation: exact per-block triangularisation.
 
-    Each R or C group of blocks (``rep.groups``) runs one stacked LAPACK QR
-    (Householder); H blocks run the rotation engine's exact QR, one sweep at
-    eps 0 (:func:`_quaternion_qr`).  Every block's R is exactly upper
-    triangular with a real, non-negative diagonal, so ``residual`` is 0 and
-    ``eps`` (>= 0) only states the contract.  ``rotations``, ``sweeps`` (the
-    most of any block) and ``block_rotations`` count rotation-engine work,
-    so an R or C block adds 0 to each.
-    """
+    Each group of blocks (``rep.groups``) runs one stacked Householder QR,
+    LAPACK's (R and C) or on the complex adjoints (H).  Every block's R is
+    exactly upper triangular with a real, non-negative diagonal, so
+    ``residual`` is 0, ``eps`` (>= 0) only states the contract, and
+    ``rotations``, ``sweeps`` and ``qrd_calls`` are 0."""
     _check_tolerances(eps)
     return _decompose("qr", A, rep, eps)
 
@@ -583,13 +584,10 @@ def wsvd(A: AlgMatrix, rep: Representation,
          eps: float = 1e-10) -> DecompReport:
     """SVD through the representation; block singular values sorted descending.
 
-    Each R or C group of blocks (``rep.groups``) runs one stacked LAPACK
-    SVD (Golub-Kahan); H blocks go through their complex adjoint and one
-    exact QR (:func:`_quaternion_svd`).  Every D is diagonal, so
-    ``residual`` is 0 and ``eps`` (> 0) only states the contract.
-    ``rotations`` counts the rotations of the H blocks' QRs
-    (``block_rotations`` per block), ``sweeps`` their sweeps, and
-    ``qrd_calls`` the QRs, one per H block; an R or C block adds 0 to each.
+    Each group of blocks (``rep.groups``) runs one stacked SVD, LAPACK's
+    (R and C) or through the complex adjoints (H).  Every D is diagonal,
+    so ``residual`` is 0, ``eps`` (> 0) only states the contract, and
+    ``rotations``, ``sweeps`` and ``qrd_calls`` are 0.
     """
     _check_tolerances(eps, svd=True)
     return _decompose("svd", A, rep, eps)

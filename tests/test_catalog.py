@@ -244,6 +244,11 @@ def test_structure_checks_exact_on_every_label(spec, n):
                          ("isometry (A2)", f"{n} rows")]:
         assert (got[name].passed, got[name].worst, got[name].detail) == \
             (True, 0.0, detail)
+    # RMR transpose: an identity of the structure tables, every pair
+    rmr = got["rmr transpose (A3)"]
+    assert (rmr.passed, rmr.worst, rmr.detail) == (
+        (True, 0.0, f"{n * n} pairs") if spec.dim else
+        (True, 0.0, "skipped: infinite dim"))
 
 
 # -- verify catches a broken spec: cl(2,0) with one defect ---------------------------
@@ -273,10 +278,13 @@ class _SwappedConj(CliffordAlgebra):  # conj(g1) = g2 and conj(g2) = g1
 
 @pytest.mark.parametrize("broken,check", [
     (_FlippedConj, "check_involution"),
+    (_FlippedConj, "check_rmr_transpose"),
     (_MergedRow, "check_isometry"),
+    (_MergedRow, "check_rmr_transpose"),
     (_DoubledSign, "check_isometry"),
     (_SwappedConj, "check_unitary_basis"),
-], ids=["involution-sign", "non-injective-row", "sign-2", "non-unitary-basis"])
+], ids=["involution-sign", "rmr-transpose-sign", "non-injective-row",
+        "rmr-transpose-row", "sign-2", "non-unitary-basis"])
 def test_verify_catches_a_broken_spec(broken, check, monkeypatch, capsys):
     spec = broken(2, 0)
     res = getattr(verify, check)(spec)

@@ -539,16 +539,18 @@ def test_division_callable_counts_and_factors_pinned(spec, digests):
 
 
 def test_quaternion_block_counts_and_factors_pinned():
-    # the representation engine's H-block QR and SVD, one 16x12 block
+    # the representation engine's H-block QR and SVD, one 16x12 block: 12
+    # quaternion Householder steps (and LAPACK's SVD of the adjoint), no
+    # rotation
     H = quaternion_algebra()
     A = random_matrix(H, 16, 12, np.random.default_rng(1))
     q, s = wqr(A, rep_trivial(H)), wsvd(A, rep_trivial(H))
-    assert (q.rotations, q.sweeps, q.block_rotations) == (114, 1, (114,))
+    assert (q.rotations, q.sweeps, q.block_rotations) == (0, 0, ())
     assert (s.rotations, s.qrd_calls, s.sweeps, s.block_rotations) == \
-        (114, 1, 1, (114,))
+        (0, 0, 0, ())
     assert tuple(map(digest, (q.q, q.r, s.u, s.d, s.v))) == (
-        "d7f4d2fd3d979f12", "055fbee3d183d9a3", "27f3b7f06300b03b",
-        "acc9654229a4d52e", "614891096484118b")
+        "d4e08b85a92f7441", "3e28bea108aade27", "9ce049d5140b733b",
+        "6397cdf5429d6c00", "684c76650c8b8996")
 
 
 # integer coefficients in -2..2 tie often; a 1x1 aqr is one shift by the
@@ -770,26 +772,22 @@ def test_step_trim_equals_per_row_trims(seed, monkeypatch):
 
 
 def test_block_engine_counts_pinned():
-    # per-block rotation and QR-call counts of the representation engine:
-    # R and C blocks run LAPACK and count nothing, H blocks run aqr (wqr) or
-    # LAPACK on the complex adjoint and one exact aqr (wsvd)
+    # the representation engine calls no rotation engine: R and C blocks run
+    # LAPACK, H blocks quaternion Householder steps on the complex adjoint
+    # (and LAPACK's SVD of it), so every count is 0 and no per-block
+    # rotation count is set
     dft = rep_cyclic_dft(1, 32)
     A = laurent_embed(random_matrix(laurent(1), 3, 3,
                                     np.random.default_rng(11), degree=2), 32)
-    assert wqr(A, dft).block_rotations == (0,) * 17
-    rep = wsvd(A, dft, eps=1e-10)
-    assert rep.block_rotations == (0,) * 17
-    assert (rep.qrd_calls, rep.sweeps) == (0, 0)
-    A = random_matrix(clifford(4, 1), 3, 2, np.random.default_rng(7))
-    assert wqr(A, rep_cl41()).block_rotations == (0,)
-    rep = wsvd(A, rep_cl41(), eps=1e-10)
-    assert (rep.block_rotations, rep.qrd_calls, rep.sweeps) == ((0,), 0, 0)
     quat = quaternion_algebra()
-    A = random_matrix(quat, 4, 3, np.random.default_rng(1))
-    rep = wqr(A, representation_for(quat))
-    assert (rep.block_rotations, rep.sweeps) == ((6,), 1)
-    rep = wsvd(A, representation_for(quat), eps=1e-10)
-    assert (rep.block_rotations, rep.qrd_calls, rep.sweeps) == ((6,), 1, 1)
+    H = random_matrix(quat, 4, 3, np.random.default_rng(1))
+    for A, rep in ((A, dft),
+                   (random_matrix(clifford(4, 1), 3, 2,
+                                  np.random.default_rng(7)), rep_cl41()),
+                   (H, representation_for(quat))):
+        for out in (wqr(A, rep), wsvd(A, rep, eps=1e-10)):
+            assert (out.rotations, out.sweeps, out.qrd_calls,
+                    out.block_rotations) == (0, 0, 0, ())
 
 
 def test_basis_rotation_chain_pinned():

@@ -12,8 +12,8 @@ from algdecomp import (AlgebraError, AlgMatrix, ConvergenceError, Element,
                        laurent_embed, laurent_unembed, lift, quadquat,
                        quaternion_algebra, random_matrix, real_algebra,
                        rep_biquat, rep_cl41, rep_cyclic_dft, rep_quadquat,
-                       rep_trivial, representation_for, rmr_lift, unlift, wqr,
-                       wsvd)
+                       rep_trivial, representation_for, rmr_lift, tensor,
+                       unlift, wqr, wsvd)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (complex_ndarray, digest, eval_laurent, quat_matmul,
@@ -187,7 +187,9 @@ def test_quaternion_block_decompositions():
     A = random_matrix(spec, 3, 2, RNG(41))
     scale = A.frob()
     q = wqr(A, rep, eps=0.0)
-    assert q.block_rotations[0] > 0
+    R = lift(q.r, rep)[0]._array(quaternion_algebra().layout())
+    assert np.all(R[np.tri(6, 4, -1, dtype=bool)] == 0.0)  # exactly triangular,
+    assert np.all(R[range(4), range(4), 1:] == 0.0)       # a real diagonal
     assert (q.q @ q.r - A).frob() <= 1e-12 * scale
     s = wsvd(A, rep, eps=1e-10)
     assert (s.u @ s.d @ s.v.herm() - A).frob() <= 1e-9 * scale
@@ -275,22 +277,52 @@ def test_wqr_cl41_exact_triangularisation():
             - AlgMatrix.identity(rep.source, 3)).frob() <= 1e-10
 
 
-def test_h_block_convergence_error_names_it(monkeypatch):
-    # a ConvergenceError from an H block's QR (wqr's, or the one that ends
-    # wsvd's) is raised again naming the block, with the inner report
-    report = object()
-
-    def failing(*args, **kwargs):
-        raise ConvergenceError("forced failure", report)
-
-    monkeypatch.setattr("algdecomp.wedderburn.aqr", failing)
-    named = r"^block \d \('H', \d\): forced failure$"
-    for rep in (rep_trivial(quaternion_algebra()), _cl04_rep()):
-        A = random_matrix(rep.source, 3, 2, RNG(8))
+def test_h_block_past_the_float_range_names_it():
+    # entries 1.5e308 are finite, but R's diagonal and the singular value,
+    # |x| = 2.1e308, are not: the block is named, with no numpy warning
+    quat = quaternion_algebra()
+    A = AlgMatrix(quat, [[Element(quat, {quat.unit: 1.5e308})]] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         for run in (wqr, wsvd):
-            with pytest.raises(ConvergenceError, match=named) as exc:
-                run(A, rep)
-            assert exc.value.report is report
+            with pytest.raises(ConvergenceError) as exc:
+                run(A, rep_trivial(quat))
+            assert exc.value.args[0] == "block 0 ('H', 1): non-finite factor"
+            assert math.isnan(exc.value.report.residual)
+
+
+def _rep_h_plus_h():
+    """H (x) R[Z/2] = H + H: e_q (x) z^k -> (E_q, (-1)^k E_q)."""
+    spec = tensor(quaternion_algebra(), cyclic(1, 2))
+    images = {}
+    for q, k in spec.labels:
+        E = np.zeros((1, 1, 4))
+        E[0, 0, q] = 1.0
+        images[q, k] = [E, (-1) ** k[0] * E]
+    return Representation(spec, (("H", 1), ("H", 1)), images, name="H+H")
+
+
+def test_h_group_of_two_blocks_factors_each_as_alone():
+    # one H group of two blocks, each factored as its own rep_trivial run
+    # would; B's blocks differ in scale by 2^600 (its entry (0, 0) lifts to
+    # 2^601 and 0), so each block must run at its own power of two: at a
+    # common one, the smaller block's squares underflow and its Q, U and V
+    # are lost
+    rep, single = _rep_h_plus_h(), rep_trivial(quaternion_algebra())
+    assert rep.groups == {("H", 1): [0, 1]}
+    assert rep.verification.mult_worst == rep.verification.star_worst == 0.0
+    A, B = (random_matrix(rep.source, 4, 3, RNG(60)) for _ in range(2))
+    B[0, 0] = Element(rep.source, {(0, (0,)): 2.0 ** 600, (0, (1,)): 2.0 ** 600})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for X in (A, B):
+            both = (wqr(X, rep), wsvd(X, rep))
+            alone = [(wqr(b, single), wsvd(b, single)) for b in lift(X, rep)]
+            for t, name in ((0, "q"), (0, "r"), (1, "u"), (1, "d"), (1, "v")):
+                want = [getattr(runs[t], name) for runs in alone]
+                tol = 1e-14 * max(F.frob() for F in want)
+                for got, F in zip(lift(getattr(both[t], name), rep), want):
+                    assert (got - F).frob() <= tol, name
 
 
 def test_wsvd_reconstruction_and_order():
@@ -369,10 +401,10 @@ def test_wsvd_converges_on_laurent_frequency_blocks():
 
 def test_wsvd_is_scale_free():
     # a power-of-2 scaling scales the singular values (to round-off: LAPACK
-    # promises no bit equality across builds) and, since an H block's QR
-    # runs on its block scaled to the power of two of its largest
-    # coefficient, changes no rotation (the per-block alternating QR once
-    # ran out of QR calls at 2^20: its off-diagonal test was absolute)
+    # promises no bit equality across builds); an H block runs on the block
+    # scaled to the power of two of its largest coefficient, so its U and V
+    # keep their bytes and D scales exactly (the per-block alternating QR
+    # once ran out of QR calls at 2^20: its off-diagonal test was absolute)
     for rep in (rep_cl41(), rep_trivial(quaternion_algebra())):
         A = random_matrix(rep.source, 3, 2, RNG(7))
         lay = A.spec.layout()
@@ -383,8 +415,10 @@ def test_wsvd_is_scale_free():
         for scale, out in outs.items():
             np.testing.assert_allclose(out.d._array(lay) / scale, d,
                                        rtol=1e-15, atol=1e-15 * np.abs(d).max())
-            assert out.block_rotations == outs[1.0].block_rotations
-    assert outs[1.0].block_rotations[0] > 0  # quat: its one H block rotates
+    for scale, out in outs.items():  # quat
+        assert np.array_equal(out.d._array(lay) / scale, d)
+        assert digest(out.u) == digest(outs[1.0].u)
+        assert digest(out.v) == digest(outs[1.0].v)
 
 
 def test_wsvd_gaussian_cl41_seeds():
@@ -426,12 +460,12 @@ def test_block_svd_matches_numpy(tag, seed, m, n, rank):
        st.sampled_from([0.0, 1e-10, 1.0]))
 @example("H", 0, 5, 3, 1, 1.0)
 def test_lapack_blocks_exact_structure(tag, seed, m, n, rank, eps):
-    # R and C blocks run LAPACK, and so does an H block's SVD (on the
-    # complex adjoint); tall, wide, rank-deficient and zero blocks through
-    # the identity representation, which lifts and unlifts exactly.  No
-    # block reads wqr's eps: an H block's QR runs at eps 0, one sweep of at
-    # most one rotation per below-diagonal entry (at eps 1 a tolerance
-    # derived from eps once left entries below the diagonal)
+    # R and C blocks run LAPACK, H blocks quaternion Householder steps on
+    # the complex adjoint (and LAPACK's SVD of it); tall, wide,
+    # rank-deficient and zero blocks through the identity representation,
+    # which lifts and unlifts exactly.  No block reads wqr's eps or rotates
+    # (at eps 1 a tolerance derived from eps once left entries below an H
+    # block's diagonal)
     field, rng = _FIELDS[tag], RNG(seed)
     rank = min(rank, m, n)
     B = (random_matrix(field, m, rank, rng) @ random_matrix(field, rank, n, rng)
@@ -447,10 +481,7 @@ def test_lapack_blocks_exact_structure(tag, seed, m, n, rank, eps):
     assert np.all(r[below] == 0.0)               # exactly upper triangular,
     assert np.all(r[range(k), range(k), 0] >= 0.0)    # a non-negative
     assert np.all(r[range(k), range(k), 1:] == 0.0)   # real diagonal
-    if tag == "H":  # an H block's QR runs the rotation engine
-        assert qr.sweeps == 1 and qr.rotations <= below.sum()
-    else:
-        assert (qr.rotations, qr.sweeps) == (0, 0)
+    assert (qr.rotations, qr.sweeps, qr.qrd_calls) == (0, 0, 0)
     assert qr.q.unitarity_error() <= 1e-14 * m
     assert (qr.q @ qr.r - B).frob() <= 1e-14 * scale
 
@@ -466,8 +497,7 @@ def test_lapack_blocks_exact_structure(tag, seed, m, n, rank, eps):
     np.testing.assert_allclose(np.repeat(d[range(k), range(k), 0], field.dim),
                                np.linalg.svd(rmr_lift(B), compute_uv=False),
                                atol=1e-13 * scale)
-    if tag != "H":
-        assert (svd.rotations, svd.sweeps, svd.qrd_calls) == (0, 0, 0)
+    assert (svd.rotations, svd.sweeps, svd.qrd_calls) == (0, 0, 0)
 
 
 @settings(max_examples=60)
@@ -525,9 +555,9 @@ def _raises_naming_block(A, rep, block):
     (cyclic(1, 4), (3, 1)), (quadquat(), (2, 3)), (quaternion_algebra(), (2, 2)),
 ], ids=lambda v: getattr(v, "descriptor", None))
 def test_non_finite_block_raises_naming_it(spec, shape, bad):
-    # every block's entries are checked before any block runs, LAPACK (R
-    # and C; cyclic(1, 4) has one-column DFT blocks) or the rotation engine
-    # (H), and the first block whose lifted entries are non-finite is named
+    # every block's entries are checked before any group runs (cyclic(1, 4)
+    # has one-column DFT blocks), and the first block whose lifted entries
+    # are non-finite is named
     # (cl(4,1): see test_non_finite_entry_raises_before_any_warning)
     A = random_matrix(spec, *shape, RNG(7))
     coeffs = dict(A[shape[0] - 1, 0].coeffs)
@@ -627,10 +657,10 @@ def test_wsvd_non_finite_entry_raises(spec, shape):
 
 
 def test_quaternion_blocks_decompose_at_any_finite_scale():
-    # an H block's QR runs on the block scaled by the power of two of its
-    # largest coefficient: wqr and wsvd succeed, with no numpy warning,
-    # where squares of the unscaled coefficients overflow (the pivot norm
-    # raised "non-finite pivot" from about 1.3e154)
+    # an H block runs scaled by the power of two of its largest
+    # coefficient: wqr and wsvd succeed, with no numpy warning, where
+    # squares of the unscaled coefficients overflow (the rotation engine's
+    # pivot norm once raised "non-finite pivot" from about 1.3e154)
     B = random_matrix(quaternion_algebra(), 3, 2, RNG(3))
     lay, rep = B.spec.layout(), rep_trivial(B.spec)
     with warnings.catch_warnings():
@@ -641,6 +671,27 @@ def test_quaternion_blocks_decompose_at_any_finite_scale():
             assert (qr.q @ qr.r - big).frob() <= 1e-14 * big.frob()
             assert ((svd.u @ svd.d @ svd.v.herm() - big).frob()
                     <= 1e-14 * big.frob())
+
+
+@pytest.mark.parametrize("power", [530, 600])
+def test_quaternion_entries_far_apart_in_scale(power):
+    # each Householder step scales its column by the column's largest entry
+    # and takes |x_1| by hypot, so a column, or a column's leading entry,
+    # 2^-power below the rest (squares subnormal or 0) still gives a unitary
+    # step (without either, Q's unitarity error was 1e-4 at 2^-530)
+    quat = quaternion_algebra()
+    lay, rep = quat.layout(), rep_trivial(quat)
+    for cut in (np.s_[:, 1], np.s_[0, 0]):
+        x = random_matrix(quat, 4, 3, RNG(2))._array(lay)
+        x[cut] *= 2.0 ** -power
+        A = AlgMatrix._of_array(lay, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, s = wqr(A, rep), wsvd(A, rep)
+        assert q.q.unitarity_error() <= 4e-14
+        assert (q.q @ q.r - A).frob() <= 1e-14 * A.frob()
+        assert max(s.u.unitarity_error(), s.v.unitarity_error()) <= 4e-14
+        assert (s.u @ s.d @ s.v.herm() - A).frob() <= 1e-14 * A.frob()
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -754,7 +805,8 @@ _PIN_REPS = {
 
 # counts: wqr's rotations and sweeps, wsvd's rotations, QR calls and sweeps;
 # digests: wqr's Q and R, wsvd's U, D and V, and unlift(lift(A)).  Seed 1;
-# R and C blocks give LAPACK's bytes, which hold within one numpy build
+# every group runs on numpy (LAPACK, or H Householder steps and LAPACK's
+# SVD of the complex adjoints), so the bytes hold within one numpy build
 @pytest.mark.parametrize("name,shape,counts,digests", [
     ("cyclic(1,32)", (3, 2), (0, 0, 0, 0, 0), (
         "62647d32165d3dec", "9c31fc2fb67d344f", "ae03d4d9b16ad33f",
@@ -786,18 +838,18 @@ _PIN_REPS = {
     ("biquat", (2, 3), (0, 0, 0, 0, 0), (
         "1e7c4c8dff12d7ea", "7384baf3c5da688a", "5a2847ab335b4218",
         "b9840c9df839f647", "6fe6bcd2d2d152f8", "6e022830a956bf34")),
-    ("quat", (3, 2), (3, 1, 3, 1, 1), (
-        "575337e81b0afec5", "f51f0eb7c6d781a9", "1e942c19406dd732",
-        "7c3be4c21297fd8e", "189cf5a347698877", "bb230baf586f49cf")),
-    ("quat", (2, 3), (1, 1, 3, 1, 1), (
-        "35a9563452b7f567", "eb4bc2904cb28103", "a3079f9074ba9024",
-        "ee26317fc56e6b16", "9e70954a8dc9d5a2", "6051aeccea2226fa")),
-    ("cl(0,4)", (3, 2), (14, 1, 14, 1, 1), (
-        "65a9d20fe969fd55", "15b867b18e418828", "6f4cc599afdb7c46",
-        "aa5d2cdaca38882b", "1aeed44595862e9e", "8a049c8a6d9809c8")),
-    ("cl(0,4)", (2, 3), (6, 1, 14, 1, 1), (
-        "45eef9ff84f0aa7e", "2e86a98e26011a33", "e119c866d8141057",
-        "b2cf205471eebcec", "3c5e2e777b9d71b9", "8dce243ea055d349")),
+    ("quat", (3, 2), (0, 0, 0, 0, 0), (
+        "c4b74ba53875523a", "8ce51e51857bd638", "332223c1074ef776",
+        "bab4be84f3a95eb7", "4b5ff5c2b84b2d49", "bb230baf586f49cf")),
+    ("quat", (2, 3), (0, 0, 0, 0, 0), (
+        "7b401421ccc3adba", "d12931e7c9c48c45", "ca72c5fc679e1c40",
+        "388409d95d9f33c2", "078bb004f6c939da", "6051aeccea2226fa")),
+    ("cl(0,4)", (3, 2), (0, 0, 0, 0, 0), (
+        "3195b8650e5432a7", "17615a7631c5492d", "9e674bb181b33e61",
+        "11315b40f766d364", "d294efd70059f8d9", "8a049c8a6d9809c8")),
+    ("cl(0,4)", (2, 3), (0, 0, 0, 0, 0), (
+        "fcdb0fe74629fca4", "9adb7275246acf9a", "75dc374e45639361",
+        "141d3ab48def172f", "464510458643bd40", "8dce243ea055d349")),
 ])
 def test_factors_counts_and_round_trip_pinned(name, shape, counts, digests):
     rep, rng = _PIN_REPS[name](), RNG(1)
@@ -807,9 +859,7 @@ def test_factors_counts_and_round_trip_pinned(name, shape, counts, digests):
         A = random_matrix(rep.source, *shape, rng)
     q, s = wqr(A, rep), wsvd(A, rep)
     assert (q.rotations, q.sweeps, s.rotations, s.qrd_calls, s.sweeps) == counts
-    for out in (q, s):  # no rep here has an H block beside another block
-        assert out.block_rotations == tuple(
-            out.rotations if tag == "H" else 0 for tag, _ in rep.blocks)
+    assert q.block_rotations == s.block_rotations == ()
     round_trip = unlift(lift(A, rep), rep, *shape)
     assert tuple(map(digest, (q.q, q.r, s.u, s.d, s.v, round_trip))) == digests
 
